@@ -20,11 +20,12 @@ and run consistency scans over the built-in catalog.
 """
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb
 
 from .errors import InvariantMismatch, NotCentral
 from .liealg import LieAlgebra
-from .linalg import Subspace
+from .linalg import SpanBuilder, Subspace, int_row
 from .multiplier import exterior_square_dim, schur_multiplier_dim
 
 
@@ -78,7 +79,7 @@ class GammaImages:
 
     dim_im_gamma_L: int
     dim_im_gamma_prime2: int
-    dim_im_gamma_prime3: int
+    dim_im_gamma_prime3: int | None
 
 
 @dataclass(frozen=True)
@@ -94,99 +95,89 @@ class TheoremReport:
     witnesses: dict
 
 
-def _gamma_terms(L):
-    """Shared coordinate maps for the gamma images.
+def _tensor_rank(rows, n, width):
+    """Dimension of the span of the tensors sum(sign * left (x) e_col),
+    one per row of (sign, left, col) terms with left in Q^n."""
+    builder = SpanBuilder(n * width)
+    for terms in rows:
+        vec = [0] * (n * width)
+        for sign, left, col in terms:
+            for k, c in enumerate(left):
+                if c:
+                    vec[k * width + col] += sign * c
+        builder.add(int_row(vec))
+    return builder.rank
 
-    Returns (ab_reps, ab_proj, prime_reps, prime_proj, phi2, g2mod,
-    gamma3) where phi2 gives coordinates in L2/L3 and the rep lists
-    are lifted bases of L/L2 and L/(Z(L) + L2).
+
+def _gamma_rank(L, reps, gamma3):
+    """Image dimension of gamma on the unit-vector images of reps.
+
+    gamma3.reduce is injective on L2 modulo L3, so it stands in for
+    L2/L3 coordinates.  gamma is alternating, so a < b < c suffices.
     """
-    n = L.dim
-    gammas = L.lower_central_series()
-    gamma2 = gammas[1] if len(gammas) > 1 else Subspace.zero(n)
-    gamma3 = gammas[2] if len(gammas) > 2 else Subspace.zero(n)
-
-    q_ab = L.quotient(gamma2)
-    ab_dim = n - gamma2.dim
-    ab_reps = [
-        q_ab.lift([1 if t == s else 0 for t in range(ab_dim)])
-        for s in range(ab_dim)
-    ]
-
-    central = gamma2 + L.center()
-    q_prime = L.quotient(central)
-    prime_dim = n - central.dim
-    prime_reps = [
-        q_prime.lift([1 if t == s else 0 for t in range(prime_dim)])
-        for s in range(prime_dim)
-    ]
-
-    q3 = L.quotient(gamma3)
-    mod3 = Subspace([q3.project(row) for row in gamma2.rows], n - gamma3.dim)
-
-    def phi2(vec):
-        return mod3.coords(q3.project(vec))
-
-    return ab_reps, q_ab.project, prime_reps, q_prime.project, phi2, mod3.dim, gamma3
+    table = {
+        (a, b): gamma3.reduce(L.bracket(x, y))
+        for a, x in enumerate(reps)
+        for b, y in enumerate(reps)
+    }
+    rows = (
+        ((1, table[a, b], c), (1, table[c, a], b), (1, table[b, c], a))
+        for a, b, c in combinations(range(len(reps)), 3)
+    )
+    return _tensor_rank(rows, L.dim, len(reps))
 
 
-def _trilinear_image(L, reps, proj, phi2, g2mod):
-    """Image dimension of gamma on the given representatives."""
-    width = len(reps)
-    rows = []
-    for x in reps:
-        for y in reps:
-            for z in reps:
-                vec = [0] * (g2mod * width)
-                for u, v, w in ((x, y, z), (z, x, y), (y, z, x)):
-                    left = phi2(L.bracket(u, v))
-                    right = proj(w)
-                    for a in range(g2mod):
-                        if left[a]:
-                            for b in range(width):
-                                vec[a * width + b] += left[a] * right[b]
-                rows.append(vec)
-    return Subspace(rows, g2mod * width).dim
+def _gamma_prime3_rank(L, reps):
+    """Image dimension of the degree-4 map
+
+        [[x,y],z] (x) w + [w,[x,y]] (x) z + [[z,w],x] (x) y + [y,[z,w]] (x) x
+
+    on the unit-vector images of reps, with values in L3.  It is
+    antisymmetric in (x, y) and in (z, w), so pairs a < b, c < d suffice.
+    """
+    pairs = list(combinations(range(len(reps)), 2))
+    table = {
+        (p, c): L.bracket(L.bracket(reps[p[0]], reps[p[1]]), z)
+        for p in pairs
+        for c, z in enumerate(reps)
+    }
+    rows = (
+        (
+            (1, table[(a, b), c], d),
+            (-1, table[(a, b), d], c),
+            (1, table[(c, d), a], b),
+            (-1, table[(c, d), b], a),
+        )
+        for a, b in pairs
+        for c, d in pairs
+    )
+    return _tensor_rank(rows, L.dim, len(reps))
+
+
+def _representatives(L, ideal):
+    """The basis vectors outside the ideal's pivots; their images in
+    L/I are the unit vectors of the quotient basis."""
+    pivots = set(ideal.pivots)
+    return [L.basis_vector(j) for j in range(L.dim) if j not in pivots]
 
 
 def gamma_images(L: LieAlgebra) -> GammaImages:
     """Image dimensions of gamma on L/L2, and of the primed variants
     on L/(Z(L) + L2) (the degree-4 variant only when the class is at
     least 3)."""
-    ab_reps, ab_proj, prime_reps, prime_proj, phi2, g2mod, gamma3 = _gamma_terms(L)
-    dim_gamma = _trilinear_image(L, ab_reps, ab_proj, phi2, g2mod)
-    dim_prime2 = _trilinear_image(L, prime_reps, prime_proj, phi2, g2mod)
+    n = L.dim
+    gammas = L.lower_central_series()
+    gamma2 = gammas[1] if len(gammas) > 1 else Subspace.zero(n)
+    gamma3 = gammas[2] if len(gammas) > 2 else Subspace.zero(n)
+    ab_reps = _representatives(L, gamma2)
+    prime_reps = _representatives(L, gamma2 + L.center())
 
     dim_prime3 = None
     if L.series().nilpotency_class >= 3:
-        width = len(prime_reps)
-        g3 = gamma3.dim
-        rows = []
-        for x in prime_reps:
-            for y in prime_reps:
-                for z in prime_reps:
-                    xy = L.bracket(x, y)
-                    for w in prime_reps:
-                        zw = L.bracket(z, w)
-                        vec = [0] * (g3 * width)
-                        for u, v in (
-                            (L.bracket(xy, z), w),
-                            (L.bracket(w, xy), z),
-                            (L.bracket(zw, x), y),
-                            (L.bracket(y, zw), x),
-                        ):
-                            left = gamma3.coords(u)
-                            right = prime_proj(v)
-                            for a in range(g3):
-                                if left[a]:
-                                    for b in range(width):
-                                        vec[a * width + b] += left[a] * right[b]
-                        rows.append(vec)
-        dim_prime3 = Subspace(rows, g3 * width).dim
-
+        dim_prime3 = _gamma_prime3_rank(L, prime_reps)
     return GammaImages(
-        dim_im_gamma_L=dim_gamma,
-        dim_im_gamma_prime2=dim_prime2,
+        dim_im_gamma_L=_gamma_rank(L, ab_reps, gamma3),
+        dim_im_gamma_prime2=_gamma_rank(L, prime_reps, gamma3),
         dim_im_gamma_prime3=dim_prime3,
     )
 
@@ -378,7 +369,7 @@ class SweepRow:
     m: int
     c: int
     dim_M: int
-    bound_e2: int
+    bound_e2: int | None
     attains_e2: bool
 
 

@@ -113,9 +113,9 @@ class MultiplierReport:
     dim_exterior_square: int
     exterior_center: Subspace
     capable: bool
-    bound_e1: int
-    bound_e2: int
-    attains_e2: bool
+    bound_e1: int | None
+    bound_e2: int | None
+    attains_e2: bool | None
 
 
 def present_minimal(L: LieAlgebra) -> Presentation:

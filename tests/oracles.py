@@ -3,14 +3,16 @@
 The multiplier oracle goes through Chevalley-Eilenberg homology with
 sympy: dim M(L) = dim H2(L; Q) = dim ker(d2) - rank(d3), a completely
 different route from the Hopf-formula engine (no free algebras, no
-Hall bases, no echelon code shared).  The Witt oracle counts Lyndon
+Hall bases, no echelon code shared).  The gamma oracle evaluates the
+maps of ``schurlab.bounds.gamma_images`` on every ordered tuple of
+representatives, in sympy coordinates.  The Witt oracle counts Lyndon
 words by brute force.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 
-from sympy import Matrix, Rational
+from sympy import Matrix, Rational, zeros
 
 
 def _rat(x):
@@ -48,6 +50,119 @@ def ce_multiplier_dim(L):
         add_wedge(col, 1, L._bracket_basis(y, z), x)
 
     return (len(pairs) - d2.rank()) - d3.rank()
+
+
+def _columns(vectors):
+    """A basis of the span of sympy column vectors, keeping the earliest
+    independent ones, as a list of columns."""
+    if not vectors:
+        return []
+    return Matrix.hstack(*vectors).columnspace()
+
+
+def _coordinate_map(frame):
+    """Coordinates in the (independent) columns of frame, for vectors in
+    their span: the exact left inverse (F^T F)^-1 F^T."""
+    frame = Matrix.hstack(*frame)
+    return (frame.T * frame).inv() * frame.T
+
+
+def literal_gamma_images(L):
+    """(dim im gamma, dim im gamma'_2, dim im gamma'_3) by the definitions.
+
+    gamma(x, y, z) = [x,y] (x) z + [z,x] (x) y + [y,z] (x) x takes values
+    in L2/L3 (x) L/L2, and gamma'_2 is the same map on L/(Z(L) + L2).
+    gamma'_3(x, y, z, w) = [[x,y],z] (x) w + [w,[x,y]] (x) z
+    + [[z,w],x] (x) y + [y,[z,w]] (x) x takes values in L3 (x) L/(Z(L) + L2)
+    and is None below class 3.  Every ordered triple and quadruple of
+    representatives is evaluated; the representatives of L/I are the
+    standard basis vectors outside the pivot columns of I in reduced row
+    echelon form.
+    """
+    n = L.dim
+    basis = [Matrix.eye(n)[:, i] for i in range(n)]
+    sc = [
+        (i, j, [(k, _rat(c)) for k, c in vec.items()])
+        for (i, j), vec in L.sc.items()
+    ]
+
+    def bracket(u, v):
+        out = zeros(n, 1)
+        for i, j, vec in sc:
+            c = u[i] * v[j] - u[j] * v[i]
+            if c:
+                for k, w in vec:
+                    out[k] += c * w
+        return out
+
+    l2 = _columns([bracket(x, y) for x in basis for y in basis])
+    l3 = _columns([bracket(x, y) for x in basis for y in l2])
+    # a basis of L2 that starts with the basis of L3: trailing coordinates
+    # are the L2/L3 coordinates
+    g3 = len(l3)
+    mod3 = _coordinate_map(_columns(l3 + l2))[g3:, :] if l2 else zeros(0, n)
+    on_l3 = _coordinate_map(l3) if l3 else zeros(0, n)
+    ad = Matrix.vstack(
+        *[Matrix.hstack(*[bracket(x, y) for x in basis]) for y in basis]
+    )
+    center = ad.nullspace()
+
+    def quotient(ideal):
+        """Representatives of L/I and the coordinate map onto them."""
+        pivots = Matrix.hstack(*ideal).T.rref()[1] if ideal else ()
+        reps = [basis[j] for j in range(n) if j not in pivots]
+        if not reps:
+            return reps, zeros(0, n)
+        return reps, _coordinate_map(ideal + reps)[len(ideal) :, :]
+
+    def rank(values):
+        if not values:
+            return 0
+        flat = [v.reshape(v.rows * v.cols, 1) for v in values]
+        return Matrix.hstack(*flat).rank()
+
+    def gamma(reps, proj):
+        values = []
+        for x in reps:
+            for y in reps:
+                for z in reps:
+                    values.append(
+                        sum(
+                            (
+                                (mod3 * bracket(u, v)) * (proj * w).T
+                                for u, v, w in ((x, y, z), (z, x, y), (y, z, x))
+                            ),
+                            zeros(mod3.rows, len(reps)),
+                        )
+                    )
+        return rank(values)
+
+    ab_reps, ab_proj = quotient(l2)
+    prime_reps, prime_proj = quotient(_columns(l2 + center))
+    dim_prime3 = None
+    if l3:
+        values = []
+        for x in prime_reps:
+            for y in prime_reps:
+                for z in prime_reps:
+                    for w in prime_reps:
+                        xy, zw = bracket(x, y), bracket(z, w)
+                        values.append(
+                            sum(
+                                (
+                                    (on_l3 * u) * (prime_proj * v).T
+                                    for u, v in (
+                                        (bracket(xy, z), w),
+                                        (bracket(w, xy), z),
+                                        (bracket(zw, x), y),
+                                        (bracket(y, zw), x),
+                                    )
+                                ),
+                                zeros(g3, len(prime_reps)),
+                            )
+                        )
+        dim_prime3 = rank(values)
+    return gamma(ab_reps, ab_proj), gamma(prime_reps, prime_proj), dim_prime3
 
 
 def lyndon_count(d, k):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from schurlab.bounds import (
@@ -16,6 +18,8 @@ from schurlab.bounds import (
 from schurlab.catalog import abelian, catalog_get, heisenberg
 from schurlab.errors import NotCentral
 from schurlab.linalg import Subspace
+
+from oracles import literal_gamma_images, random_basis_change
 
 
 def test_bound_values():
@@ -93,6 +97,30 @@ def test_gamma_images_values():
     images = gamma_images(abelian(4))
     assert images.dim_im_gamma_L == 0
     assert images.dim_im_gamma_prime3 is None
+
+
+def test_gamma_images_match_literal_definition():
+    """The rank over alternating index sets equals the rank over every
+    ordered tuple.  The basis changes move the representatives off the
+    trailing basis vectors; the dense triangular one also makes the
+    basis brackets non-monomial, without which a sign error in one
+    gamma term leaves every rank unchanged."""
+    names = ["L4_3", "L5_7", "L5_9", "L6_22(1/2)", "L6_26", "H(2)", "L5_8+A(1)"]
+    algebras = [catalog_get(name) for name in names + ["L5_5+A(1)"]]
+    rng = random.Random(3)
+    for name in ["L5_7", "L5_9", "L6_22(1/2)", "L6_26"]:
+        algebras += [random_basis_change(catalog_get(name), rng) for _ in range(2)]
+    for name in ["L5_8+A(1)", "L5_5+A(1)"]:
+        n = catalog_get(name).dim
+        triangular = [[int(r <= t) for t in range(n)] for r in range(n)]
+        algebras.append(catalog_get(name).change_basis(triangular))
+    for algebra in algebras:
+        images = gamma_images(algebra)
+        assert literal_gamma_images(algebra) == (
+            images.dim_im_gamma_L,
+            images.dim_im_gamma_prime2,
+            images.dim_im_gamma_prime3,
+        ), algebra
 
 
 def test_theorem_2_1_on_catalog(catalog6):

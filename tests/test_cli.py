@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -53,6 +54,19 @@ def test_json_deterministic(capsys):
         capsys, "multiplier", "--name", "H(2)", "--format", "json"
     )
     assert first == second
+
+
+def test_check_json_golden_digest(capsys):
+    # Pins the output across versions: the 2.5 and 2.6 witnesses carry
+    # the gamma dims.  A deliberate output change (such as new catalog
+    # entries) updates the digest and records the change in CHANGES.md.
+    code, out, _ = run_cli(
+        capsys, "check", "--theorem", "all", "--max-dim", "6", "--format", "json"
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "5d707524524b5743892b05f25b09943f58ffd1bb7fe53b8d4c4da414a0ac55ce"
+    )
 
 
 def test_table_output(capsys):
