@@ -164,7 +164,9 @@ def _representatives(L, ideal):
 def gamma_images(L: LieAlgebra) -> GammaImages:
     """Image dimensions of gamma on L/L2, and of the primed variants
     on L/(Z(L) + L2) (the degree-4 variant only when the class is at
-    least 3)."""
+    least 3).  Cached on L, like ``series``."""
+    if L._gamma_images is not None:
+        return L._gamma_images
     n = L.dim
     gammas = L.lower_central_series()
     gamma2 = gammas[1] if len(gammas) > 1 else Subspace.zero(n)
@@ -175,11 +177,12 @@ def gamma_images(L: LieAlgebra) -> GammaImages:
     dim_prime3 = None
     if L.series().nilpotency_class >= 3:
         dim_prime3 = _gamma_prime3_rank(L, prime_reps)
-    return GammaImages(
+    L._gamma_images = GammaImages(
         dim_im_gamma_L=_gamma_rank(L, ab_reps, gamma3),
         dim_im_gamma_prime2=_gamma_rank(L, prime_reps, gamma3),
         dim_im_gamma_prime3=dim_prime3,
     )
+    return L._gamma_images
 
 
 def check_theorem_2_1(L: LieAlgebra, K: Subspace) -> TheoremReport:
@@ -297,10 +300,15 @@ def scan_theorem_2_9(max_dim: int = 6) -> TheoremReport:
     are recorded for information but are not violations."""
     from .catalog import enumerate_catalog
 
+    return _scan_theorem_2_9(enumerate_catalog(max_dim), max_dim)
+
+
+def _scan_theorem_2_9(entries, max_dim):
+    """``scan_theorem_2_9`` over the catalog entries up to ``max_dim``."""
     checked = []
     violations = []
     class_two = []
-    for name, algebra in enumerate_catalog(max_dim):
+    for name, algebra in entries:
         rep = algebra.series()
         if rep.derived_dim != 3:
             continue
@@ -332,10 +340,15 @@ def check_theorem_3_7(max_dim: int = 6) -> TheoremReport:
     dim M(L) <= bound_e2 - 1; the equality witnesses are recorded."""
     from .catalog import enumerate_catalog
 
+    return _check_theorem_3_7(enumerate_catalog(max_dim), max_dim)
+
+
+def _check_theorem_3_7(entries, max_dim):
+    """``check_theorem_3_7`` over the catalog entries up to ``max_dim``."""
     checked = []
     violations = []
     equality = []
-    for name, algebra in enumerate_catalog(max_dim):
+    for name, algebra in entries:
         rep = algebra.series()
         if rep.derived_dim == 0 or rep.nilpotency_class < 3:
             continue

@@ -28,13 +28,13 @@ import sys
 from fractions import Fraction
 
 from .bounds import (
+    _check_theorem_3_7,
+    _scan_theorem_2_9,
     check_theorem_2_1,
     check_theorem_2_2,
     check_theorem_2_5,
     check_theorem_2_6,
-    check_theorem_3_7,
     classification_sweep,
-    scan_theorem_2_9,
 )
 from .catalog import catalog_get, enumerate_catalog
 from .dsl import parse_presentation
@@ -243,9 +243,9 @@ def _run_checks(theorem, max_dim):
             if algebra.series().nilpotency_class == 3:
                 reports.append(check_theorem_2_6(algebra))
     if theorem in ("2.9", "all"):
-        reports.append(scan_theorem_2_9(max_dim))
+        reports.append(_scan_theorem_2_9(entries, max_dim))
     if theorem in ("3.7", "all"):
-        reports.append(check_theorem_3_7(max_dim))
+        reports.append(_check_theorem_3_7(entries, max_dim))
     return reports
 
 

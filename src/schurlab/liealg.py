@@ -48,8 +48,10 @@ class Quotient:
     """A quotient L/I together with its projection and section.
 
     ``project`` maps old coordinates to quotient coordinates; ``lift``
-    sends the quotient basis back to the lowest-index standard basis
-    vectors of L that complete a basis of I.
+    sends the quotient basis back to the standard basis vectors of L
+    outside the pivot columns of I's reduced echelon form, in index
+    order.  For I = span(e1 + e2) in A(2) the pivot sits in the e1
+    column, so ``lift([1])`` is e2.
     """
 
     algebra: "LieAlgebra"
@@ -101,6 +103,7 @@ class LieAlgebra:
         self._gammas = None
         self._center = None
         self._presentation = None
+        self._gamma_images = None
 
     # -- elements ----------------------------------------------------
 

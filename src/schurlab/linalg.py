@@ -71,11 +71,12 @@ def _primitive(row):
 
 def int_row(vec) -> list:
     """Scale a rational vector to a primitive integer row (same line)."""
-    fs = [frac(x) for x in vec]
+    fs = [x if isinstance(x, (int, Fraction)) else frac(x) for x in vec]
     den = 1
     for f in fs:
-        den = lcm(den, f.denominator)
-    return _primitive([int(f * den) for f in fs])
+        if f.denominator != 1:
+            den = lcm(den, f.denominator)
+    return _primitive([f.numerator * (den // f.denominator) for f in fs])
 
 
 class SpanBuilder:
@@ -159,8 +160,12 @@ class SpanBuilder:
         residual, _ = self.reduce(vec)
         return not any(residual)
 
-    def subspace(self) -> "Subspace":
-        """Canonicalise (Jordan phase plus pivot normalisation)."""
+    def reduced(self):
+        """The integer Jordan phase: ``(pivots, rows)`` in pivot order.
+
+        Each row keeps a positive pivot entry and is zero in every other
+        pivot column; rows are not normalised, so entries stay integers.
+        """
         pivots = sorted(self.rows)
         work = [list(self.rows[p]) for p in pivots]
         # walk pivots from the right; each pivot row is already clean of
@@ -183,9 +188,13 @@ class SpanBuilder:
                             [mb * x - ma * y for x, y in zip(row, prow)]
                         )
                     work[q] = row
+        return pivots, work
+
+    def subspace(self) -> "Subspace":
+        """Canonicalise (Jordan phase plus pivot normalisation)."""
+        pivots, work = self.reduced()
         frozen = []
-        for t, p in enumerate(pivots):
-            row = work[t]
+        for p, row in zip(pivots, work):
             lead = row[p]
             frozen.append(tuple(_cached_fraction(x, lead) for x in row))
         return Subspace._trusted(tuple(frozen), tuple(pivots), self.ambient)
@@ -329,34 +338,89 @@ def rref(matrix):
     return sub.rows, sub.dim
 
 
+def pivot_combination(reduced, col):
+    """Column ``col`` of a matrix as a combination of its pivot columns.
+
+    ``reduced`` is the ``(pivots, rows)`` of ``SpanBuilder.reduced`` for
+    the rows of the matrix.  Row operations keep the linear relations
+    among columns, and in the reduced echelon column ``col`` is
+    sum(rows[t][col] / b_t * (column p_t)), with p_t the pivot of row t
+    and b_t its entry.  Returns ``(den, coeffs)``: ``den`` the positive
+    lcm of the b_t involved and ``coeffs`` the integers {p_t: c_t} with
+    c_t / den = rows[t][col] / b_t, in pivot order.
+    """
+    pivots, rows = reduced
+    terms = [(p, row[col], row[p]) for p, row in zip(pivots, rows) if row[col]]
+    den = 1
+    for _, _, b in terms:
+        den = lcm(den, b)
+    return den, {p: a * (den // b) for p, a, b in terms}
+
+
+def kernel_rows(matrix, ncols):
+    """The canonical basis of {x : A x = 0} as sparse integer rows.
+
+    Each row is a dict {column: entry}: primitive, its pivot (least
+    column) first with a positive entry, the other entries in column
+    order.  Rows come in pivot order; dividing each by its pivot entry
+    gives the canonical reduced echelon basis of the kernel.
+
+    The basis is read straight off one integer echelon of A with its
+    columns reversed.  That echelon's pivots Q are the columns of A
+    outside the span of the columns after them, so every other column
+    j is a combination of the Q-columns after j.  The kernel row of j
+    is e_j minus that combination: pivot j, zero on every other column
+    outside Q, and at most rank + 1 nonzeros.
+    """
+    builder = SpanBuilder(ncols)
+    for r in matrix:
+        if len(r) != ncols:
+            raise ValueError(f"row of length {len(r)} with {ncols} columns")
+        builder.add(int_row(r)[::-1])
+    reduced = builder.reduced()
+    last = ncols - 1
+    taken = set(reduced[0])
+    rows = []
+    for j in range(ncols):
+        if last - j in taken:
+            continue
+        den, coeffs = pivot_combination(reduced, last - j)
+        row = {j: den}
+        for p in reversed(coeffs):  # reversed pivot order is column order
+            row[last - p] = -coeffs[p]
+        g = 0
+        for x in row.values():
+            g = gcd(g, x)
+        rows.append({col: x // g for col, x in row.items()})
+    return rows
+
+
+def sparse_subspace(rows, ambient: int) -> Subspace:
+    """The Subspace with the canonical rows given sparsely, in the form
+    ``kernel_rows`` returns; the rows are trusted to be canonical."""
+    zero = _cached_fraction(0)
+    frozen = []
+    pivots = []
+    for row in rows:
+        pivot = next(iter(row))
+        lead = row[pivot]
+        vec = [zero] * ambient
+        for col, x in row.items():
+            vec[col] = _cached_fraction(x, lead)
+        frozen.append(tuple(vec))
+        pivots.append(pivot)
+    return Subspace._trusted(tuple(frozen), tuple(pivots), ambient)
+
+
 def kernel_basis(matrix, ncols=None) -> Subspace:
-    """The solution space {x : A x = 0} as a canonical Subspace."""
+    """The solution space {x : A x = 0} as a canonical Subspace, read
+    off one echelon by ``kernel_rows``."""
     matrix = list(matrix)
     if ncols is None:
         if not matrix:
             raise ValueError("ncols required for an empty matrix")
         ncols = len(matrix[0])
-    rows, _ = rref(matrix)
-    pivots = []
-    for r in rows:
-        for c, x in enumerate(r):
-            if x:
-                pivots.append(c)
-                break
-    pivot_set = set(pivots)
-    builder = SpanBuilder(ncols)
-    zero = _cached_fraction(0)
-    one = _cached_fraction(1)
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
-        vec = [zero] * ncols
-        vec[f] = one
-        for t, p in enumerate(pivots):
-            if rows[t][f]:
-                vec[p] = -rows[t][f]
-        builder.add(int_row(vec))
-    return builder.subspace()
+    return sparse_subspace(kernel_rows(matrix, ncols), ncols)
 
 
 def solve_particular(matrix, target):

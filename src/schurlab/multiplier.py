@@ -18,7 +18,7 @@ supported below the top degree contribute.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import lcm
 
 from .errors import (
     InvariantMismatch,
@@ -32,7 +32,9 @@ from .linalg import (
     Subspace,
     int_row,
     kernel_basis,
-    solve_particular,
+    kernel_rows,
+    pivot_combination,
+    sparse_subspace,
 )
 
 
@@ -42,22 +44,40 @@ class Presentation:
     ``pi_matrix`` (rows indexed by L, columns by Hall words) is the
     induced map F' -> L; ``r`` is its kernel, ``f2`` the span of the
     Hall words of degree >= 2, and ``fr`` the bracket ideal [F', R'].
-    ``fr`` is canonicalised lazily; ``dim_fr`` is always available.
+    The kernel is held as the sparse integer rows of ``kernel_rows``;
+    ``r``, ``f2`` and ``fr`` are canonical Subspaces built on first
+    read, while ``dim_fr`` is always available.
     """
 
-    def __init__(self, algebra, free, pi_matrix, r, f2, fr_builder):
+    def __init__(self, algebra, free, pi_matrix, r_rows, fr_builder):
         self.algebra = algebra
         self.free = free
         self.pi_matrix = pi_matrix
-        self.r = r
-        self.f2 = f2
+        self.r_rows = r_rows
         self._fr_builder = fr_builder
+        self._r = None
+        self._f2 = None
         self._fr = None
         self._exterior_center = None
 
     @property
     def dim_fr(self):
         return self._fr_builder.rank
+
+    @property
+    def r(self) -> Subspace:
+        if self._r is None:
+            self._r = sparse_subspace(self.r_rows, self.free.dim)
+        return self._r
+
+    @property
+    def f2(self) -> Subspace:
+        if self._f2 is None:
+            free = self.free
+            self._f2 = Subspace.coordinate(
+                range(free.generators, free.dim), free.dim
+            )
+        return self._f2
 
     @property
     def fr(self) -> Subspace:
@@ -72,7 +92,7 @@ class Presentation:
 
     @property
     def dim_multiplier(self):
-        return self.r.dim - self.dim_fr
+        return len(self.r_rows) - self.dim_fr
 
     @property
     def dim_exterior_square(self):
@@ -80,7 +100,7 @@ class Presentation:
 
     def __repr__(self):
         return (
-            f"Presentation(free={self.free!r}, dim R={self.r.dim}, "
+            f"Presentation(free={self.free!r}, dim R={len(self.r_rows)}, "
             f"dim [F,R]={self.dim_fr})"
         )
 
@@ -147,20 +167,19 @@ def present_minimal(L: LieAlgebra) -> Presentation:
         tuple(images[pos][k] for pos in range(big)) for k in range(n)
     )
 
-    r = kernel_basis(pi_matrix, ncols=big)
-    if r.dim != big - n:
+    r_rows = kernel_rows(pi_matrix, big)
+    if len(r_rows) != big - n:
         raise InvariantMismatch("induced map onto L is not surjective")
-    if any(row[g] for row in r.rows for g in range(d)):
+    if any(col < d for row in r_rows for col in row):
         raise InvariantMismatch("kernel meets the generator block")
 
-    f2 = Subspace.coordinate(range(d, big), big)
     top_start = free.degree_offsets[c + 1].start
 
     fr_builder = SpanBuilder(big)
     low_rows = []
-    for pivot, row in zip(r.pivots, r.rows):
-        if pivot >= top_start:
-            if any(x for col, x in enumerate(row) if col != pivot):
+    for row in r_rows:
+        if next(iter(row)) >= top_start:
+            if len(row) > 1:
                 raise InvariantMismatch(
                     "top-degree kernel row is not a coordinate vector"
                 )
@@ -169,17 +188,15 @@ def present_minimal(L: LieAlgebra) -> Presentation:
     # Highest-degree rows first: their brackets are supported in few
     # trailing degree blocks, which keeps the echelon reduction cheap.
     for row in reversed(low_rows):
-        ints = int_row(row)
-        support = [(pos, coeff) for pos, coeff in enumerate(ints) if coeff]
         for j in range(d):
             vec = [0] * big
-            for pos, coeff in support:
+            for pos, coeff in row.items():
                 for t, v in free.product(j, pos).items():
                     vec[t] += coeff * v
             if any(vec):
                 fr_builder.add(vec)
 
-    pres = Presentation(L, free, pi_matrix, r, f2, fr_builder)
+    pres = Presentation(L, free, pi_matrix, r_rows, fr_builder)
     L._presentation = pres
     return pres
 
@@ -207,24 +224,6 @@ def exterior_square_dim(L: LieAlgebra) -> int:
     return present_minimal(L).dim_exterior_square
 
 
-def _fraction_residual(builder: SpanBuilder, vec):
-    """Reduce a rational vector against integer echelon rows exactly.
-
-    The result is a fixed linear function of ``vec`` (zero exactly on
-    the span), which is what the exterior-center constraints need.
-    """
-    row = list(vec)
-    rows = builder.rows
-    for c in range(builder.ambient):
-        a = row[c]
-        if a:
-            prow = rows.get(c)
-            if prow is not None:
-                coeff = a / prow[c]
-                row = [x - coeff * y for x, y in zip(row, prow)]
-    return row
-
-
 def exterior_center(L: LieAlgebra) -> Subspace:
     """Z^(L): the z with z wedge L = 0 in L wedge L.
 
@@ -234,6 +233,12 @@ def exterior_center(L: LieAlgebra) -> Subspace:
     generator g then [z~, w] does for every Hall word w, by induction
     on the degree of w using the Jacobi identity and the fact that
     [F,R] is an ideal.
+
+    The lifts of the basis of L come from one integer echelon of
+    [pi | I]: its rows are M.pi = R with R reduced, so the lift of e_k
+    is sum_t M[t][k]/b_t e_{p_t}, where p_t and b_t are the pivot
+    column and entry of row t of R.  This is the solution supported on
+    the pivot columns of pi.
     """
     if L.dim == 0:
         return Subspace.zero(0)
@@ -244,29 +249,39 @@ def exterior_center(L: LieAlgebra) -> Subspace:
     free = pres.free
     d = free.generators
     big = free.dim
-    lifts = []
-    for k in range(n):
-        lift = solve_particular(pres.pi_matrix, L.basis_vector(k))
-        if lift is None:
-            raise InvariantMismatch("presentation map is not surjective")
-        lifts.append(lift)
+    echelon = SpanBuilder(big + n)
+    for k, row in enumerate(pres.pi_matrix):
+        echelon.add(int_row(list(row) + [int(i == k) for i in range(n)]))
+    reduced = echelon.reduced()
+    if reduced[0][-1] >= big:
+        raise InvariantMismatch("presentation map is not surjective")
+    # (den, lift): lift / den is the lift of e_k, with lift sparse integer
+    lifts = [pivot_combination(reduced, big + k) for k in range(n)]
     constraints = []
     for j in range(d):
         residuals = []
-        for k in range(n):
-            vec = [Fraction(0)] * big
-            for pos, coeff in enumerate(lifts[k]):
-                if coeff:
-                    for t, v in free.product(pos, j).items():
-                        vec[t] += coeff * v
-            residuals.append(_fraction_residual(pres._fr_builder, vec))
+        scales = []
+        for den, lift in lifts:
+            vec = [0] * big
+            for pos, coeff in lift.items():
+                for t, v in free.product(pos, j).items():
+                    vec[t] += coeff * v
+            residual, scale = pres._fr_builder.reduce(vec)
+            residuals.append(residual)
+            scales.append(scale * den)
+        # residuals[k] / scales[k] is the residual of the lift of e_k;
+        # bring the n columns to one denominator so the rows are integer
+        common = lcm(*scales)
+        factors = [common // s for s in scales]
         used = set()
         for res in residuals:
             for idx, x in enumerate(res):
                 if x:
                     used.add(idx)
         for idx in sorted(used):
-            constraints.append([residuals[k][idx] for k in range(n)])
+            constraints.append(
+                [res[idx] * f for res, f in zip(residuals, factors)]
+            )
     if constraints:
         result = kernel_basis(constraints, ncols=n)
     else:

@@ -3,7 +3,9 @@
 The multiplier oracle goes through Chevalley-Eilenberg homology with
 sympy: dim M(L) = dim H2(L; Q) = dim ker(d2) - rank(d3), a completely
 different route from the Hopf-formula engine (no free algebras, no
-Hall bases, no echelon code shared).  The gamma oracle evaluates the
+Hall bases, no echelon code shared).  The exterior-center oracle uses
+the same d3: L wedge L = Lambda^2 L / im d3, so Z^(L) is the set of z
+with z wedge e_i in im d3 for every i.  The gamma oracle evaluates the
 maps of ``schurlab.bounds.gamma_images`` on every ordered tuple of
 representatives, in sympy coordinates.  The Witt oracle counts Lyndon
 words by brute force.
@@ -20,17 +22,13 @@ def _rat(x):
     return Rational(x.numerator, x.denominator)
 
 
-def ce_multiplier_dim(L):
-    """dim H2(L; Q) from the Chevalley-Eilenberg complex."""
+def _d3(L):
+    """The map d3: Lambda^3 L -> Lambda^2 L, x^y^z to
+    [x,y]^z - [x,z]^y + [y,z]^x, on the bases e_i ^ e_j (i < j) and
+    e_i ^ e_j ^ e_k (i < j < k); also returns the pair index."""
     n = L.dim
     pairs = list(combinations(range(n), 2))
     pair_index = {p: t for t, p in enumerate(pairs)}
-
-    d2 = Matrix.zeros(n, len(pairs))
-    for t, (i, j) in enumerate(pairs):
-        for k, val in L._bracket_basis(i, j).items():
-            d2[k, t] = _rat(val)
-
     triples = list(combinations(range(n), 3))
     d3 = Matrix.zeros(len(pairs), len(triples))
 
@@ -48,8 +46,45 @@ def ce_multiplier_dim(L):
         add_wedge(col, 1, L._bracket_basis(x, y), z)
         add_wedge(col, -1, L._bracket_basis(x, z), y)
         add_wedge(col, 1, L._bracket_basis(y, z), x)
+    return d3, pair_index
 
-    return (len(pairs) - d2.rank()) - d3.rank()
+
+def ce_multiplier_dim(L):
+    """dim H2(L; Q) from the Chevalley-Eilenberg complex."""
+    n = L.dim
+    d3, pair_index = _d3(L)
+    d2 = Matrix.zeros(n, len(pair_index))
+    for (i, j), t in pair_index.items():
+        for k, val in L._bracket_basis(i, j).items():
+            d2[k, t] = _rat(val)
+    return (len(pair_index) - d2.rank()) - d3.rank()
+
+
+def wedge_exterior_center(L):
+    """Z^(L) = {z : z ^ e_i in im d3 for all i}, as a sympy basis of
+    column vectors.
+
+    The rows of Q span the vectors orthogonal to im d3, so w lies in
+    im d3 exactly when Q w = 0; z ^ e_i is linear in z, with the matrix
+    W_i, and Z^ is the kernel of all the Q W_i stacked.
+    """
+    n = L.dim
+    d3, pair_index = _d3(L)
+    npairs = len(pair_index)
+    orthogonal = d3.T.nullspace()
+    if not orthogonal:  # im d3 is all of Lambda^2 L, or Lambda^2 L = 0
+        return [Matrix.eye(n)[:, i] for i in range(n)]
+    q = Matrix.hstack(*orthogonal).T
+    blocks = []
+    for i in range(n):
+        wedge = Matrix.zeros(npairs, n)
+        for z in range(n):
+            if z < i:
+                wedge[pair_index[(z, i)], z] = 1
+            elif z > i:
+                wedge[pair_index[(i, z)], z] = -1
+        blocks.append(q * wedge)
+    return Matrix.vstack(*blocks).nullspace()
 
 
 def _columns(vectors):

@@ -5,7 +5,9 @@ import sys
 
 import pytest
 
+from schurlab.catalog import catalog_get
 from schurlab.cli import main
+from schurlab.dsl import parse_presentation
 
 
 def run_cli(capsys, *argv):
@@ -66,6 +68,56 @@ def test_check_json_golden_digest(capsys):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "5d707524524b5743892b05f25b09943f58ffd1bb7fe53b8d4c4da414a0ac55ce"
+    )
+
+
+def test_sweep_json_golden_digest(capsys):
+    # Pins the sweep output across versions, like the check digest above.
+    code, out, _ = run_cli(
+        capsys, "sweep", "--max-dim", "7", "--format", "json"
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "50783af57952d013682f71e77c79213d5d67f2d7fe21e068a56192ea7b9a2123"
+    )
+
+
+# H(2)+A(1) in the basis given by the columns of P, the upper-triangular
+# all-ones matrix with P[0][3] = 2 and P[1][4] = -3.
+H2A1_FIXED_BASIS = """algebra B dim 6
+[x1, x2] = 4*x2 + x5 - 3*x1 - x4
+[x1, x3] = 4*x2 + x5 - 3*x1 - x4
+[x1, x4] = 4*x2 + x5 - 3*x1 - x4
+[x1, x5] = 9*x1 + 3*x4 - 12*x2 - 3*x5
+[x1, x6] = 4*x2 + x5 - 3*x1 - x4
+[x2, x4] = 3*x1 + x4 - 4*x2 - x5
+[x2, x5] = 12*x1 + 4*x4 - 16*x2 - 4*x5
+[x3, x5] = 9*x1 + 3*x4 - 12*x2 - 3*x5
+[x3, x6] = 4*x2 + x5 - 3*x1 - x4
+[x4, x5] = 21*x1 + 7*x4 - 28*x2 - 7*x5
+[x4, x6] = 4*x2 + x5 - 3*x1 - x4
+[x5, x6] = 16*x2 + 4*x5 - 12*x1 - 4*x4
+"""
+
+
+def test_multiplier_file_json_golden_digest(tmp_path, monkeypatch, capsys):
+    # The document names the file, so it is read by a fixed relative path.
+    p = [[1 if j >= i else 0 for j in range(6)] for i in range(6)]
+    p[0][3], p[1][4] = 2, -3
+    assert parse_presentation(H2A1_FIXED_BASIS) == catalog_get(
+        "H(2)+A(1)"
+    ).change_basis(p)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "h2a1.alg").write_text(H2A1_FIXED_BASIS)
+    code, out, _ = run_cli(
+        capsys, "multiplier", "--file", "h2a1.alg", "--format", "json"
+    )
+    assert code == 0
+    assert json.loads(out)["exterior_center"]["basis"] == [
+        ["1", "-4/3", "0", "1/3", "-1/3", "0"]
+    ]
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "4b8f94ff91910c0b873f9f88c9540b93c34e5bba351e417a63c85d417e6c58f5"
     )
 
 

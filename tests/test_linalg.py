@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import Matrix, Rational
 
 from schurlab.errors import SingularMatrix
 from schurlab.linalg import (
@@ -106,6 +107,56 @@ def test_kernel_annihilates_and_complements_rank(rows):
         assert all(
             sum(r * v for r, v in zip(row, vec)) == 0 for row in rows
         )
+
+
+def _sympy_kernel(rows, n):
+    """The canonical basis of the kernel by sympy: nullspace, then RREF."""
+    null = Matrix(
+        [[Rational(x.numerator, x.denominator) for x in row] for row in rows]
+    ).nullspace()
+    if not null:
+        return ()
+    basis, _ = Matrix.hstack(*null).T.rref()
+    return tuple(
+        tuple(Fraction(int(x.p), int(x.q)) for x in basis.row(i))
+        for i in range(len(null))
+    )
+
+
+@given(
+    st.integers(1, 12).flatmap(
+        lambda n: st.lists(
+            st.one_of(
+                st.lists(rationals, min_size=n, max_size=n),
+                st.just([Fraction(0)] * n),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    ),
+    st.booleans(),
+)
+@settings(max_examples=80, deadline=None)
+def test_kernel_basis_is_canonical(rows, dependent):
+    # wide matrices up to 4 x 12, zero rows, rational entries, and (with
+    # ``dependent``) a last row that is a combination of the first two
+    n = len(rows[0])
+    if dependent and len(rows) >= 3:
+        rows[-1] = [2 * x - Fraction(1, 3) * y for x, y in zip(rows[0], rows[1])]
+    assert kernel_basis(rows, ncols=n).rows == _sympy_kernel(rows, n)
+
+
+def test_kernel_basis_is_canonical_examples():
+    cases = [
+        [[1, 2, 3], [0, 1, 1]],
+        [[1, 2, 3, 4], [2, 4, 6, 8]],
+        [[0, 0, 0, 0, 0]],
+        [[0, 1, 0, 2], [0, 0, 0, 0], [0, 2, 0, 4]],
+        [[Fraction(1, 2), Fraction(-2, 3), 0, 1, 0, 0, 3, 0, 0, 0, 0, 1]],
+    ]
+    for rows in cases:
+        rows = [[Fraction(x) for x in row] for row in rows]
+        assert kernel_basis(rows).rows == _sympy_kernel(rows, len(rows[0]))
 
 
 @given(matrices())

@@ -3,7 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from schurlab.catalog import abelian, catalog_get, heisenberg
+from schurlab.catalog import (
+    abelian,
+    catalog_get,
+    enumerate_catalog,
+    heisenberg,
+)
 from schurlab.errors import NotCentral, NotOneDimensional
 from schurlab.liealg import direct_sum
 from schurlab.linalg import Subspace
@@ -18,7 +23,11 @@ from schurlab.multiplier import (
     schur_multiplier_dim,
 )
 
-from oracles import ce_multiplier_dim, random_basis_change
+from oracles import (
+    ce_multiplier_dim,
+    random_basis_change,
+    wedge_exterior_center,
+)
 
 KNOWN_MULTIPLIERS = {
     "L5_7": 3,
@@ -75,6 +84,28 @@ def test_exterior_center_inclusions(catalog6):
         assert zext <= algebra.center(), name
         if algebra.series().derived_dim:
             assert zext <= algebra.derived_subspace(), name
+
+
+def test_exterior_center_matches_wedge_oracle():
+    # the catalog up to dimension 7, and random bases of two algebras
+    # with a nonzero exterior center (H(2), H(2)+A(1)) and two capable
+    # ones, where the center is nonzero but Z^ is zero
+    cases = enumerate_catalog(7)
+    rng = random.Random(20261018)
+    for name in ("H(2)", "H(2)+A(1)", "L5_7", "L6_22(1/2)"):
+        base = catalog_get(name)
+        for t in range(3):
+            cases.append((f"{name} basis {t}", random_basis_change(base, rng)))
+    for name, algebra in cases:
+        n = algebra.dim
+        oracle = Subspace(
+            [
+                [Fraction(int(x.p), int(x.q)) for x in vec]
+                for vec in wedge_exterior_center(algebra)
+            ],
+            n,
+        )
+        assert exterior_center(algebra) == oracle, name
 
 
 def test_exterior_center_known_values():
