@@ -22,7 +22,6 @@ assembled algebra is kept as an independent test-side oracle.
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from threading import RLock
 
 from .errors import InvariantMismatch, ResourceCapExceeded
 from .liealg import LieAlgebra
@@ -273,7 +272,6 @@ class FreeNilpotentAlgebra:
         self._solvers = {}
         self._table = {}
         self._lie = None
-        self._lock = RLock()
 
     def _poly_of(self, pos):
         poly = self._polys.get(pos)
@@ -309,23 +307,17 @@ class FreeNilpotentAlgebra:
         key = (a, b)
         cached = self._table.get(key)
         if cached is None:
-            with self._lock:
-                cached = self._table.get(key)
-                if cached is not None:
-                    return cached
-                degree = self.basis[a].degree + self.basis[b].degree
-                if degree > self.class_bound:
-                    cached = {}
+            degree = self.basis[a].degree + self.basis[b].degree
+            if degree > self.class_bound:
+                cached = {}
+            else:
+                pos = self._word_index.get(key)
+                if pos is not None:
+                    cached = {pos: 1}
                 else:
-                    pos = self._word_index.get(key)
-                    if pos is not None:
-                        cached = {pos: 1}
-                    else:
-                        poly = _bracket_poly(
-                            self._poly_of(a), self._poly_of(b)
-                        )
-                        cached = self._solver(degree).coordinates(poly)
-                self._table[key] = cached
+                    poly = _bracket_poly(self._poly_of(a), self._poly_of(b))
+                    cached = self._solver(degree).coordinates(poly)
+            self._table[key] = cached
         return cached
 
     def collect(self, a, b):
@@ -341,19 +333,17 @@ class FreeNilpotentAlgebra:
     def algebra(self) -> LieAlgebra:
         """The underlying LieAlgebra with the full bracket table."""
         if self._lie is None:
-            with self._lock:
-                if self._lie is None:
-                    brackets = {}
-                    for a in range(self.dim):
-                        for b in range(a + 1, self.dim):
-                            prod = self.product(a, b)
-                            if prod:
-                                brackets[(a, b)] = prod
-                    self._lie = LieAlgebra(
-                        self.dim,
-                        brackets,
-                        name=f"F({self.generators},{self.class_bound})",
-                    )
+            brackets = {}
+            for a in range(self.dim):
+                for b in range(a + 1, self.dim):
+                    prod = self.product(a, b)
+                    if prod:
+                        brackets[(a, b)] = prod
+            self._lie = LieAlgebra(
+                self.dim,
+                brackets,
+                name=f"F({self.generators},{self.class_bound})",
+            )
         return self._lie
 
     def __repr__(self):
@@ -364,7 +354,6 @@ class FreeNilpotentAlgebra:
 
 
 _FREE_CACHE = {}
-_FREE_LOCK = RLock()
 
 
 def free_nilpotent_algebra(d, s, cap=DEFAULT_BASIS_CAP):
@@ -378,9 +367,8 @@ def free_nilpotent_algebra(d, s, cap=DEFAULT_BASIS_CAP):
             f"needs {total} basis words (cap {cap})"
         )
     key = (d, s)
-    with _FREE_LOCK:
-        cached = _FREE_CACHE.get(key)
-        if cached is None:
-            cached = FreeNilpotentAlgebra(d, s, cap=cap)
-            _FREE_CACHE[key] = cached
+    cached = _FREE_CACHE.get(key)
+    if cached is None:
+        cached = FreeNilpotentAlgebra(d, s, cap=cap)
+        _FREE_CACHE[key] = cached
     return cached

@@ -8,12 +8,14 @@ messages and the presentation DSL use the 1-based x1..xn labels.
 
 Nothing here assumes nilpotency except ``series``, which raises
 ``NotNilpotent`` when the lower central series stabilises above zero.
-Instances are treated as immutable; derived data (series, presentation)
-is cached on the instance.
+Instances are treated as immutable; derived data (the sparse adjoint
+table, series, presentation) is cached on the instance.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import JacobiViolation, NotAnIdeal, NotNilpotent
 from .linalg import (
@@ -104,6 +106,7 @@ class LieAlgebra:
         self._center = None
         self._presentation = None
         self._gamma_images = None
+        self._adj = None
 
     # -- elements ----------------------------------------------------
 
@@ -138,58 +141,128 @@ class LieAlgebra:
 
     # -- structure ---------------------------------------------------
 
+    def _adjoint(self):
+        """The sparse adjoint table ``(D, adj)``, built once.
+
+        ``adj[i][j]`` is D * [x_i, x_j] as an integer dict {k: c}, kept
+        for both index orders and only where the bracket is nonzero.  D
+        is the lcm of the denominators of the structure constants; the
+        scaling changes no span and no zero test.
+        """
+        if self._adj is None:
+            den = 1
+            for vec in self.sc.values():
+                for c in vec.values():
+                    den = lcm(den, c.denominator)
+            adj = [{} for _ in range(self.dim)]
+            for (i, j), vec in self.sc.items():
+                row = {
+                    k: c.numerator * (den // c.denominator)
+                    for k, c in vec.items()
+                }
+                adj[i][j] = row
+                adj[j][i] = {k: -c for k, c in row.items()}
+            self._adj = (den, adj)
+        return self._adj
+
+    def _jacobi_triples(self):
+        """The triples i < j < k with a nonzero bracket among the pairs
+        (i, j), (j, k), (i, k), generated in lexicographic order."""
+        _, adj = self._adjoint()
+        n = self.dim
+        later = [sorted(k for k in row if k > i) for i, row in enumerate(adj)]
+        for i in range(n):
+            row_i, later_i = adj[i], later[i]
+            for j in range(i + 1, n):
+                if j in row_i:
+                    ks = range(j + 1, n)
+                else:
+                    ks = later_i[bisect_right(later_i, j):]
+                    if later[j]:
+                        ks = sorted({*ks, *later[j]})
+                for k in ks:
+                    yield i, j, k
+
     def validate(self):
         """Check the Jacobi identity on every basis triple.
 
         Raises JacobiViolation naming the first failing triple (1-based)
         and the residual [[xi,xj],xk] + [[xj,xk],xi] + [[xk,xi],xj].
-        Antisymmetry and bilinearity hold by construction, so passing
-        this check makes the structure constants a Lie algebra.
+        Only the triples i < j < k with a nonzero bracket among [xi,xj],
+        [xj,xk] and [xi,xk] are evaluated: when all three vanish, every
+        term of the residual is a bracket of zero.  They are walked
+        lazily in lexicographic order, so the first failure is the one a
+        walk over all triples would find.  Antisymmetry and bilinearity
+        hold by construction, so passing this check makes the structure
+        constants a Lie algebra.
         """
+        den, adj = self._adjoint()
+        empty = {}
+        for i, j, k in self._jacobi_triples():
+            residual = {}
+            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                for l, w in adj[a].get(b, empty).items():
+                    for t, w2 in adj[l].get(c, empty).items():
+                        residual[t] = residual.get(t, 0) + w * w2
+            if any(residual.values()):
+                vec = [Fraction(0)] * self.dim
+                for t, val in residual.items():
+                    vec[t] = Fraction(val, den * den)
+                raise JacobiViolation((i + 1, j + 1, k + 1), vec)
+
+    def _bracket_span(self, left, right):
+        """A SpanBuilder holding D * [a, b] for a in left, b in right.
+
+        Rows are sparse integer dicts {index: entry}.  Only the pairs
+        (i in supp a, j in supp b) with a nonzero adjoint entry are
+        evaluated, and only nonzero brackets reach the builder.
+        """
+        _, adj = self._adjoint()
         n = self.dim
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    residual = {}
-                    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                        for l, w in self._bracket_basis(a, b).items():
-                            for t, w2 in self._bracket_basis(l, c).items():
-                                val = residual.get(t, 0) + w * w2
-                                if val:
-                                    residual[t] = val
-                                else:
-                                    residual.pop(t, None)
-                    if residual:
-                        vec = [Fraction(0)] * n
-                        for t, val in residual.items():
-                            vec[t] = val
-                        raise JacobiViolation((i + 1, j + 1, k + 1), vec)
+        builder = SpanBuilder(n)
+        for a in left:
+            for b in right:
+                out = {}
+                for i, x in a.items():
+                    row = adj[i]
+                    for j, y in b.items():
+                        vec = row.get(j)
+                        if vec:
+                            c = x * y
+                            for k, w in vec.items():
+                                out[k] = out.get(k, 0) + c * w
+                if any(out.values()):
+                    dense = [0] * n
+                    for k, w in out.items():
+                        dense[k] = w
+                    builder.add(dense)
+        return builder
 
     def bracket_subspaces(self, s: Subspace, t: Subspace) -> Subspace:
         """The span of [a, b] over a in s, b in t."""
-        builder = SpanBuilder(self.dim)
-        for a in s.rows:
-            for b in t.rows:
-                w = self.bracket(a, b)
-                if any(w):
-                    builder.add(int_row(w))
-        return builder.subspace()
+        left = _sparse_rows(map(int_row, s.rows))
+        right = _sparse_rows(map(int_row, t.rows))
+        return self._bracket_span(left, right).subspace()
 
     def lower_central_series(self):
-        """Subspaces gamma_1 = L, gamma_{i+1} = [L, gamma_i], ending at 0."""
+        """Subspaces gamma_1 = L, gamma_{i+1} = [L, gamma_i], ending at 0.
+
+        gamma_1 is bracketed as the basis vectors, and each later term
+        as the integer echelon rows of the builder that spanned it.
+        """
         if self._gammas is None:
-            full = Subspace.full(self.dim)
-            gammas = [full]
-            current = full
-            while current.dim:
-                nxt = self.bracket_subspaces(full, current)
-                if nxt.dim == current.dim:
+            basis = [{i: 1} for i in range(self.dim)]
+            gammas = [Subspace.full(self.dim)]
+            rows = basis
+            while rows:
+                builder = self._bracket_span(basis, rows)
+                if builder.rank == len(rows):
                     raise NotNilpotent(
                         "lower central series stabilises at dimension "
-                        f"{nxt.dim}"
+                        f"{builder.rank}"
                     )
-                gammas.append(nxt)
-                current = nxt
+                gammas.append(builder.subspace())
+                rows = _sparse_rows(builder.rows.values())
             self._gammas = gammas
         return self._gammas
 
@@ -201,12 +274,17 @@ class LieAlgebra:
         """{z : [z, L] = 0}, the kernel of the adjoint action."""
         if self._center is None:
             n = self.dim
+            _, adj = self._adjoint()
             rows = []
-            for j in range(n):
-                cols = [self._bracket_basis(i, j) for i in range(n)]
-                used = sorted(set().union(*(c.keys() for c in cols)))
-                for k in used:
-                    rows.append([cols[i].get(k, 0) for i in range(n)])
+            for row in adj:
+                # one equation sum_i z_i [x_j, x_i]_k = 0 per used k
+                eqs = {}
+                for i, vec in row.items():
+                    for k, c in vec.items():
+                        if k not in eqs:
+                            eqs[k] = [0] * n
+                        eqs[k][i] = c
+                rows.extend(eqs.values())
             self._center = kernel_basis(rows, ncols=n)
         return self._center
 
@@ -323,6 +401,11 @@ class LieAlgebra:
     def __repr__(self):
         label = self.name or f"{len(self.sc)} brackets"
         return f"LieAlgebra(dim={self.dim}, {label})"
+
+
+def _sparse_rows(rows):
+    """Integer rows as sparse dicts {index: entry} of their nonzeros."""
+    return [{c: x for c, x in enumerate(row) if x} for row in rows]
 
 
 def direct_sum(a: LieAlgebra, b: LieAlgebra, name=None) -> LieAlgebra:

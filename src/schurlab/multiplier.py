@@ -10,8 +10,9 @@ gamma_{c+2}(F) into [F, R], so R/[F,R] and F2/[F,R] are unchanged.
     L wedge L = F2 / [F,R]
     Z^(L)     = {z in L : [lift(z), F'] contained in [F',R']}
 
-Minimal generators are the lowest-index standard-basis complement of
-L2, so R automatically lies inside F2.  Since R is an ideal, [F,R] is
+Minimal generators are the standard basis vectors of L outside the
+pivot columns of L2's reduced echelon form, in index order, so R
+automatically lies inside F2.  Since R is an ideal, [F,R] is
 spanned by the brackets of R with the generators alone; and because
 every top-degree Hall word already lies in R, only the kernel rows
 supported below the top degree contribute.

@@ -7,7 +7,8 @@ import pytest
 
 from schurlab.catalog import catalog_get
 from schurlab.cli import main
-from schurlab.dsl import parse_presentation
+from schurlab.dsl import format_presentation, parse_presentation
+from schurlab.liealg import LieAlgebra
 
 
 def run_cli(capsys, *argv):
@@ -118,6 +119,41 @@ def test_multiplier_file_json_golden_digest(tmp_path, monkeypatch, capsys):
     ]
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "4b8f94ff91910c0b873f9f88c9540b93c34e5bba351e417a63c85d417e6c58f5"
+    )
+
+
+# A direct sum of dimension 40 with x_i renamed x_{perm(i)},
+# perm(i) = 17 i + 5 mod 40, so the parts' brackets interleave.  The
+# digest pins the info document; L6_22(1/2) brings a denominator.
+WIDE_PARTS = ["L6_26", "L6_22(1/2)", "L5_7", "L5_9", "L5_5", "L4_3", "H(2)",
+              "H(1)", "A(1)"]
+
+
+def test_info_file_json_golden_digest(tmp_path, monkeypatch, capsys):
+    wide = catalog_get(WIDE_PARTS[0])
+    for name in WIDE_PARTS[1:]:
+        wide = wide.direct_sum(catalog_get(name))
+    n = wide.dim
+    perm = [(17 * i + 5) % n for i in range(n)]
+    permuted = LieAlgebra(
+        n,
+        {
+            (perm[i], perm[j]): {perm[k]: c for k, c in vec.items()}
+            for (i, j), vec in wide.sc.items()
+        },
+    )
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "wide.alg").write_text(format_presentation(permuted, "W"))
+    code, out, _ = run_cli(
+        capsys, "info", "--file", "wide.alg", "--format", "json"
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["n"], doc["gamma_dims"], doc["center_dim"]) == (
+        40, [40, 17, 6, 1, 0], 13
+    )
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "d67c1fa82b8591ae3a2f257171445c84d2dd3e19378cfc66316cd480d6afc443"
     )
 
 

@@ -191,3 +191,118 @@ def test_change_basis_rejects_singular():
         L.change_basis([[1, 1], [1, 1]])
     with pytest.raises(ValueError):
         L.change_basis([[1, 0]])
+
+
+# Entries with mixed structure, and L6_22(1/2), whose constants already
+# have denominator 2; rational basis changes add more denominators.
+REFERENCE_NAMES = ["L4_3", "L5_5", "L5_7", "L5_9", "L6_22(1/2)", "L6_26",
+                   "H(2)", "L5_8+A(1)"]
+
+
+def literal_bracket_span(L, s, t):
+    """[s, t] by its definition: the span of every [a, b]."""
+    return Subspace([L.bracket(a, b) for a in s.rows for b in t.rows], L.dim)
+
+
+@st.composite
+def algebra_and_subspaces(draw):
+    L = catalog_get(draw(st.sampled_from(REFERENCE_NAMES)))
+    if draw(st.booleans()):
+        L = random_basis_change(L, draw(st.randoms(use_true_random=False)))
+    n = L.dim
+    vector = st.lists(
+        st.fractions(min_value=-2, max_value=2, max_denominator=3),
+        min_size=n,
+        max_size=n,
+    )
+    subspace = st.one_of(
+        st.just(Subspace.full(n)),
+        st.lists(vector, max_size=3).map(lambda vs: Subspace(vs, n)),
+    )
+    return L, draw(subspace), draw(subspace)
+
+
+@given(algebra_and_subspaces())
+@settings(max_examples=80, deadline=None)
+def test_bracket_subspaces_matches_literal_definition(case):
+    L, s, t = case
+    assert L.bracket_subspaces(s, t) == literal_bracket_span(L, s, t)
+
+
+def test_series_and_center_match_literal_definitions():
+    import random
+
+    rng = random.Random(11)
+    denominators = set()
+    for name in REFERENCE_NAMES:
+        base = catalog_get(name)
+        for L in [base] + [random_basis_change(base, rng) for _ in range(3)]:
+            denominators.add(L._adjoint()[0])
+            n = L.dim
+            full = Subspace.full(n)
+            want = [full]
+            while want[-1].dim:
+                want.append(literal_bracket_span(L, full, want[-1]))
+            assert L.lower_central_series() == want, name
+            # Z(L) is central, and its dimension is n minus the rank of
+            # z -> ([z, x_1], ..., [z, x_n])
+            basis = [L.basis_vector(j) for j in range(n)]
+            center = L.center()
+            assert all(
+                not any(L.bracket(z, x)) for z in center.rows for x in basis
+            ), name
+            ad = Subspace(
+                [sum((L.bracket(x, y) for y in basis), ()) for x in basis],
+                n * n,
+            )
+            assert center.dim == n - ad.dim, name
+    # the scaled integer table is exercised, not only D = 1
+    assert max(denominators) > 1
+
+
+def first_jacobi_failure(L):
+    """The first failing basis triple over all i < j < k, 1-based, and
+    its residual; None when the Jacobi identity holds."""
+    n = L.dim
+    x = [L.basis_vector(i) for i in range(n)]
+    br = L.bracket
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                jac = [
+                    a + b + c
+                    for a, b, c in zip(
+                        br(br(x[i], x[j]), x[k]),
+                        br(br(x[j], x[k]), x[i]),
+                        br(br(x[k], x[i]), x[j]),
+                    )
+                ]
+                if any(jac):
+                    return (i + 1, j + 1, k + 1), tuple(jac)
+    return None
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        # a rational bracket of two abelian generators into H(3)
+        {(23, 25): {0: Fraction(1, 2), 2: 1}},
+        # the last two indices, hitting the centre of H(3)
+        {(25, 26): {1: -3}},
+        # a bracket from inside H(3) out to the abelian block
+        {(0, 26): {3: Fraction(2, 3)}, (20, 21): {26: 1}},
+        # fails only through [x8, x9]: the other two pairs of (8, 9, 27)
+        # vanish
+        {(7, 8): {25: Fraction(3, 2)}, (25, 26): {6: 1}},
+    ],
+)
+def test_validate_matches_brute_force(bad):
+    wide = direct_sum(heisenberg(3), abelian(20))
+    L = LieAlgebra(wide.dim, {**wide.sc, **bad})
+    want = first_jacobi_failure(L)
+    assert want is not None
+    with pytest.raises(JacobiViolation) as info:
+        L.validate()
+    assert (info.value.triple, info.value.residual) == want
+    assert all(isinstance(c, Fraction) for c in info.value.residual)
+
