@@ -4,7 +4,8 @@ exterior squares, exterior centers and capability, dimension bounds
 and their attainment, a built-in catalog of small algebras, and a
 textual presentation format.
 
-All arithmetic uses Fraction; there is no floating point anywhere.
+Arithmetic is exact: integers inside, ``Fraction`` at the API edges;
+there is no floating point anywhere.
 """
 
 from .bounds import (

@@ -8,7 +8,8 @@ bounds on dim M(L) are computed exactly:
                         - sum((n - m - i) for i = 2..min(n - m, c))
 
 Both products are even, so the division is exact.  bound_e2 refines
-bound_e1 (they agree when c = 2), and bound_e2(n, n-2, c) = n - 1.
+bound_e1 (they agree exactly when c = 2 or n - m <= 3), and
+bound_e2(n, n-2, c) = n - 1.
 
 The remaining functions verify inequalities relating dim(L wedge L)
 to the images of the trilinear map
@@ -406,18 +407,12 @@ def _sweep_row(item):
     return SweepRow(name, n, m, c, dim_m, bound, attains)
 
 
-def classification_sweep(max_dim: int = 6, eps_samples=None, parallel=False):
+def classification_sweep(max_dim: int = 6):
     """Multiplier data for every catalog entry up to ``max_dim``,
     in deterministic catalog order."""
     from .catalog import enumerate_catalog
 
-    entries = list(enumerate_catalog(max_dim, eps_samples=eps_samples))
-    if parallel:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor() as pool:
-            return list(pool.map(_sweep_row, entries))
-    return [_sweep_row(item) for item in entries]
+    return [_sweep_row(item) for item in enumerate_catalog(max_dim)]
 
 
 def _name_of(L):

@@ -4,7 +4,7 @@
     schurlab multiplier  --name "H(1)+A(2)" [--format json]
     schurlab capable     --name A1
     schurlab bounds      --name L5_8
-    schurlab sweep       --max-dim 6 [--parallel]
+    schurlab sweep       --max-dim 6
     schurlab check       --theorem all
 
 Exit codes: 0 success, 2 input error, 3 resource cap exceeded,
@@ -188,7 +188,7 @@ def cmd_bounds(args):
 
 
 def cmd_sweep(args):
-    rows = classification_sweep(args.max_dim, parallel=args.parallel)
+    rows = classification_sweep(args.max_dim)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "max_dim": args.max_dim,
@@ -296,7 +296,6 @@ def build_parser():
 
     p = sub.add_parser("sweep", help="multiplier data for the whole catalog")
     p.add_argument("--max-dim", type=int, default=6)
-    p.add_argument("--parallel", action="store_true")
     p.add_argument("--format", choices=("json", "table"), default="table")
     p.set_defaults(handler=cmd_sweep)
 
@@ -325,10 +324,9 @@ def main(argv=None):
     except InvariantMismatch as exc:
         print(f"schurlab: {exc}", file=sys.stderr)
         return 4
-    except SchurlabError as exc:
-        print(f"schurlab: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (SchurlabError, OSError, ValueError) as exc:
+        # ValueError: a --file that is not UTF-8, or an argument the
+        # library rejects as out of range (--max-dim 0, H(0))
         print(f"schurlab: {exc}", file=sys.stderr)
         return 2
 

@@ -117,16 +117,21 @@ def _build_words(d, s):
     return words
 
 
-def hall_basis(d, s, cap=DEFAULT_BASIS_CAP):
-    """The Hall words of degree <= s on d generators, in basis order."""
+def _check_size(d, s, cap):
+    """Reject a free nilpotent algebra whose Witt sum exceeds ``cap``."""
     if d < 1 or s < 1:
-        raise ValueError("hall_basis needs d >= 1 and s >= 1")
+        raise ValueError("a free nilpotent algebra needs d >= 1 and s >= 1")
     total = sum(witt_dim(d, k) for k in range(1, s + 1))
     if total > cap:
         raise ResourceCapExceeded(
             f"free nilpotent algebra on {d} generators of class {s} "
             f"needs {total} basis words (cap {cap})"
         )
+
+
+def hall_basis(d, s, cap=DEFAULT_BASIS_CAP):
+    """The Hall words of degree <= s on d generators, in basis order."""
+    _check_size(d, s, cap)
     return _build_words(d, s)
 
 
@@ -358,14 +363,7 @@ _FREE_CACHE = {}
 
 def free_nilpotent_algebra(d, s, cap=DEFAULT_BASIS_CAP):
     """The free nilpotent algebra on d generators of class s (cached)."""
-    if d < 1 or s < 1:
-        raise ValueError("free_nilpotent_algebra needs d >= 1 and s >= 1")
-    total = sum(witt_dim(d, k) for k in range(1, s + 1))
-    if total > cap:
-        raise ResourceCapExceeded(
-            f"free nilpotent algebra on {d} generators of class {s} "
-            f"needs {total} basis words (cap {cap})"
-        )
+    _check_size(d, s, cap)
     key = (d, s)
     cached = _FREE_CACHE.get(key)
     if cached is None:

@@ -21,24 +21,9 @@ from math import gcd, lcm
 
 from .errors import SingularMatrix
 
-_FRAC_CACHE: dict = {}
-
-
-def _cached_fraction(num, den=1):
-    # den > 0 expected; keeps one object per small value so large
-    # mostly-zero bases do not allocate a Fraction per entry
-    g = gcd(num, den)
-    if g > 1:
-        num //= g
-        den //= g
-    if -64 <= num <= 64 and den <= 64:
-        key = (num, den)
-        f = _FRAC_CACHE.get(key)
-        if f is None:
-            f = Fraction(num, den)
-            _FRAC_CACHE[key] = f
-        return f
-    return Fraction(num, den)
+# shared by every materialised basis, so mostly-zero rows hold one object
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def frac(x) -> Fraction:
@@ -46,7 +31,7 @@ def frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
-        return _cached_fraction(x)
+        return Fraction(x)
     if isinstance(x, float):
         raise TypeError(f"floats are not exact: {x!r}")
     return Fraction(x)
@@ -83,9 +68,10 @@ class SpanBuilder:
     """Incrementally built integer row space in echelon form.
 
     Rows are primitive integer vectors with positive leading entry,
-    keyed by pivot column.  This is the workhorse behind every span,
-    kernel and rank computation; callers feed it integer rows (see
-    ``int_row``) and extract a canonical ``Subspace`` at the end.
+    keyed by pivot column.  This is the only elimination in schurlab:
+    every span, kernel, rank and inverse goes through it.  Callers feed
+    it integer rows (see ``int_row``) and extract a canonical
+    ``Subspace`` at the end.
     """
 
     __slots__ = ("ambient", "rows")
@@ -196,7 +182,7 @@ class SpanBuilder:
         frozen = []
         for p, row in zip(pivots, work):
             lead = row[p]
-            frozen.append(tuple(_cached_fraction(x, lead) for x in row))
+            frozen.append(tuple(Fraction(x, lead) if x else _ZERO for x in row))
         return Subspace._trusted(tuple(frozen), tuple(pivots), self.ambient)
 
 
@@ -238,10 +224,8 @@ class Subspace:
     def coordinate(cls, indices, ambient: int) -> "Subspace":
         """Span of the standard basis vectors e_i for i in indices."""
         idx = sorted(set(indices))
-        one = _cached_fraction(1)
-        zero = _cached_fraction(0)
         rows = tuple(
-            tuple(one if j == i else zero for j in range(ambient)) for i in idx
+            tuple(_ONE if j == i else _ZERO for j in range(ambient)) for i in idx
         )
         return cls._trusted(rows, tuple(idx), ambient)
 
@@ -318,26 +302,6 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
 
 
-def rref(matrix):
-    """Canonical reduced row echelon form.
-
-    Returns ``(rows, rank)`` where ``rows`` is a tuple of canonical
-    basis rows of the row space (zero rows dropped).
-    """
-    matrix = [list(r) for r in matrix]
-    if matrix:
-        width = len(matrix[0])
-        if any(len(r) != width for r in matrix):
-            raise ValueError("ragged matrix")
-    else:
-        width = 0
-    builder = SpanBuilder(width)
-    for r in matrix:
-        builder.add(int_row(r))
-    sub = builder.subspace()
-    return sub.rows, sub.dim
-
-
 def pivot_combination(reduced, col):
     """Column ``col`` of a matrix as a combination of its pivot columns.
 
@@ -398,15 +362,14 @@ def kernel_rows(matrix, ncols):
 def sparse_subspace(rows, ambient: int) -> Subspace:
     """The Subspace with the canonical rows given sparsely, in the form
     ``kernel_rows`` returns; the rows are trusted to be canonical."""
-    zero = _cached_fraction(0)
     frozen = []
     pivots = []
     for row in rows:
         pivot = next(iter(row))
         lead = row[pivot]
-        vec = [zero] * ambient
+        vec = [_ZERO] * ambient
         for col, x in row.items():
-            vec[col] = _cached_fraction(x, lead)
+            vec[col] = Fraction(x, lead)
         frozen.append(tuple(vec))
         pivots.append(pivot)
     return Subspace._trusted(tuple(frozen), tuple(pivots), ambient)
@@ -423,56 +386,30 @@ def kernel_basis(matrix, ncols=None) -> Subspace:
     return sparse_subspace(kernel_rows(matrix, ncols), ncols)
 
 
-def solve_particular(matrix, target):
-    """One solution x of A x = b, or None if the system is inconsistent.
-
-    The solution is deterministic: it is supported on the pivot columns
-    of the reduced form of A.
-    """
-    matrix = [list(r) for r in matrix]
-    if not matrix:
-        return None if any(frac(t) for t in target) else ()
-    ncols = len(matrix[0])
-    augmented = [
-        [frac(x) for x in row] + [frac(t)] for row, t in zip(matrix, target)
-    ]
-    rows, _ = rref(augmented)
-    x = [_cached_fraction(0)] * ncols
-    for r in rows:
-        pivot = next(c for c, v in enumerate(r) if v)
-        if pivot == ncols:
-            return None
-        x[pivot] = r[ncols]
-    return tuple(x)
-
-
 def invert(matrix):
-    """Inverse of a square rational matrix; raises SingularMatrix."""
+    """Inverse of a square rational matrix; raises SingularMatrix.
+
+    One integer echelon of [A | I]: every row of it is c [A | I] for
+    some c.  A is invertible exactly when no pivot lands in the I
+    block, and then the reduced row t is [b_t e_t | c_t] with
+    c_t A = b_t e_t, so row t of the inverse is c_t / b_t.
+    """
     n = len(matrix)
-    work = [
-        [frac(x) for x in row] + [
-            _cached_fraction(1 if i == j else 0) for j in range(n)
-        ]
-        for i, row in enumerate(matrix)
-    ]
-    if any(len(r) != 2 * n for r in work):
-        raise ValueError("matrix is not square")
-    for col in range(n):
-        pivot_row = None
-        for r in range(col, n):
-            if work[r][col]:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            raise SingularMatrix(f"no pivot in column {col}")
-        work[col], work[pivot_row] = work[pivot_row], work[col]
-        lead = work[col][col]
-        work[col] = [x / lead for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col]:
-                a = work[r][col]
-                work[r] = [x - a * y for x, y in zip(work[r], work[col])]
-    return tuple(tuple(row[n:]) for row in work)
+    builder = SpanBuilder(2 * n)
+    for i, row in enumerate(matrix):
+        if len(row) != n:
+            raise ValueError("matrix is not square")
+        unit = [0] * n
+        unit[i] = 1
+        builder.add(int_row(list(row) + unit))
+    pivots, rows = builder.reduced()
+    if pivots and pivots[-1] >= n:
+        rank = sum(p < n for p in pivots)
+        raise SingularMatrix(f"{n} x {n} matrix of rank {rank}")
+    return tuple(
+        tuple(Fraction(x, row[t]) if x else _ZERO for x in row[n:])
+        for t, row in enumerate(rows)
+    )
 
 
 def matvec(matrix, vec):

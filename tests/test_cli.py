@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import subprocess
@@ -5,8 +6,9 @@ import sys
 
 import pytest
 
+import schurlab
 from schurlab.catalog import catalog_get
-from schurlab.cli import main
+from schurlab.cli import build_parser, main
 from schurlab.dsl import format_presentation, parse_presentation
 from schurlab.liealg import LieAlgebra
 
@@ -207,6 +209,14 @@ def test_exit_codes(tmp_path, capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "multiplier", "--name", "L6_22")
     assert code == 2 and "eps" in err
+    binary = tmp_path / "binary.alg"
+    binary.write_bytes(b"\xff\xfe\x00")
+    code, _, err = run_cli(capsys, "info", "--file", str(binary))
+    assert code == 2 and err.startswith("schurlab: ") and "utf-8" in err
+    code, _, err = run_cli(capsys, "sweep", "--max-dim", "0")
+    assert code == 2 and err.startswith("schurlab: ") and "max_dim" in err
+    code, _, err = run_cli(capsys, "check", "--max-dim", "-1")
+    assert code == 2 and err.startswith("schurlab: ") and "max_dim" in err
 
 
 def test_sweep_json(capsys):
@@ -260,3 +270,91 @@ def test_log_env_smoke(monkeypatch, capsys):
     )
     assert code == 0
     assert json.loads(out)["n"] == 3
+
+
+# The public surface.  Removing or renaming a name or a flag must update
+# this pin and be recorded in CHANGES.md.
+PUBLIC_NAMES = [
+    "DslError",
+    "DslSyntaxError",
+    "DuplicateInconsistentBracket",
+    "FreeNilpotentAlgebra",
+    "GammaImages",
+    "GaneaReport",
+    "HallWord",
+    "InvariantMismatch",
+    "JacobiViolation",
+    "LieAlgebra",
+    "MissingParameter",
+    "MultiplierReport",
+    "NotAnIdeal",
+    "NotCentral",
+    "NotNilpotent",
+    "NotOneDimensional",
+    "Presentation",
+    "Quotient",
+    "ResourceCapExceeded",
+    "SchurlabError",
+    "SeriesReport",
+    "SingularMatrix",
+    "SpanBuilder",
+    "Subspace",
+    "SweepRow",
+    "TheoremReport",
+    "UnknownGenerator",
+    "UnknownName",
+    "abelian",
+    "attains_e2",
+    "bound_e1",
+    "bound_e2",
+    "catalog_get",
+    "check_theorem_2_1",
+    "check_theorem_2_2",
+    "check_theorem_2_5",
+    "check_theorem_2_6",
+    "check_theorem_3_7",
+    "classification_sweep",
+    "direct_sum",
+    "enumerate_catalog",
+    "exterior_center",
+    "exterior_square_dim",
+    "format_presentation",
+    "free_nilpotent_algebra",
+    "gamma_images",
+    "ganea_dimension_check",
+    "hall_basis",
+    "heisenberg",
+    "is_capable",
+    "kernel_basis",
+    "multiplier_report",
+    "parse_presentation",
+    "present_minimal",
+    "scan_theorem_2_9",
+    "schur_multiplier",
+    "schur_multiplier_dim",
+    "verify_catalog",
+    "witt_dim",
+]
+
+SOURCE_OPTIONS = ["--file", "--format", "--help", "--name", "--param", "-h"]
+SUBCOMMAND_OPTIONS = {
+    "info": SOURCE_OPTIONS,
+    "multiplier": SOURCE_OPTIONS,
+    "capable": SOURCE_OPTIONS,
+    "bounds": SOURCE_OPTIONS,
+    "sweep": ["--format", "--help", "--max-dim", "-h"],
+    "check": ["--format", "--help", "--max-dim", "--theorem", "-h"],
+}
+
+
+def test_public_surface_pinned():
+    assert schurlab.__all__ == PUBLIC_NAMES
+    parser = build_parser()
+    (sub,) = [
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    options = {
+        name: sorted(o for a in p._actions for o in a.option_strings)
+        for name, p in sub.choices.items()
+    }
+    assert options == SUBCOMMAND_OPTIONS

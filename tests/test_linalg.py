@@ -14,8 +14,6 @@ from schurlab.linalg import (
     invert,
     kernel_basis,
     matvec,
-    rref,
-    solve_particular,
 )
 
 rationals = st.fractions(
@@ -96,13 +94,18 @@ def test_subspace_invariant_under_row_operations(rows):
     assert Subspace(list(reversed(rows)), n) == s
 
 
+def _sympy(rows):
+    return Matrix(
+        [[Rational(x.numerator, x.denominator) for x in row] for row in rows]
+    )
+
+
 @given(matrices())
 @settings(max_examples=60, deadline=None)
 def test_kernel_annihilates_and_complements_rank(rows):
     n = len(rows[0])
     ker = kernel_basis(rows, ncols=n)
-    _, rank = rref(rows)
-    assert ker.dim == n - rank
+    assert ker.dim == n - _sympy(rows).rank()
     for vec in ker.rows:
         assert all(
             sum(r * v for r, v in zip(row, vec)) == 0 for row in rows
@@ -111,9 +114,7 @@ def test_kernel_annihilates_and_complements_rank(rows):
 
 def _sympy_kernel(rows, n):
     """The canonical basis of the kernel by sympy: nullspace, then RREF."""
-    null = Matrix(
-        [[Rational(x.numerator, x.denominator) for x in row] for row in rows]
-    ).nullspace()
+    null = _sympy(rows).nullspace()
     if not null:
         return ()
     basis, _ = Matrix.hstack(*null).T.rref()
@@ -159,21 +160,6 @@ def test_kernel_basis_is_canonical_examples():
         assert kernel_basis(rows).rows == _sympy_kernel(rows, len(rows[0]))
 
 
-@given(matrices())
-@settings(max_examples=60, deadline=None)
-def test_solve_particular_solves_or_detects(rows):
-    n = len(rows[0])
-    # a target inside the column space: A applied to the all-ones vector
-    target = [sum(row) for row in rows]
-    x = solve_particular(rows, target)
-    assert x is not None
-    assert list(matvec(rows, x)) == list(map(Fraction, target))
-
-
-def test_solve_particular_inconsistent():
-    assert solve_particular([[1, 0], [2, 0]], [1, 3]) is None
-
-
 def test_spanbuilder_integer_reduce_linearity():
     builder = SpanBuilder(3)
     builder.add([2, 4, 0])
@@ -202,8 +188,58 @@ def test_invert_roundtrip_and_singular():
         [Fraction(1), Fraction(0)],
         [Fraction(0), Fraction(1)],
     ]
-    with pytest.raises(SingularMatrix):
-        invert([[1, 2], [2, 4]])
+    # row swaps, the empty matrix and rank deficiency in a later column
+    assert invert([[0, 1], [1, 0]]) == ((0, 1), (1, 0))
+    assert invert([[0, 2], [Fraction(1, 3), 5]]) == (
+        (Fraction(-15, 2), 3),
+        (Fraction(1, 2), 0),
+    )
+    assert invert([]) == ()
+    for singular in (
+        [[1, 2], [2, 4]],
+        [[0]],
+        [[0, 0], [0, 0]],
+        [[1, 2, 3], [0, 1, 1], [1, 3, 4]],
+    ):
+        with pytest.raises(SingularMatrix):
+            invert(singular)
+    with pytest.raises(ValueError):
+        invert([[1, 0]])
+
+
+@given(
+    st.integers(0, 5).flatmap(
+        lambda n: st.tuples(
+            st.lists(
+                st.lists(rationals, min_size=n, max_size=n),
+                min_size=n,
+                max_size=n,
+            ),
+            st.permutations(range(n)),
+        )
+    ),
+    st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_invert_matches_sympy(case, dependent):
+    # sizes 0-5 with zero entries common, so leading zeros that need a
+    # row swap occur; ``dependent`` makes one row a combination of two
+    rows, perm = case
+    n = len(rows)
+    if dependent and n >= 3:
+        rows[-1] = [2 * x - Fraction(1, 3) * y for x, y in zip(rows[0], rows[1])]
+    rows = [rows[i] for i in perm]
+    m = _sympy(rows)
+    if m.rank() < n:
+        with pytest.raises(SingularMatrix):
+            invert(rows)
+        return
+    inv = invert(rows)
+    assert inv == tuple(
+        tuple(Fraction(int(x.p), int(x.q)) for x in m.inv().row(i))
+        for i in range(n)
+    )
+    assert all(type(x) is Fraction for row in inv for x in row)
 
 
 def test_zero_and_full_and_coordinate():
