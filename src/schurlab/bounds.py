@@ -387,11 +387,10 @@ class SweepRow:
     attains_e2: bool
 
 
-def _sweep_row(item):
-    name, algebra = item
-    rep = algebra.series()
-    n, m, c = algebra.dim, rep.derived_dim, rep.nilpotency_class
-    dim_m = schur_multiplier_dim(algebra)
+def _sweep_row(name, n, m, c, dim_m):
+    """The row of an entry with invariants (n, m, c) and dim M(L) =
+    ``dim_m``; raises InvariantMismatch if it contradicts the strict
+    refinement for class >= 3 or the codimension-2 bound."""
     if m == 0:
         return SweepRow(name, n, m, c, dim_m, None, False)
     bound = bound_e2(n, m, c)
@@ -409,10 +408,29 @@ def _sweep_row(item):
 
 def classification_sweep(max_dim: int = 6):
     """Multiplier data for every catalog entry up to ``max_dim``,
-    in deterministic catalog order."""
-    from .catalog import enumerate_catalog
+    in deterministic catalog order (that of ``enumerate_catalog``).
 
-    return [_sweep_row(item) for item in enumerate_catalog(max_dim)]
+    Each abelian algebra and each non-abelian base gets one Hopf
+    computation.  A row base+A(k) is derived from its base with no
+    presentation and no direct sum: L + A(k) has invariants
+    (n + k, m, c), and by the Kunneth formula
+    M(A + B) = M(A) + M(B) + (A/A2 (x) B/B2) (Batten, Moneyhun and
+    Stitzinger, Comm. Algebra 24 (1996))
+
+        dim M(L + A(k)) = dim M(L) + C(k, 2) + k(n - m).
+    """
+    from .catalog import _catalog_walk
+
+    rows = []
+    for base, extensions in _catalog_walk(max_dim):
+        rep = base.series()
+        n, m, c = base.dim, rep.derived_dim, rep.nilpotency_class
+        dim_m = schur_multiplier_dim(base)
+        rows.append(_sweep_row(base.name, n, m, c, dim_m))
+        for k, name in extensions:
+            dim_sum = dim_m + comb(k, 2) + k * (n - m)
+            rows.append(_sweep_row(name, n + k, m, c, dim_sum))
+    return rows
 
 
 def _name_of(L):

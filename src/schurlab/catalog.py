@@ -141,17 +141,29 @@ def _build_part(part: str, params) -> LieAlgebra:
     if value is not None:
         if not entry["parameters"]:
             raise UnknownName(f"{table} takes no parameter")
+        parameter = entry["parameters"][0]
         try:
-            merged[entry["parameters"][0]] = Fraction(value)
+            inline = Fraction(value)
         except (ValueError, ZeroDivisionError):
             raise UnknownName(
                 f"invalid parameter value {value!r} in {part!r}"
             ) from None
+        if parameter in params and Fraction(params[parameter]) != inline:
+            raise UnknownName(
+                f"{part!r} sets {parameter} = {inline}, which conflicts "
+                f"with the given {parameter} = {params[parameter]}"
+            )
+        merged[parameter] = inline
     return _build_entry(entry, merged)
 
 
 def catalog_get(name: str, params=None) -> LieAlgebra:
-    """Construct a catalog algebra by name, or a "+"-joined direct sum."""
+    """Construct a catalog algebra by name, or a "+"-joined direct sum.
+
+    ``params`` gives parameter values, such as {"eps": "1/2"}.  A value
+    written inline, as in "L6_22(1/2)", must equal the one in
+    ``params`` if both are given; a conflict raises UnknownName.
+    """
     _run_gates()
     params = params or {}
     parts = [part.strip() for part in name.replace(" ", "").split("+")]
@@ -164,10 +176,12 @@ def catalog_get(name: str, params=None) -> LieAlgebra:
     return result
 
 
-def enumerate_catalog(max_dim: int, eps_samples=None):
-    """All catalog entries of dimension <= max_dim as (name, algebra)
-    pairs: abelians, then each non-abelian base followed by its
-    abelian extensions base+A(k).  The order is deterministic."""
+def _catalog_walk(max_dim: int, eps_samples=None):
+    """The catalog up to ``max_dim`` in enumeration order, as
+    (algebra, extensions) pairs: the abelians A(1)..A(max_dim) with no
+    extensions, then each non-abelian base with the (k, name) pairs of
+    its abelian extensions base+A(k), k = 1..max_dim - dim(base).
+    ``enumerate_catalog`` and ``classification_sweep`` both walk it."""
     if max_dim < 1:
         raise ValueError("max_dim must be at least 1")
     if max_dim > MAX_ENUMERATION_DIM:
@@ -179,7 +193,7 @@ def enumerate_catalog(max_dim: int, eps_samples=None):
     if eps_samples is None:
         eps_samples = DEFAULT_EPS_SAMPLES
 
-    out = [(f"A({k})", abelian(k)) for k in range(1, max_dim + 1)]
+    walk = [(abelian(k), []) for k in range(1, max_dim + 1)]
 
     bases = []
     m = 1
@@ -197,9 +211,28 @@ def enumerate_catalog(max_dim: int, eps_samples=None):
             bases.append(_build_entry(entry, {}))
 
     for base in bases:
+        ks = range(1, max_dim - base.dim + 1)
+        walk.append((base, [(k, f"{base.name}+A({k})") for k in ks]))
+    return walk
+
+
+def enumerate_catalog(max_dim: int, eps_samples=None):
+    """All catalog entries of dimension <= max_dim as (name, algebra)
+    pairs: abelians, then each non-abelian base followed by its
+    abelian extensions base+A(k).  The order is deterministic.
+
+    ``classification_sweep`` reports its rows in this order but builds
+    no base+A(k): by the Kunneth formula
+    M(A + B) = M(A) + M(B) + (A/A2 (x) B/B2) (Batten, Moneyhun and
+    Stitzinger, Comm. Algebra 24 (1996)),
+    dim M(L + A(k)) = dim M(L) + C(k, 2) + k(n - m) for L of dimension n
+    with dim L2 = m.  Here every direct sum is built, for ``check``,
+    the scans and the tests.
+    """
+    out = []
+    for base, extensions in _catalog_walk(max_dim, eps_samples):
         out.append((base.name, base))
-        for k in range(1, max_dim - base.dim + 1):
-            name = f"{base.name}+A({k})"
+        for k, name in extensions:
             out.append((name, direct_sum(base, abelian(k), name=name)))
     return out
 

@@ -14,10 +14,12 @@ from schurlab.bounds import (
     classification_sweep,
     gamma_images,
     scan_theorem_2_9,
+    SweepRow,
 )
-from schurlab.catalog import abelian, catalog_get, heisenberg
+from schurlab.catalog import abelian, catalog_get, enumerate_catalog, heisenberg
 from schurlab.errors import NotCentral
 from schurlab.linalg import Subspace
+from schurlab.multiplier import schur_multiplier_dim
 
 from oracles import literal_gamma_images, random_basis_change
 
@@ -205,3 +207,20 @@ def test_sweep_small():
 
 def test_sweep_deterministic():
     assert classification_sweep(5) == classification_sweep(5)
+
+
+def test_sweep_abelian_extension_rows_match_engine():
+    """The sweep derives each base+A(k) row from its base; here every
+    such entry of the dimension-8 catalog is built as a direct sum and
+    computed with the engine, so k = 4 and 5 are covered too."""
+    rows = {row.name: row for row in classification_sweep(8)}
+    sums = [(name, L) for name, L in enumerate_catalog(8) if "+A(" in name]
+    assert len(sums) == 35
+    assert {"L4_3+A(4)", "H(1)+A(5)"} <= {name for name, _ in sums}
+    for name, L in sums:
+        rep = L.series()
+        n, m, c = L.dim, rep.derived_dim, rep.nilpotency_class
+        dim_m = schur_multiplier_dim(L)
+        bound = bound_e2(n, m, c)
+        want = SweepRow(name, n, m, c, dim_m, bound, dim_m == bound)
+        assert rows[name] == want

@@ -85,6 +85,18 @@ def test_sweep_json_golden_digest(capsys):
     )
 
 
+def test_sweep_max_dim_8_json_golden_digest(capsys):
+    # The sweep derives the base+A(k) rows by the Kunneth formula; the
+    # digest is that of the output with every row computed by the engine.
+    code, out, _ = run_cli(
+        capsys, "sweep", "--max-dim", "8", "--format", "json"
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "3e706239d64266532b9d29dcb93eb15db7f2fce42507c7708e3d8ad9396b2419"
+    )
+
+
 # H(2)+A(1) in the basis given by the columns of P, the upper-triangular
 # all-ones matrix with P[0][3] = 2 and P[1][4] = -3.
 H2A1_FIXED_BASIS = """algebra B dim 6
@@ -209,6 +221,15 @@ def test_exit_codes(tmp_path, capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "multiplier", "--name", "L6_22")
     assert code == 2 and "eps" in err
+    code, _, err = run_cli(
+        capsys, "info", "--name", "L6_22(2)", "--param", "eps=3"
+    )
+    assert code == 2 and err.startswith("schurlab: ") and "conflicts" in err
+    code, out, _ = run_cli(
+        capsys, "info", "--name", "L6_22(2)", "--param", "eps=2",
+        "--format", "json",
+    )
+    assert code == 0 and json.loads(out)["name"] == "L6_22(2)"
     binary = tmp_path / "binary.alg"
     binary.write_bytes(b"\xff\xfe\x00")
     code, _, err = run_cli(capsys, "info", "--file", str(binary))
