@@ -101,11 +101,12 @@ def _tensor_rank(rows, n, width):
     one per row of (sign, left, col) terms with left in Q^n."""
     builder = SpanBuilder(n * width)
     for terms in rows:
-        vec = [0] * (n * width)
+        vec = {}
         for sign, left, col in terms:
             for k, c in enumerate(left):
                 if c:
-                    vec[k * width + col] += sign * c
+                    key = k * width + col
+                    vec[key] = vec.get(key, 0) + sign * c
         builder.add(int_row(vec))
     return builder.rank
 

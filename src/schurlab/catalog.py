@@ -31,6 +31,7 @@ from .errors import (
     UnknownName,
 )
 from .liealg import LieAlgebra, direct_sum
+from .linalg import frac
 from .multiplier import schur_multiplier_dim
 
 MAX_ENUMERATION_DIM = 8
@@ -72,6 +73,17 @@ def _entries():
     return _raw_entries
 
 
+def _parameter_value(value, where) -> Fraction:
+    """An exact rational parameter value; anything else, a float
+    included, raises UnknownName naming ``where``."""
+    try:
+        return frac(value)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise UnknownName(
+            f"invalid parameter value {value!r} {where}"
+        ) from None
+
+
 def _build_entry(entry, params) -> LieAlgebra:
     dim = entry["dim"]
     values = {}
@@ -80,7 +92,9 @@ def _build_entry(entry, params) -> LieAlgebra:
             raise MissingParameter(
                 f"{entry['name']} needs a value for {parameter!r}"
             )
-        values[parameter] = Fraction(params[parameter])
+        values[parameter] = _parameter_value(
+            params[parameter], f"for {parameter} of {entry['name']}"
+        )
     brackets = {}
     for i, j, combo in entry["brackets"]:
         brackets[(i - 1, j - 1)] = parse_combo(combo, dim, params=values)
@@ -142,13 +156,10 @@ def _build_part(part: str, params) -> LieAlgebra:
         if not entry["parameters"]:
             raise UnknownName(f"{table} takes no parameter")
         parameter = entry["parameters"][0]
-        try:
-            inline = Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise UnknownName(
-                f"invalid parameter value {value!r} in {part!r}"
-            ) from None
-        if parameter in params and Fraction(params[parameter]) != inline:
+        inline = _parameter_value(value, f"in {part!r}")
+        if parameter in params and _parameter_value(
+            params[parameter], f"for {parameter} of {table}"
+        ) != inline:
             raise UnknownName(
                 f"{part!r} sets {parameter} = {inline}, which conflicts "
                 f"with the given {parameter} = {params[parameter]}"

@@ -210,38 +210,41 @@ class LieAlgebra:
                     vec[t] = Fraction(val, den * den)
                 raise JacobiViolation((i + 1, j + 1, k + 1), vec)
 
-    def _bracket_span(self, left, right):
-        """A SpanBuilder holding D * [a, b] for a in left, b in right.
-
-        Rows are sparse integer dicts {index: entry}.  Only the pairs
-        (i in supp a, j in supp b) with a nonzero adjoint entry are
-        evaluated, and only nonzero brackets reach the builder.
-        """
+    def _sparse_bracket(self, a, b):
+        """D * [a, b] for sparse integer dicts a, b {index: entry}, as a
+        dict of its nonzero entries.  Only the pairs (i in supp a,
+        j in supp b) with a nonzero adjoint entry are evaluated."""
         _, adj = self._adjoint()
-        n = self.dim
-        builder = SpanBuilder(n)
+        out = {}
+        for i, x in a.items():
+            row = adj[i]
+            for j, y in b.items():
+                vec = row.get(j)
+                if vec:
+                    c = x * y
+                    for k, w in vec.items():
+                        v = out.get(k, 0) + c * w
+                        if v:
+                            out[k] = v
+                        else:
+                            del out[k]
+        return out
+
+    def _bracket_span(self, left, right):
+        """A SpanBuilder holding D * [a, b] for a in left, b in right,
+        sparse integer dicts; only nonzero brackets reach the builder."""
+        builder = SpanBuilder(self.dim)
         for a in left:
             for b in right:
-                out = {}
-                for i, x in a.items():
-                    row = adj[i]
-                    for j, y in b.items():
-                        vec = row.get(j)
-                        if vec:
-                            c = x * y
-                            for k, w in vec.items():
-                                out[k] = out.get(k, 0) + c * w
-                if any(out.values()):
-                    dense = [0] * n
-                    for k, w in out.items():
-                        dense[k] = w
-                    builder.add(dense)
+                out = self._sparse_bracket(a, b)
+                if out:
+                    builder.add(out)
         return builder
 
     def bracket_subspaces(self, s: Subspace, t: Subspace) -> Subspace:
         """The span of [a, b] over a in s, b in t."""
-        left = _sparse_rows(map(int_row, s.rows))
-        right = _sparse_rows(map(int_row, t.rows))
+        left = [int_row(dict(enumerate(r))) for r in s.rows]
+        right = [int_row(dict(enumerate(r))) for r in t.rows]
         return self._bracket_span(left, right).subspace()
 
     def lower_central_series(self):
@@ -262,7 +265,7 @@ class LieAlgebra:
                         f"{builder.rank}"
                     )
                 gammas.append(builder.subspace())
-                rows = _sparse_rows(builder.rows.values())
+                rows = builder.rows.values()
             self._gammas = gammas
         return self._gammas
 
@@ -281,9 +284,7 @@ class LieAlgebra:
                 eqs = {}
                 for i, vec in row.items():
                     for k, c in vec.items():
-                        if k not in eqs:
-                            eqs[k] = [0] * n
-                        eqs[k][i] = c
+                        eqs.setdefault(k, {})[i] = c
                 rows.extend(eqs.values())
             self._center = kernel_basis(rows, ncols=n)
         return self._center
@@ -401,11 +402,6 @@ class LieAlgebra:
     def __repr__(self):
         label = self.name or f"{len(self.sc)} brackets"
         return f"LieAlgebra(dim={self.dim}, {label})"
-
-
-def _sparse_rows(rows):
-    """Integer rows as sparse dicts {index: entry} of their nonzeros."""
-    return [{c: x for c, x in enumerate(row) if x} for row in rows]
 
 
 def direct_sum(a: LieAlgebra, b: LieAlgebra, name=None) -> LieAlgebra:

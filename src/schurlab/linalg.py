@@ -3,17 +3,21 @@
 Conventions used throughout schurlab:
 
 * scalars are ``fractions.Fraction`` (no floats anywhere),
-* a vector is a sequence of scalars, returned as a tuple,
+* a vector handed across the API is a sequence of scalars, returned as
+  a tuple,
 * a matrix is a sequence of rows,
 * a subspace of Q^n is held in canonical reduced row echelon form:
   pivot entries are 1, pivot columns strictly increase, every pivot
   column is zero elsewhere, zero rows are dropped.  The canonical form
   makes subspace equality a structural comparison.
 
-Elimination is fraction-free in the Bareiss spirit: rows are scaled to
-primitive integer vectors and combined by integer cross-multiplication,
-dividing out the content when it grows, so intermediate entries stay
-small.  Fractions reappear only when a canonical basis is materialised.
+Elimination works on sparse integer rows: dicts {column: entry} that
+hold only the nonzero entries, so a row costs time in its nonzeros, not
+in the ambient dimension.  It is fraction-free in the Bareiss spirit:
+rows are scaled to primitive integer vectors and combined by integer
+cross-multiplication, dividing out the content when it grows, so
+intermediate entries stay small.  Fractions reappear only when a
+canonical basis is materialised.
 """
 
 from fractions import Fraction
@@ -37,9 +41,9 @@ def frac(x) -> Fraction:
     return Fraction(x)
 
 
-def _content(row):
+def _content(values):
     g = 0
-    for x in row:
+    for x in values:
         if x:
             g = gcd(g, x)
             if g == 1:
@@ -48,30 +52,80 @@ def _content(row):
 
 
 def _primitive(row):
-    g = _content(row)
+    """A dict row divided by its content."""
+    g = _content(row.values())
     if g > 1:
-        return [x // g for x in row]
+        return {k: x // g for k, x in row.items()}
     return row
 
 
-def int_row(vec) -> list:
-    """Scale a rational vector to a primitive integer row (same line)."""
+def int_row(vec):
+    """Scale a rational vector to a primitive integer row (same line).
+
+    A dict {column: entry} gives a dict of the nonzero entries; any
+    other sequence gives a list.
+    """
+    cols = None
+    if isinstance(vec, dict):
+        cols, vec = list(vec), vec.values()
     fs = [x if isinstance(x, (int, Fraction)) else frac(x) for x in vec]
     den = 1
     for f in fs:
         if f.denominator != 1:
             den = lcm(den, f.denominator)
-    return _primitive([f.numerator * (den // f.denominator) for f in fs])
+    ints = [f.numerator * (den // f.denominator) for f in fs]
+    g = _content(ints)
+    if g > 1:
+        ints = [x // g for x in ints]
+    if cols is None:
+        return ints
+    return {c: x for c, x in zip(cols, ints) if x}
+
+
+def _sparse(vec):
+    """A fresh dict of the nonzero entries of a dict or a sequence."""
+    items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+    return {c: x for c, x in items if x}
+
+
+def _eliminate(row, prow, c):
+    """Clear column c of ``row`` in place with ``prow``, whose pivot is c.
+
+    ``row`` becomes (b/g) row - (a/g) prow, where a and b are the
+    column-c entries and g = gcd(a, b) (g = 1 when b = 1).  Returns
+    the multiplier b/g, a positive integer since b is.
+    """
+    a = row[c]
+    b = prow[c]
+    if b == 1:
+        mb = 1
+    else:
+        g = gcd(a, b)
+        mb = b // g
+        a //= g
+        if mb != 1:
+            for k in row:
+                row[k] *= mb
+    for k, y in prow.items():
+        x = row.get(k, 0) - a * y
+        if x:
+            row[k] = x
+        else:
+            del row[k]
+    return mb
 
 
 class SpanBuilder:
     """Incrementally built integer row space in echelon form.
 
-    Rows are primitive integer vectors with positive leading entry,
-    keyed by pivot column.  This is the only elimination in schurlab:
-    every span, kernel, rank and inverse goes through it.  Callers feed
-    it integer rows (see ``int_row``) and extract a canonical
-    ``Subspace`` at the end.
+    ``rows`` maps each pivot column to its echelon row, a sparse dict
+    {column: entry}: primitive, with a positive entry at the pivot, its
+    least column.  Every span, kernel, rank and inverse of the linear
+    algebra goes through it; ``hall`` has its own elimination of tensor
+    polynomials.  Callers feed it integer rows, as sparse dicts or as
+    dense sequences (see ``int_row``), and extract a canonical
+    ``Subspace`` at the end.  Each elimination step clears the least
+    nonzero column of the incoming row.
     """
 
     __slots__ = ("ambient", "rows")
@@ -86,30 +140,19 @@ class SpanBuilder:
 
     def add(self, vec) -> bool:
         """Insert an integer row; return True if the rank grew."""
-        row = list(vec)
+        row = _sparse(vec)
         rows = self.rows
-        n = self.ambient
-        c = 0
-        while c < n:
-            a = row[c]
-            if a:
-                prow = rows.get(c)
-                if prow is None:
-                    if a < 0:
-                        row = [-x for x in row]
-                    rows[c] = _primitive(row)
-                    return True
-                b = prow[c]
-                if b == 1:
-                    row = [x - a * y for x, y in zip(row, prow)]
-                else:
-                    g = gcd(a, b)
-                    mb = b // g
-                    ma = a // g
-                    row = _primitive(
-                        [mb * x - ma * y for x, y in zip(row, prow)]
-                    )
-            c += 1
+        while row:
+            c = min(row)
+            prow = rows.get(c)
+            if prow is None:
+                if row[c] < 0:
+                    row = {k: -x for k, x in row.items()}
+                rows[c] = _primitive(row)
+                return True
+            _eliminate(row, prow, c)
+            if prow[c] != 1:
+                row = _primitive(row)
         return False
 
     def reduce(self, vec):
@@ -118,42 +161,45 @@ class SpanBuilder:
         Returns ``(residual, scale)`` with ``residual == scale * vec``
         modulo the row space and ``scale`` a positive integer, so
         ``residual/scale`` depends linearly on ``vec``.  The residual is
-        zero exactly when ``vec`` lies in the span.
+        zero exactly when ``vec`` lies in the span.  It is a dict of its
+        nonzero entries in column order when ``vec`` is a dict, and a
+        list like ``vec`` otherwise.
         """
-        row = list(vec)
+        row = _sparse(vec)
         scale = 1
         rows = self.rows
-        n = self.ambient
-        c = 0
-        while c < n:
-            a = row[c]
-            if a:
-                prow = rows.get(c)
-                if prow is not None:
-                    b = prow[c]
-                    if b == 1:
-                        row = [x - a * y for x, y in zip(row, prow)]
-                    else:
-                        g = gcd(a, b)
-                        mb = b // g
-                        ma = a // g
-                        row = [mb * x - ma * y for x, y in zip(row, prow)]
-                        scale *= mb
-            c += 1
-        return row, scale
+        residual = {}
+        while row:
+            c = min(row)
+            prow = rows.get(c)
+            if prow is None:
+                residual[c] = row.pop(c)
+                continue
+            mb = _eliminate(row, prow, c)
+            if mb != 1:
+                scale *= mb
+                for k in residual:
+                    residual[k] *= mb
+        if isinstance(vec, dict):
+            return residual, scale
+        dense = [0] * len(vec)
+        for k, x in residual.items():
+            dense[k] = x
+        return dense, scale
 
     def contains(self, vec) -> bool:
-        residual, _ = self.reduce(vec)
-        return not any(residual)
+        residual, _ = self.reduce(_sparse(vec))
+        return not residual
 
     def reduced(self):
         """The integer Jordan phase: ``(pivots, rows)`` in pivot order.
 
-        Each row keeps a positive pivot entry and is zero in every other
-        pivot column; rows are not normalised, so entries stay integers.
+        Each row is a dict that keeps a positive pivot entry and is zero
+        in every other pivot column; rows are not normalised, so entries
+        stay integers.
         """
         pivots = sorted(self.rows)
-        work = [list(self.rows[p]) for p in pivots]
+        work = [dict(self.rows[p]) for p in pivots]
         # walk pivots from the right; each pivot row is already clean of
         # later pivots by the time it is used to clear earlier rows
         for t in range(len(pivots) - 1, -1, -1):
@@ -162,28 +208,29 @@ class SpanBuilder:
             b = prow[p]
             for q in range(t):
                 row = work[q]
-                a = row[p]
-                if a:
-                    if b == 1:
-                        row = [x - a * y for x, y in zip(row, prow)]
-                    else:
-                        g = gcd(a, b)
-                        mb = b // g
-                        ma = a // g
-                        row = _primitive(
-                            [mb * x - ma * y for x, y in zip(row, prow)]
-                        )
-                    work[q] = row
+                if p in row:
+                    _eliminate(row, prow, p)
+                    if b != 1:
+                        work[q] = _primitive(row)
         return pivots, work
 
     def subspace(self) -> "Subspace":
         """Canonicalise (Jordan phase plus pivot normalisation)."""
         pivots, work = self.reduced()
-        frozen = []
-        for p, row in zip(pivots, work):
-            lead = row[p]
-            frozen.append(tuple(Fraction(x, lead) if x else _ZERO for x in row))
-        return Subspace._trusted(tuple(frozen), tuple(pivots), self.ambient)
+        return _canonical(pivots, work, self.ambient)
+
+
+def _canonical(pivots, rows, ambient):
+    """The Subspace whose canonical rows are the dict rows, each divided
+    by its entry at its pivot; the rows are trusted to be reduced."""
+    frozen = []
+    for p, row in zip(pivots, rows):
+        lead = row[p]
+        vec = [_ZERO] * ambient
+        for col, x in row.items():
+            vec[col] = Fraction(x, lead)
+        frozen.append(tuple(vec))
+    return Subspace._trusted(tuple(frozen), tuple(pivots), ambient)
 
 
 class Subspace:
@@ -293,9 +340,9 @@ class Subspace:
         for r in other.rows:
             builder.add(int_row(r) + zero)
         inner = SpanBuilder(n)
-        for p in sorted(builder.rows):
+        for p, row in builder.rows.items():
             if p >= n:
-                inner.add(builder.rows[p][n:])
+                inner.add({k - n: x for k, x in row.items()})
         return inner.subspace()
 
     def __repr__(self):
@@ -314,7 +361,7 @@ def pivot_combination(reduced, col):
     c_t / den = rows[t][col] / b_t, in pivot order.
     """
     pivots, rows = reduced
-    terms = [(p, row[col], row[p]) for p, row in zip(pivots, rows) if row[col]]
+    terms = [(p, row[col], row[p]) for p, row in zip(pivots, rows) if col in row]
     den = 1
     for _, _, b in terms:
         den = lcm(den, b)
@@ -324,10 +371,11 @@ def pivot_combination(reduced, col):
 def kernel_rows(matrix, ncols):
     """The canonical basis of {x : A x = 0} as sparse integer rows.
 
-    Each row is a dict {column: entry}: primitive, its pivot (least
-    column) first with a positive entry, the other entries in column
-    order.  Rows come in pivot order; dividing each by its pivot entry
-    gives the canonical reduced echelon basis of the kernel.
+    The rows of A are sequences of ``ncols`` rationals or sparse integer
+    dicts {column: entry}.  Each kernel row is a dict: primitive, its
+    pivot (least column) first with a positive entry, the other entries
+    in column order.  Rows come in pivot order; dividing each by its
+    pivot entry gives the canonical reduced echelon basis of the kernel.
 
     The basis is read straight off one integer echelon of A with its
     columns reversed.  That echelon's pivots Q are the columns of A
@@ -337,12 +385,14 @@ def kernel_rows(matrix, ncols):
     outside Q, and at most rank + 1 nonzeros.
     """
     builder = SpanBuilder(ncols)
-    for r in matrix:
-        if len(r) != ncols:
-            raise ValueError(f"row of length {len(r)} with {ncols} columns")
-        builder.add(int_row(r)[::-1])
-    reduced = builder.reduced()
     last = ncols - 1
+    for r in matrix:
+        if not isinstance(r, dict):
+            if len(r) != ncols:
+                raise ValueError(f"row of length {len(r)} with {ncols} columns")
+            r = int_row(dict(enumerate(r)))
+        builder.add({last - k: x for k, x in r.items()})
+    reduced = builder.reduced()
     taken = set(reduced[0])
     rows = []
     for j in range(ncols):
@@ -362,17 +412,7 @@ def kernel_rows(matrix, ncols):
 def sparse_subspace(rows, ambient: int) -> Subspace:
     """The Subspace with the canonical rows given sparsely, in the form
     ``kernel_rows`` returns; the rows are trusted to be canonical."""
-    frozen = []
-    pivots = []
-    for row in rows:
-        pivot = next(iter(row))
-        lead = row[pivot]
-        vec = [_ZERO] * ambient
-        for col, x in row.items():
-            vec[col] = Fraction(x, lead)
-        frozen.append(tuple(vec))
-        pivots.append(pivot)
-    return Subspace._trusted(tuple(frozen), tuple(pivots), ambient)
+    return _canonical([next(iter(row)) for row in rows], rows, ambient)
 
 
 def kernel_basis(matrix, ncols=None) -> Subspace:
@@ -406,10 +446,7 @@ def invert(matrix):
     if pivots and pivots[-1] >= n:
         rank = sum(p < n for p in pivots)
         raise SingularMatrix(f"{n} x {n} matrix of rank {rank}")
-    return tuple(
-        tuple(Fraction(x, row[t]) if x else _ZERO for x in row[n:])
-        for t, row in enumerate(rows)
-    )
+    return tuple(row[n:] for row in _canonical(pivots, rows, 2 * n).rows)
 
 
 def matvec(matrix, vec):

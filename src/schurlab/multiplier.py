@@ -19,6 +19,7 @@ supported below the top degree contribute.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import lcm
 
 from .errors import (
@@ -31,7 +32,6 @@ from .liealg import LieAlgebra
 from .linalg import (
     SpanBuilder,
     Subspace,
-    int_row,
     kernel_basis,
     kernel_rows,
     pivot_combination,
@@ -43,23 +43,45 @@ class Presentation:
     """A minimal free presentation of L, truncated at class c+1.
 
     ``pi_matrix`` (rows indexed by L, columns by Hall words) is the
-    induced map F' -> L; ``r`` is its kernel, ``f2`` the span of the
-    Hall words of degree >= 2, and ``fr`` the bracket ideal [F', R'].
-    The kernel is held as the sparse integer rows of ``kernel_rows``;
-    ``r``, ``f2`` and ``fr`` are canonical Subspaces built on first
-    read, while ``dim_fr`` is always available.
+    induced map F' -> L, with Fraction entries and no scaling; ``r`` is
+    its kernel, ``f2`` the span of the Hall words of degree >= 2, and
+    ``fr`` the bracket ideal [F', R'].
+
+    The map is held as ``pi_rows``, one sparse integer dict
+    {word: entry} per row, equal to ``pi_scale`` times ``pi_matrix``.
+    The images come from L's adjoint table, which holds D times each
+    bracket (D the common denominator of the structure constants), so
+    a word of degree k maps to D^(k-1) times its image; every column of
+    degree k is multiplied by D^(c+1-k), c the class of L, so that
+    ``pi_scale`` = D^c is one factor for all columns and the kernel is
+    unchanged.  The kernel is held as the sparse integer rows of
+    ``kernel_rows``; ``pi_matrix``, ``r``, ``f2`` and ``fr`` are built
+    on first read, while ``dim_fr`` is always available.
     """
 
-    def __init__(self, algebra, free, pi_matrix, r_rows, fr_builder):
+    def __init__(self, algebra, free, pi_rows, pi_scale, r_rows, fr_builder):
         self.algebra = algebra
         self.free = free
-        self.pi_matrix = pi_matrix
+        self.pi_rows = pi_rows
+        self.pi_scale = pi_scale
         self.r_rows = r_rows
         self._fr_builder = fr_builder
+        self._pi_matrix = None
         self._r = None
         self._f2 = None
         self._fr = None
         self._exterior_center = None
+
+    @property
+    def pi_matrix(self):
+        if self._pi_matrix is None:
+            cols = range(self.free.dim)
+            scale = self.pi_scale
+            self._pi_matrix = tuple(
+                tuple(Fraction(row.get(pos, 0), scale) for pos in cols)
+                for row in self.pi_rows
+            )
+        return self._pi_matrix
 
     @property
     def dim_fr(self):
@@ -139,6 +161,20 @@ class MultiplierReport:
     attains_e2: bool | None
 
 
+def _product(free, vec, j):
+    """[x_j, vec] in the free algebra, for a sparse integer dict vec of
+    Hall word coordinates, as a dict of its nonzero entries."""
+    out = {}
+    for pos, coeff in vec.items():
+        for t, v in free.product(j, pos).items():
+            x = out.get(t, 0) + coeff * v
+            if x:
+                out[t] = x
+            else:
+                del out[t]
+    return out
+
+
 def present_minimal(L: LieAlgebra) -> Presentation:
     """Build (and cache on L) the minimal truncated free presentation."""
     if L._presentation is not None:
@@ -156,19 +192,23 @@ def present_minimal(L: LieAlgebra) -> Presentation:
     free = free_nilpotent_algebra(d, c + 1)
     big = free.dim
 
+    # images[pos] is D^(k-1) times the image of a word of degree k;
+    # its column of pi_rows is scaled up to D^c times the image
+    den, _ = L._adjoint()
     images = [None] * big
+    pi_rows = [{} for _ in range(n)]
     for word in free.basis:
+        pos = word.position
         if word.gen is not None:
-            images[word.position] = L.basis_vector(complement[word.gen])
+            image = {complement[word.gen]: 1}
         else:
-            images[word.position] = L.bracket(
-                images[word.left], images[word.right]
-            )
-    pi_matrix = tuple(
-        tuple(images[pos][k] for pos in range(big)) for k in range(n)
-    )
+            image = L._sparse_bracket(images[word.left], images[word.right])
+        images[pos] = image
+        factor = den ** (c + 1 - word.degree)
+        for k, x in image.items():
+            pi_rows[k][pos] = factor * x
 
-    r_rows = kernel_rows(pi_matrix, big)
+    r_rows = kernel_rows(pi_rows, big)
     if len(r_rows) != big - n:
         raise InvariantMismatch("induced map onto L is not surjective")
     if any(col < d for row in r_rows for col in row):
@@ -190,14 +230,11 @@ def present_minimal(L: LieAlgebra) -> Presentation:
     # trailing degree blocks, which keeps the echelon reduction cheap.
     for row in reversed(low_rows):
         for j in range(d):
-            vec = [0] * big
-            for pos, coeff in row.items():
-                for t, v in free.product(j, pos).items():
-                    vec[t] += coeff * v
-            if any(vec):
+            vec = _product(free, row, j)
+            if vec:
                 fr_builder.add(vec)
 
-    pres = Presentation(L, free, pi_matrix, r_rows, fr_builder)
+    pres = Presentation(L, free, pi_rows, den**c, r_rows, fr_builder)
     L._presentation = pres
     return pres
 
@@ -239,7 +276,9 @@ def exterior_center(L: LieAlgebra) -> Subspace:
     [pi | I]: its rows are M.pi = R with R reduced, so the lift of e_k
     is sum_t M[t][k]/b_t e_{p_t}, where p_t and b_t are the pivot
     column and entry of row t of R.  This is the solution supported on
-    the pivot columns of pi.
+    the pivot columns of pi.  The echelon is built from
+    ``pi_rows`` = s.pi as [s.pi | s.I], s = ``pi_scale``, which has the
+    same rows up to the factor s.
     """
     if L.dim == 0:
         return Subspace.zero(0)
@@ -251,8 +290,8 @@ def exterior_center(L: LieAlgebra) -> Subspace:
     d = free.generators
     big = free.dim
     echelon = SpanBuilder(big + n)
-    for k, row in enumerate(pres.pi_matrix):
-        echelon.add(int_row(list(row) + [int(i == k) for i in range(n)]))
+    for k, row in enumerate(pres.pi_rows):
+        echelon.add({**row, big + k: pres.pi_scale})
     reduced = echelon.reduced()
     if reduced[0][-1] >= big:
         raise InvariantMismatch("presentation map is not surjective")
@@ -263,11 +302,8 @@ def exterior_center(L: LieAlgebra) -> Subspace:
         residuals = []
         scales = []
         for den, lift in lifts:
-            vec = [0] * big
-            for pos, coeff in lift.items():
-                for t, v in free.product(pos, j).items():
-                    vec[t] += coeff * v
-            residual, scale = pres._fr_builder.reduce(vec)
+            # [lift, x_j] = -[x_j, lift]; the sign changes no kernel
+            residual, scale = pres._fr_builder.reduce(_product(free, lift, j))
             residuals.append(residual)
             scales.append(scale * den)
         # residuals[k] / scales[k] is the residual of the lift of e_k;
@@ -276,12 +312,10 @@ def exterior_center(L: LieAlgebra) -> Subspace:
         factors = [common // s for s in scales]
         used = set()
         for res in residuals:
-            for idx, x in enumerate(res):
-                if x:
-                    used.add(idx)
+            used.update(res)
         for idx in sorted(used):
             constraints.append(
-                [res[idx] * f for res, f in zip(residuals, factors)]
+                [res.get(idx, 0) * f for res, f in zip(residuals, factors)]
             )
     if constraints:
         result = kernel_basis(constraints, ncols=n)

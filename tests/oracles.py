@@ -60,6 +60,12 @@ def ce_multiplier_dim(L):
     return (len(pair_index) - d2.rank()) - d3.rank()
 
 
+def wedge_dim(L):
+    """dim(L wedge L) = dim Lambda^2 L - rank d3."""
+    d3, pair_index = _d3(L)
+    return len(pair_index) - d3.rank()
+
+
 def wedge_exterior_center(L):
     """Z^(L) = {z : z ^ e_i in im d3 for all i}, as a sympy basis of
     column vectors.

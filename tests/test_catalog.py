@@ -42,6 +42,13 @@ def test_unknown_and_missing():
         catalog_get("L6_22(one)")
     with pytest.raises(UnknownName):
         catalog_get("")
+    # bad params values raise UnknownName, like bad inline values;
+    # floats are inexact and rejected
+    for bad in ("x", "1/0", 0.1, None):
+        with pytest.raises(UnknownName):
+            catalog_get("L6_22", {"eps": bad})
+        with pytest.raises(UnknownName):
+            catalog_get("L6_22(1/2)", {"eps": bad})
 
 
 def test_constructors():

@@ -1,8 +1,10 @@
 import argparse
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -273,11 +275,17 @@ def test_check_single_theorem(capsys):
 
 
 def test_console_script_entry_point():
+    # the child finds the package where this process imported it from,
+    # also when only pytest's ``pythonpath`` setting put it on sys.path
+    src = str(Path(schurlab.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
     proc = subprocess.run(
         [sys.executable, "-m", "schurlab", "bounds", "--name", "H(1)",
          "--format", "json"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)

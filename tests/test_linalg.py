@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -178,6 +179,80 @@ def test_spanbuilder_add_reports_novelty():
     assert not builder.add([2, 2])
     assert builder.add([1, 0])
     assert builder.rank == 2
+
+
+def _int_rows(n):
+    dense = st.lists(st.integers(-5, 5), min_size=n, max_size=n)
+    sparse = st.lists(
+        st.one_of(st.just(0), st.just(0), st.integers(-5, 5)),
+        min_size=n,
+        max_size=n,
+    )
+    return st.one_of(dense, sparse, st.just([0] * n))
+
+
+@st.composite
+def _spanbuilder_case(draw):
+    n = draw(st.integers(0, 8))
+    rows = draw(st.lists(_int_rows(n), max_size=6))
+    if rows and draw(st.booleans()):
+        rows.append(list(draw(st.sampled_from(rows))))
+    vecs = draw(st.lists(_int_rows(n), min_size=1, max_size=3))
+    if rows and draw(st.booleans()):
+        # a vector inside the span, scaled
+        vecs.append([3 * x - y for x, y in zip(rows[0], rows[-1])])
+    keep_zeros = draw(st.booleans())
+    return n, rows, vecs, keep_zeros
+
+
+def _as_dict(row, keep_zeros):
+    return {c: x for c, x in enumerate(row) if x or keep_zeros}
+
+
+def _sympy_rank(rows, n):
+    if not rows or n == 0:
+        return 0
+    return Matrix(rows).rank()
+
+
+@given(_spanbuilder_case())
+@settings(max_examples=150, deadline=None)
+def test_spanbuilder_sparse_and_dense_agree(case):
+    # rows fed as lists and as dicts (with explicit zero entries when
+    # ``keep_zeros``) give the same echelon, which is sympy's RREF
+    n, rows, vecs, keep_zeros = case
+    dense, sparse = SpanBuilder(n), SpanBuilder(n)
+    for row in rows:
+        assert dense.add(row) == sparse.add(_as_dict(row, keep_zeros))
+    assert dense.rank == sparse.rank == _sympy_rank(rows, n)
+    assert dense.rows == sparse.rows
+    for pivot, row in dense.rows.items():
+        assert min(row) == pivot and row[pivot] > 0
+        assert all(row.values())
+        assert gcd(*row.values()) == 1
+    if rows and n:
+        rref, _ = Matrix(rows).rref()
+        want = tuple(
+            tuple(Fraction(int(x.p), int(x.q)) for x in rref.row(i))
+            for i in range(dense.rank)
+        )
+    else:
+        want = ()
+    assert dense.subspace().rows == sparse.subspace().rows == want
+
+    rank = dense.rank
+    for vec in vecs:
+        residual, scale = dense.reduce(vec)
+        sparse_residual, sparse_scale = sparse.reduce(_as_dict(vec, keep_zeros))
+        assert isinstance(residual, list) and len(residual) == n
+        assert sparse_residual == {c: x for c, x in enumerate(residual) if x}
+        assert scale == sparse_scale and scale > 0
+        inside = _sympy_rank(rows + [vec], n) == rank
+        assert (not any(residual)) == inside == dense.contains(vec)
+        # residual == scale * vec modulo the span
+        diff = [scale * x - r for x, r in zip(vec, residual)]
+        assert _sympy_rank(rows + [diff], n) == rank
+        assert not any(residual[p] for p in dense.rows)
 
 
 def test_invert_roundtrip_and_singular():

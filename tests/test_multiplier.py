@@ -10,7 +10,7 @@ from schurlab.catalog import (
     heisenberg,
 )
 from schurlab.errors import NotCentral, NotOneDimensional
-from schurlab.liealg import direct_sum
+from schurlab.liealg import LieAlgebra, direct_sum
 from schurlab.linalg import Subspace
 from schurlab.multiplier import (
     exterior_center,
@@ -26,6 +26,7 @@ from schurlab.multiplier import (
 from oracles import (
     ce_multiplier_dim,
     random_basis_change,
+    wedge_dim,
     wedge_exterior_center,
 )
 
@@ -98,6 +99,80 @@ def test_exterior_center_matches_wedge_oracle():
             cases.append((f"{name} basis {t}", random_basis_change(base, rng)))
     for name, algebra in cases:
         n = algebra.dim
+        oracle = Subspace(
+            [
+                [Fraction(int(x.p), int(x.q)) for x in vec]
+                for vec in wedge_exterior_center(algebra)
+            ],
+            n,
+        )
+        assert exterior_center(algebra) == oracle, name
+
+
+def _unitriangular(L, rng):
+    """L in the basis y_a = sum_i p[a][i] x_i, with p unit upper
+    triangular and a random sign at every place above the diagonal.
+    p is inverted by back substitution, so no echelon is involved."""
+    n = L.dim
+    p = [
+        [1 if i == j else (rng.choice((-1, 1)) if j > i else 0) for j in range(n)]
+        for i in range(n)
+    ]
+    p_inv = [[int(i == j) for j in range(n)] for i in range(n)]
+    for j in range(n):
+        for i in range(j - 1, -1, -1):
+            p_inv[i][j] = -sum(p[i][k] * p_inv[k][j] for k in range(i + 1, j + 1))
+    brackets = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            w = L.bracket(p[a], p[b])
+            brackets[(a, b)] = {
+                t: sum(w[i] * p_inv[i][t] for i in range(n)) for t in range(n)
+            }
+    return LieAlgebra(n, brackets, name=L.name)
+
+
+def _induced_map(pres):
+    """The map F' -> L by Fraction brackets in L, word by word: the
+    generators go to the basis vectors outside the pivots of L2."""
+    L = pres.algebra
+    pivots = set(L.derived_subspace().pivots)
+    gens = [i for i in range(L.dim) if i not in pivots]
+    images = []
+    for word in pres.free.basis:
+        if word.gen is not None:
+            images.append(L.basis_vector(gens[word.gen]))
+        else:
+            images.append(L.bracket(images[word.left], images[word.right]))
+    return tuple(zip(*images))
+
+
+def test_heavy_presentations_match_wedge_oracle():
+    # dense bases of the heaviest presentations (L5_7+A(3) is presented
+    # in a free algebra of dimension 829), and a rational basis, where
+    # the adjoint table's denominator D > 1 scales the images of pi.
+    # Scaling words of degree k by D^(k-1) is an automorphism of F', so
+    # only pi and the witness R, not the dimensions, would show a
+    # missing rescale.
+    rng = random.Random(20261018)
+    for name in ("L5_7+A(3)", "L5_9+A(3)", "L4_3+A(4)", "L6_22(1/2)+A(1)"):
+        if name.startswith("L6_22"):
+            algebra = random_basis_change(catalog_get(name), rng)
+            assert algebra._adjoint()[0] > 1
+        else:
+            algebra = _unitriangular(catalog_get(name), rng)
+        n = algebra.dim
+        pres = present_minimal(algebra)
+        if name == "L5_7+A(3)":
+            assert pres.free.dim == 829
+        pi = _induced_map(pres)
+        assert pres.pi_matrix == pi, name
+        assert all(
+            not any(sum(pi_k[col] * x for col, x in row.items()) for pi_k in pi)
+            for row in pres.r_rows
+        ), name
+        assert schur_multiplier_dim(algebra) == ce_multiplier_dim(algebra), name
+        assert exterior_square_dim(algebra) == wedge_dim(algebra), name
         oracle = Subspace(
             [
                 [Fraction(int(x.p), int(x.q)) for x in vec]
