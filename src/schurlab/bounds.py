@@ -22,11 +22,11 @@ and run consistency scans over the built-in catalog.
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 
 from .errors import InvariantMismatch, NotCentral
 from .liealg import LieAlgebra
-from .linalg import SpanBuilder, Subspace, int_row
+from .linalg import SpanBuilder, Subspace, _reduce
 from .multiplier import exterior_square_dim, schur_multiplier_dim
 
 
@@ -97,35 +97,40 @@ class TheoremReport:
 
 
 def _tensor_rank(rows, n, width):
-    """Dimension of the span of the tensors sum(sign * left (x) e_col),
-    one per row of (sign, left, col) terms with left in Q^n."""
+    """Dimension of the span of the tensors sum(coeff * left (x) e_col),
+    one per row of (coeff, left, col) terms with left a sparse integer
+    dict over Q^n."""
     builder = SpanBuilder(n * width)
     for terms in rows:
         vec = {}
-        for sign, left, col in terms:
-            for k, c in enumerate(left):
-                if c:
-                    key = k * width + col
-                    vec[key] = vec.get(key, 0) + sign * c
-        builder.add(int_row(vec))
+        for coeff, left, col in terms:
+            for k, c in left.items():
+                key = k * width + col
+                vec[key] = vec.get(key, 0) + coeff * c
+        builder.add(vec)
     return builder.rank
 
 
 def _gamma_rank(L, reps, gamma3):
-    """Image dimension of gamma on the unit-vector images of reps.
+    """Image dimension of gamma on the unit-vector images of the basis
+    vectors reps.
 
-    gamma3.reduce is injective on L2 modulo L3, so it stands in for
-    L2/L3 coordinates.  gamma is alternating, so a < b < c suffices.
+    The residual of D [x_a, x_b] modulo L3 is injective on L2 modulo
+    L3, so it stands in for L2/L3 coordinates; each comes with its own
+    scale, so the three terms of a row are brought to a common one.
+    gamma is alternating, so a < b < c suffices.
     """
+    _, adj = L._adjoint()
     table = {
-        (a, b): gamma3.reduce(L.bracket(x, y))
+        (a, b): _reduce(gamma3.echelon, adj[x].get(y, {}))
         for a, x in enumerate(reps)
         for b, y in enumerate(reps)
     }
-    rows = (
-        ((1, table[a, b], c), (1, table[c, a], b), (1, table[b, c], a))
-        for a, b, c in combinations(range(len(reps)), 3)
-    )
+    rows = []
+    for a, b, c in combinations(range(len(reps)), 3):
+        terms = [(*table[a, b], c), (*table[c, a], b), (*table[b, c], a)]
+        common = lcm(*(scale for _, scale, _ in terms))
+        rows.append([(common // scale, res, col) for res, scale, col in terms])
     return _tensor_rank(rows, L.dim, len(reps))
 
 
@@ -134,12 +139,15 @@ def _gamma_prime3_rank(L, reps):
 
         [[x,y],z] (x) w + [w,[x,y]] (x) z + [[z,w],x] (x) y + [y,[z,w]] (x) x
 
-    on the unit-vector images of reps, with values in L3.  It is
-    antisymmetric in (x, y) and in (z, w), so pairs a < b, c < d suffice.
+    on the unit-vector images of the basis vectors reps, with values in
+    L3, each taken as D^2 times its value.  It is antisymmetric in
+    (x, y) and in (z, w), so pairs a < b, c < d suffice.
     """
     pairs = list(combinations(range(len(reps)), 2))
     table = {
-        (p, c): L.bracket(L.bracket(reps[p[0]], reps[p[1]]), z)
+        (p, c): L._sparse_bracket(
+            L._sparse_bracket({reps[p[0]]: 1}, {reps[p[1]]: 1}), {z: 1}
+        )
         for p in pairs
         for c, z in enumerate(reps)
     }
@@ -157,10 +165,9 @@ def _gamma_prime3_rank(L, reps):
 
 
 def _representatives(L, ideal):
-    """The basis vectors outside the ideal's pivots; their images in
-    L/I are the unit vectors of the quotient basis."""
-    pivots = set(ideal.pivots)
-    return [L.basis_vector(j) for j in range(L.dim) if j not in pivots]
+    """The indices of the basis vectors outside the ideal's pivots;
+    their images in L/I are the unit vectors of the quotient basis."""
+    return [j for j in range(L.dim) if j not in ideal.echelon]
 
 
 def gamma_images(L: LieAlgebra) -> GammaImages:

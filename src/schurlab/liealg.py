@@ -21,8 +21,8 @@ from .errors import JacobiViolation, NotAnIdeal, NotNilpotent
 from .linalg import (
     Subspace,
     SpanBuilder,
+    _reduce,
     frac,
-    int_row,
     invert,
     kernel_basis,
     matvec,
@@ -117,17 +117,6 @@ class LieAlgebra:
         return tuple(
             Fraction(1) if j == i else Fraction(0) for j in range(self.dim)
         )
-
-    def _bracket_basis(self, i, j):
-        """Sparse [x_i, x_j] as a dict, any index order."""
-        if i == j:
-            return {}
-        if i < j:
-            return self.sc.get((i, j), {})
-        vec = self.sc.get((j, i))
-        if not vec:
-            return {}
-        return {k: -c for k, c in vec.items()}
 
     def bracket(self, u, v):
         """[u, v] for coordinate vectors u, v."""
@@ -243,20 +232,21 @@ class LieAlgebra:
 
     def bracket_subspaces(self, s: Subspace, t: Subspace) -> Subspace:
         """The span of [a, b] over a in s, b in t."""
-        left = [int_row(dict(enumerate(r))) for r in s.rows]
-        right = [int_row(dict(enumerate(r))) for r in t.rows]
-        return self._bracket_span(left, right).subspace()
+        return self._bracket_span(s.echelon.values(), t.echelon.values()).subspace()
 
     def lower_central_series(self):
         """Subspaces gamma_1 = L, gamma_{i+1} = [L, gamma_i], ending at 0.
 
-        gamma_1 is bracketed as the basis vectors, and each later term
-        as the integer echelon rows of the builder that spanned it.
+        [L, gamma_i] is spanned by the brackets of the basis vectors
+        outside the center of the adjoint table (the others bracket to
+        zero) with gamma_i: gamma_1 as the basis vectors, each later
+        term as the integer echelon rows of the builder that spanned it.
         """
         if self._gammas is None:
-            basis = [{i: 1} for i in range(self.dim)]
+            _, adj = self._adjoint()
+            basis = [{i: 1} for i, row in enumerate(adj) if row]
             gammas = [Subspace.full(self.dim)]
-            rows = basis
+            rows = [{i: 1} for i in range(self.dim)]
             while rows:
                 builder = self._bracket_span(basis, rows)
                 if builder.rank == len(rows):
@@ -292,17 +282,15 @@ class LieAlgebra:
     def series(self) -> SeriesReport:
         if self._series is None:
             gammas = self.lower_central_series()
-            dims = tuple(g.dim for g in gammas)
             center = self.center()
-            derived = gammas[1] if len(gammas) > 1 else gammas[0]
-            central_in_derived = (center & derived).dim
+            derived = self.derived_subspace()
             self._series = SeriesReport(
-                gamma_dims=dims,
-                derived_dim=dims[1] if len(dims) > 1 else 0,
-                nilpotency_class=len(dims) - 1,
+                gamma_dims=tuple(g.dim for g in gammas),
+                derived_dim=derived.dim,
+                nilpotency_class=len(gammas) - 1,
                 center_dim=center.dim,
-                min_generators=self.dim - (dims[1] if len(dims) > 1 else 0),
-                central_complement_dim=center.dim - central_in_derived,
+                min_generators=self.dim - derived.dim,
+                central_complement_dim=center.dim - (center & derived).dim,
             )
         return self._series
 
@@ -315,30 +303,36 @@ class LieAlgebra:
             raise ValueError("ideal lives in the wrong ambient space")
         if not self.bracket_subspaces(Subspace.full(n), ideal) <= ideal:
             raise NotAnIdeal("subspace is not closed under bracketing with L")
-        pivot_set = set(ideal.pivots)
-        comp = [j for j in range(n) if j not in pivot_set]
+        echelon = ideal.echelon
+        comp = [j for j in range(n) if j not in echelon]
         q = len(comp)
-        reduced = [ideal.reduce(self.basis_vector(j)) for j in range(n)]
+        # e_j minus its canonical row for a pivot j, e_j otherwise
         proj_rows = tuple(
-            tuple(reduced[j][comp[t]] for j in range(n)) for t in range(q)
+            tuple(
+                Fraction(-echelon[j].get(c, 0), echelon[j][j])
+                if j in echelon
+                else Fraction(int(j == c))
+                for j in range(n)
+            )
+            for c in comp
         )
         section_rows = tuple(
-            tuple(Fraction(1) if comp[t] == r else Fraction(0) for t in range(q))
-            for r in range(n)
+            tuple(Fraction(int(r == c)) for c in comp) for r in range(n)
         )
+        # the residual of D [x_i, x_j] over scale * D is its projection,
+        # read in the non-pivot columns
+        den, adj = self._adjoint()
+        index = {c: t for t, c in enumerate(comp)}
         brackets = {}
-        for s in range(q):
-            for t in range(s + 1, q):
-                w = self._bracket_basis(comp[s], comp[t])
-                if not w:
-                    continue
-                vec = [Fraction(0)] * n
-                for k, c in w.items():
-                    vec[k] = c
-                img = matvec(proj_rows, ideal.reduce(vec))
-                entry = {k: c for k, c in enumerate(img) if c}
-                if entry:
-                    brackets[(s, t)] = entry
+        for s, i in enumerate(comp):
+            for j, w in adj[i].items():
+                if index.get(j, -1) > s:
+                    residual, scale = _reduce(echelon, w)
+                    if residual:
+                        brackets[(s, index[j])] = {
+                            index[k]: Fraction(x, scale * den)
+                            for k, x in residual.items()
+                        }
         name = f"{self.name}/I" if self.name else None
         return Quotient(
             algebra=LieAlgebra(q, brackets, name=name),

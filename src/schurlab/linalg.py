@@ -6,18 +6,20 @@ Conventions used throughout schurlab:
 * a vector handed across the API is a sequence of scalars, returned as
   a tuple,
 * a matrix is a sequence of rows,
-* a subspace of Q^n is held in canonical reduced row echelon form:
-  pivot entries are 1, pivot columns strictly increase, every pivot
-  column is zero elsewhere, zero rows are dropped.  The canonical form
-  makes subspace equality a structural comparison.
+* a subspace of Q^n is held as an integer echelon: one sparse row
+  {column: entry} per pivot, in increasing pivot order, each row
+  primitive, positive at its pivot (its least column) and zero at every
+  other pivot.  That form is unique, so subspace equality is a
+  structural comparison.  ``Subspace.rows`` materialises the canonical
+  reduced row echelon basis (pivot entries 1) as tuples of Fractions.
 
 Elimination works on sparse integer rows: dicts {column: entry} that
 hold only the nonzero entries, so a row costs time in its nonzeros, not
 in the ambient dimension.  It is fraction-free in the Bareiss spirit:
 rows are scaled to primitive integer vectors and combined by integer
 cross-multiplication, dividing out the content when it grows, so
-intermediate entries stay small.  Fractions reappear only when a
-canonical basis is materialised.
+intermediate entries stay small.  Fractions appear only at the API
+edges: ``rows``, ``reduce``, ``coords``, ``invert`` and ``matvec``.
 """
 
 from fractions import Fraction
@@ -27,7 +29,6 @@ from .errors import SingularMatrix
 
 # shared by every materialised basis, so mostly-zero rows hold one object
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def frac(x) -> Fraction:
@@ -60,14 +61,8 @@ def _primitive(row):
 
 
 def int_row(vec):
-    """Scale a rational vector to a primitive integer row (same line).
-
-    A dict {column: entry} gives a dict of the nonzero entries; any
-    other sequence gives a list.
-    """
-    cols = None
-    if isinstance(vec, dict):
-        cols, vec = list(vec), vec.values()
+    """Scale a rational vector to a primitive integer row (same line),
+    returned as a list."""
     fs = [x if isinstance(x, (int, Fraction)) else frac(x) for x in vec]
     den = 1
     for f in fs:
@@ -77,9 +72,7 @@ def int_row(vec):
     g = _content(ints)
     if g > 1:
         ints = [x // g for x in ints]
-    if cols is None:
-        return ints
-    return {c: x for c, x in zip(cols, ints) if x}
+    return ints
 
 
 def _sparse(vec):
@@ -113,6 +106,35 @@ def _eliminate(row, prow, c):
         else:
             del row[k]
     return mb
+
+
+def _reduce(rows, vec):
+    """Reduce an integer row against echelon rows.
+
+    ``rows`` maps each pivot to a sparse row whose least column it is,
+    as ``SpanBuilder.rows`` and ``Subspace.echelon`` do; ``vec`` is a
+    dict or a sequence and is not changed.  Returns ``(residual,
+    scale)`` with ``residual == scale * vec`` modulo the row space and
+    ``scale`` a positive integer, so ``residual/scale`` depends linearly
+    on ``vec``.  The residual is a dict of its nonzero entries in column
+    order, zero at every pivot, and empty exactly when ``vec`` lies in
+    the span.
+    """
+    row = _sparse(vec)
+    scale = 1
+    residual = {}
+    while row:
+        c = min(row)
+        prow = rows.get(c)
+        if prow is None:
+            residual[c] = row.pop(c)
+            continue
+        mb = _eliminate(row, prow, c)
+        if mb != 1:
+            scale *= mb
+            for k in residual:
+                residual[k] *= mb
+    return residual, scale
 
 
 class SpanBuilder:
@@ -158,28 +180,11 @@ class SpanBuilder:
     def reduce(self, vec):
         """Reduce an integer row against the current echelon rows.
 
-        Returns ``(residual, scale)`` with ``residual == scale * vec``
-        modulo the row space and ``scale`` a positive integer, so
-        ``residual/scale`` depends linearly on ``vec``.  The residual is
-        zero exactly when ``vec`` lies in the span.  It is a dict of its
-        nonzero entries in column order when ``vec`` is a dict, and a
-        list like ``vec`` otherwise.
+        Returns ``(residual, scale)`` as ``_reduce`` does; the residual
+        is a dict of its nonzero entries in column order when ``vec`` is
+        a dict, and a list like ``vec`` otherwise.
         """
-        row = _sparse(vec)
-        scale = 1
-        rows = self.rows
-        residual = {}
-        while row:
-            c = min(row)
-            prow = rows.get(c)
-            if prow is None:
-                residual[c] = row.pop(c)
-                continue
-            mb = _eliminate(row, prow, c)
-            if mb != 1:
-                scale *= mb
-                for k in residual:
-                    residual[k] *= mb
+        residual, scale = _reduce(self.rows, vec)
         if isinstance(vec, dict):
             return residual, scale
         dense = [0] * len(vec)
@@ -188,8 +193,7 @@ class SpanBuilder:
         return dense, scale
 
     def contains(self, vec) -> bool:
-        residual, _ = self.reduce(_sparse(vec))
-        return not residual
+        return not _reduce(self.rows, vec)[0]
 
     def reduced(self):
         """The integer Jordan phase: ``(pivots, rows)`` in pivot order.
@@ -215,28 +219,22 @@ class SpanBuilder:
         return pivots, work
 
     def subspace(self) -> "Subspace":
-        """Canonicalise (Jordan phase plus pivot normalisation)."""
-        pivots, work = self.reduced()
-        return _canonical(pivots, work, self.ambient)
-
-
-def _canonical(pivots, rows, ambient):
-    """The Subspace whose canonical rows are the dict rows, each divided
-    by its entry at its pivot; the rows are trusted to be reduced."""
-    frozen = []
-    for p, row in zip(pivots, rows):
-        lead = row[p]
-        vec = [_ZERO] * ambient
-        for col, x in row.items():
-            vec[col] = Fraction(x, lead)
-        frozen.append(tuple(vec))
-    return Subspace._trusted(tuple(frozen), tuple(pivots), ambient)
+        """Canonicalise: the Jordan phase, each row made primitive."""
+        _, work = self.reduced()
+        return Subspace._trusted(map(_primitive, work), self.ambient)
 
 
 class Subspace:
-    """A subspace of Q^ambient in canonical reduced row echelon form."""
+    """A subspace of Q^ambient, held as its unique integer echelon.
 
-    __slots__ = ("ambient", "rows", "pivots")
+    ``echelon`` maps each pivot, in increasing order, to a sparse
+    integer row {column: entry}: primitive, positive at the pivot (its
+    least column) and zero at every other pivot.  ``rows`` is the
+    canonical reduced row echelon basis, each echelon row divided by its
+    pivot entry, as tuples of Fractions built on first read.
+    """
+
+    __slots__ = ("ambient", "echelon", "_rows")
 
     def __init__(self, vectors, ambient: int):
         builder = SpanBuilder(ambient)
@@ -246,22 +244,23 @@ class Subspace:
                     f"vector of length {len(v)} in ambient dimension {ambient}"
                 )
             builder.add(int_row(v))
-        canonical = builder.subspace()
         self.ambient = ambient
-        self.rows = canonical.rows
-        self.pivots = canonical.pivots
+        self.echelon = builder.subspace().echelon
+        self._rows = None
 
     @classmethod
-    def _trusted(cls, rows, pivots, ambient):
+    def _trusted(cls, rows, ambient):
+        """The Subspace whose echelon rows are ``rows``, sparse integer
+        dicts trusted to be in the canonical form and in pivot order."""
         self = object.__new__(cls)
         self.ambient = ambient
-        self.rows = rows
-        self.pivots = pivots
+        self.echelon = {min(row): row for row in rows}
+        self._rows = None
         return self
 
     @classmethod
     def zero(cls, ambient: int) -> "Subspace":
-        return cls._trusted((), (), ambient)
+        return cls._trusted((), ambient)
 
     @classmethod
     def full(cls, ambient: int) -> "Subspace":
@@ -270,61 +269,78 @@ class Subspace:
     @classmethod
     def coordinate(cls, indices, ambient: int) -> "Subspace":
         """Span of the standard basis vectors e_i for i in indices."""
-        idx = sorted(set(indices))
-        rows = tuple(
-            tuple(_ONE if j == i else _ZERO for j in range(ambient)) for i in idx
-        )
-        return cls._trusted(rows, tuple(idx), ambient)
+        return cls._trusted(({i: 1} for i in sorted(set(indices))), ambient)
+
+    @property
+    def rows(self):
+        if self._rows is None:
+            rows = []
+            for p, row in self.echelon.items():
+                lead = row[p]
+                vec = [_ZERO] * self.ambient
+                for col, x in row.items():
+                    vec[col] = Fraction(x, lead)
+                rows.append(tuple(vec))
+            self._rows = tuple(rows)
+        return self._rows
+
+    @property
+    def pivots(self):
+        return tuple(self.echelon)
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.echelon)
 
     def reduce(self, vec):
         """Canonical representative of vec modulo this subspace."""
         row = [frac(x) for x in vec]
         if len(row) != self.ambient:
             raise ValueError("vector/ambient mismatch")
-        for p, srow in zip(self.pivots, self.rows):
+        for p, srow in self.echelon.items():
             a = row[p]
             if a:
-                row = [x - a * y for x, y in zip(row, srow)]
+                a /= srow[p]
+                for col, x in srow.items():
+                    row[col] -= a * x
         return tuple(row)
 
     def contains(self, vec) -> bool:
-        return not any(self.reduce(vec))
+        if len(vec) != self.ambient:
+            raise ValueError("vector/ambient mismatch")
+        return not _reduce(self.echelon, int_row(vec))[0]
 
     def coords(self, vec):
         """Coordinates of vec in the canonical basis; vec must lie here."""
-        row = self.reduce(vec)
-        if any(row):
+        if not self.contains(vec):
             raise ValueError("vector is not in the subspace")
-        fs = [frac(x) for x in vec]
-        return tuple(fs[p] for p in self.pivots)
+        return tuple(frac(vec[p]) for p in self.echelon)
 
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
             and self.ambient == other.ambient
-            and self.rows == other.rows
+            and self.echelon == other.echelon
         )
 
     def __hash__(self):
-        return hash((self.ambient, self.rows))
+        # order-free: a row's key order depends on how it was eliminated
+        rows = frozenset(frozenset(row.items()) for row in self.echelon.values())
+        return hash((self.ambient, rows))
 
     def __le__(self, other: "Subspace") -> bool:
         if self.ambient != other.ambient:
             raise ValueError("ambient dimensions differ")
-        return all(other.contains(r) for r in self.rows)
+        return all(
+            not _reduce(other.echelon, row)[0] for row in self.echelon.values()
+        )
 
     def __add__(self, other: "Subspace") -> "Subspace":
         if self.ambient != other.ambient:
             raise ValueError("ambient dimensions differ")
         builder = SpanBuilder(self.ambient)
-        for r in self.rows:
-            builder.add(int_row(r))
-        for r in other.rows:
-            builder.add(int_row(r))
+        for row in (*self.echelon.values(), *other.echelon.values()):
+            builder.add(row)
         return builder.subspace()
 
     def __and__(self, other: "Subspace") -> "Subspace":
@@ -333,12 +349,10 @@ class Subspace:
             raise ValueError("ambient dimensions differ")
         n = self.ambient
         builder = SpanBuilder(2 * n)
-        for r in self.rows:
-            ir = int_row(r)
-            builder.add(ir + ir)
-        zero = [0] * n
-        for r in other.rows:
-            builder.add(int_row(r) + zero)
+        for row in self.echelon.values():
+            builder.add({**row, **{k + n: x for k, x in row.items()}})
+        for row in other.echelon.values():
+            builder.add(row)
         inner = SpanBuilder(n)
         for p, row in builder.rows.items():
             if p >= n:
@@ -390,7 +404,7 @@ def kernel_rows(matrix, ncols):
         if not isinstance(r, dict):
             if len(r) != ncols:
                 raise ValueError(f"row of length {len(r)} with {ncols} columns")
-            r = int_row(dict(enumerate(r)))
+            r = _sparse(int_row(r))
         builder.add({last - k: x for k, x in r.items()})
     reduced = builder.reduced()
     taken = set(reduced[0])
@@ -402,17 +416,8 @@ def kernel_rows(matrix, ncols):
         row = {j: den}
         for p in reversed(coeffs):  # reversed pivot order is column order
             row[last - p] = -coeffs[p]
-        g = 0
-        for x in row.values():
-            g = gcd(g, x)
-        rows.append({col: x // g for col, x in row.items()})
+        rows.append(_primitive(row))
     return rows
-
-
-def sparse_subspace(rows, ambient: int) -> Subspace:
-    """The Subspace with the canonical rows given sparsely, in the form
-    ``kernel_rows`` returns; the rows are trusted to be canonical."""
-    return _canonical([next(iter(row)) for row in rows], rows, ambient)
 
 
 def kernel_basis(matrix, ncols=None) -> Subspace:
@@ -423,7 +428,7 @@ def kernel_basis(matrix, ncols=None) -> Subspace:
         if not matrix:
             raise ValueError("ncols required for an empty matrix")
         ncols = len(matrix[0])
-    return sparse_subspace(kernel_rows(matrix, ncols), ncols)
+    return Subspace._trusted(kernel_rows(matrix, ncols), ncols)
 
 
 def invert(matrix):
@@ -446,7 +451,10 @@ def invert(matrix):
     if pivots and pivots[-1] >= n:
         rank = sum(p < n for p in pivots)
         raise SingularMatrix(f"{n} x {n} matrix of rank {rank}")
-    return tuple(row[n:] for row in _canonical(pivots, rows, 2 * n).rows)
+    return tuple(
+        tuple(Fraction(row.get(k, 0), row[t]) for k in range(n, 2 * n))
+        for t, row in enumerate(rows)
+    )
 
 
 def matvec(matrix, vec):

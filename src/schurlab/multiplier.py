@@ -35,7 +35,6 @@ from .linalg import (
     kernel_basis,
     kernel_rows,
     pivot_combination,
-    sparse_subspace,
 )
 
 
@@ -55,8 +54,9 @@ class Presentation:
     degree k is multiplied by D^(c+1-k), c the class of L, so that
     ``pi_scale`` = D^c is one factor for all columns and the kernel is
     unchanged.  The kernel is held as the sparse integer rows of
-    ``kernel_rows``; ``pi_matrix``, ``r``, ``f2`` and ``fr`` are built
-    on first read, while ``dim_fr`` is always available.
+    ``kernel_rows``, which are already ``r``'s echelon; ``pi_matrix``
+    and ``fr`` are built on first read, while ``dim_fr`` is always
+    available.
     """
 
     def __init__(self, algebra, free, pi_rows, pi_scale, r_rows, fr_builder):
@@ -67,8 +67,6 @@ class Presentation:
         self.r_rows = r_rows
         self._fr_builder = fr_builder
         self._pi_matrix = None
-        self._r = None
-        self._f2 = None
         self._fr = None
         self._exterior_center = None
 
@@ -89,18 +87,12 @@ class Presentation:
 
     @property
     def r(self) -> Subspace:
-        if self._r is None:
-            self._r = sparse_subspace(self.r_rows, self.free.dim)
-        return self._r
+        return Subspace._trusted(self.r_rows, self.free.dim)
 
     @property
     def f2(self) -> Subspace:
-        if self._f2 is None:
-            free = self.free
-            self._f2 = Subspace.coordinate(
-                range(free.generators, free.dim), free.dim
-            )
-        return self._f2
+        free = self.free
+        return Subspace.coordinate(range(free.generators, free.dim), free.dim)
 
     @property
     def fr(self) -> Subspace:
@@ -187,8 +179,7 @@ def present_minimal(L: LieAlgebra) -> Presentation:
     c = rep.nilpotency_class
     d = n - m
     derived = L.derived_subspace()
-    pivot_set = set(derived.pivots)
-    complement = [i for i in range(n) if i not in pivot_set]
+    complement = [i for i in range(n) if i not in derived.echelon]
     free = free_nilpotent_algebra(d, c + 1)
     big = free.dim
 
@@ -310,19 +301,12 @@ def exterior_center(L: LieAlgebra) -> Subspace:
         # bring the n columns to one denominator so the rows are integer
         common = lcm(*scales)
         factors = [common // s for s in scales]
-        used = set()
-        for res in residuals:
-            used.update(res)
-        for idx in sorted(used):
+        for idx in sorted(set().union(*residuals)):
             constraints.append(
                 [res.get(idx, 0) * f for res, f in zip(residuals, factors)]
             )
-    if constraints:
-        result = kernel_basis(constraints, ncols=n)
-    else:
-        result = Subspace.full(n)
-    pres._exterior_center = result
-    return result
+    pres._exterior_center = kernel_basis(constraints, ncols=n)
+    return pres._exterior_center
 
 
 def is_capable(L: LieAlgebra) -> bool:

@@ -43,9 +43,9 @@ def _d3(L):
                 d3[pair_index[(k, l)], col] -= coeff * _rat(c)
 
     for col, (x, y, z) in enumerate(triples):
-        add_wedge(col, 1, L._bracket_basis(x, y), z)
-        add_wedge(col, -1, L._bracket_basis(x, z), y)
-        add_wedge(col, 1, L._bracket_basis(y, z), x)
+        add_wedge(col, 1, L.sc.get((x, y), {}), z)
+        add_wedge(col, -1, L.sc.get((x, z), {}), y)
+        add_wedge(col, 1, L.sc.get((y, z), {}), x)
     return d3, pair_index
 
 
@@ -55,7 +55,7 @@ def ce_multiplier_dim(L):
     d3, pair_index = _d3(L)
     d2 = Matrix.zeros(n, len(pair_index))
     for (i, j), t in pair_index.items():
-        for k, val in L._bracket_basis(i, j).items():
+        for k, val in L.sc.get((i, j), {}).items():
             d2[k, t] = _rat(val)
     return (len(pair_index) - d2.rank()) - d3.rank()
 

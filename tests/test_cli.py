@@ -292,6 +292,31 @@ def test_console_script_entry_point():
     assert doc["bound_e1"] == 2 and doc["attains_e2"] is True
 
 
+# Commands whose every computation runs on the integer adjoint table
+# and integer echelons; the dense Fraction bracket and matvec are API
+# edges they never reach.
+INTEGER_PATH_COMMANDS = [
+    ["check", "--theorem", "all", "--max-dim", "6"],
+    ["sweep", "--max-dim", "6"],
+    ["multiplier", "--name", "L5_7+A(3)"],
+]
+
+
+def test_production_paths_stay_integer(monkeypatch, capsys):
+    import schurlab.liealg
+
+    want = [run_cli(capsys, *argv) for argv in INTEGER_PATH_COMMANDS]
+    assert all(code == 0 for code, _, _ in want)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense Fraction route called")
+
+    monkeypatch.setattr(LieAlgebra, "bracket", forbidden)
+    monkeypatch.setattr(schurlab.liealg, "matvec", forbidden)
+    got = [run_cli(capsys, *argv) for argv in INTEGER_PATH_COMMANDS]
+    assert got == want
+
+
 def test_log_env_smoke(monkeypatch, capsys):
     monkeypatch.setenv("SCHURLAB_LOG", "INFO")
     code, out, _ = run_cli(

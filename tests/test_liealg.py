@@ -16,6 +16,11 @@ from schurlab.linalg import Subspace
 
 from oracles import random_basis_change
 
+# Entries with mixed structure, and L6_22(1/2), whose constants already
+# have denominator 2; rational basis changes add more denominators.
+REFERENCE_NAMES = ["L4_3", "L5_5", "L5_7", "L5_9", "L6_22(1/2)", "L6_26",
+                   "H(2)", "L5_8+A(1)"]
+
 
 def test_constructor_normalizes_and_rejects():
     a = LieAlgebra(3, {(1, 0): {2: -1}})
@@ -119,6 +124,23 @@ def test_series_reports():
     assert rep.center_dim == 3
 
 
+def test_series_of_one_bracket_in_dimension_2000_is_small():
+    # the series and the center cost memory in the nonzero brackets,
+    # not in n^2
+    import tracemalloc
+
+    L = LieAlgebra(2000, {(0, 1): {2: 1}})
+    tracemalloc.start()
+    try:
+        rep = L.series()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.gamma_dims == (2000, 1, 0)
+    assert rep.center_dim == 1998
+    assert peak < 8 * 2**20
+
+
 def test_not_nilpotent():
     L = LieAlgebra(2, {(0, 1): {1: 1}})
     with pytest.raises(NotNilpotent):
@@ -149,18 +171,28 @@ def test_quotient_requires_ideal():
         L.quotient(not_ideal)
 
 
-def test_quotient_bracket_is_projected_bracket():
-    L = catalog_get("L5_5")
-    ideal = L.lower_central_series()[2]
-    q = L.quotient(ideal)
-    q.algebra.validate()
-    for i in range(q.algebra.dim):
-        for j in range(q.algebra.dim):
-            ei = [Fraction(int(s == i)) for s in range(q.algebra.dim)]
-            ej = [Fraction(int(s == j)) for s in range(q.algebra.dim)]
-            lhs = q.algebra.bracket(ei, ej)
-            rhs = q.project(L.bracket(q.lift(ei), q.lift(ej)))
-            assert list(lhs) == list(rhs)
+@pytest.mark.parametrize("name", REFERENCE_NAMES)
+def test_quotient_bracket_is_projected_bracket(name):
+    # the catalog basis, and rational basis changes that give D > 1 and
+    # ideals not spanned by basis vectors; with seeds 6 and 23 the
+    # reduction of a bracket modulo the ideal carries a scale > 1 for
+    # L4_3, L5_7 and L5_9
+    import random
+
+    base = catalog_get(name)
+    for L in [base] + [random_basis_change(base, random.Random(s)) for s in (6, 23)]:
+        for ideal in (L.lower_central_series()[2], L.center()):
+            q = L.quotient(ideal)
+            q.algebra.validate()
+            units = [
+                [Fraction(int(s == i)) for s in range(q.algebra.dim)]
+                for i in range(q.algebra.dim)
+            ]
+            for ei in units:
+                for ej in units:
+                    lhs = q.algebra.bracket(ei, ej)
+                    rhs = q.project(L.bracket(q.lift(ei), q.lift(ej)))
+                    assert list(lhs) == list(rhs), (name, L.sc)
 
 
 def test_direct_sum_series_adds():
@@ -191,12 +223,6 @@ def test_change_basis_rejects_singular():
         L.change_basis([[1, 1], [1, 1]])
     with pytest.raises(ValueError):
         L.change_basis([[1, 0]])
-
-
-# Entries with mixed structure, and L6_22(1/2), whose constants already
-# have denominator 2; rational basis changes add more denominators.
-REFERENCE_NAMES = ["L4_3", "L5_5", "L5_7", "L5_9", "L6_22(1/2)", "L6_26",
-                   "H(2)", "L5_8+A(1)"]
 
 
 def literal_bracket_span(L, s, t):

@@ -50,6 +50,31 @@ def test_subspace_canonical_equality():
     assert a == b
     assert hash(a) == hash(b)
     assert a.dim == 2
+    # span(e1, e3, e4) in Q^4 built four ways; the SpanBuilder rows
+    # hold their keys in another order than the kernel rows
+    builder = SpanBuilder(4)
+    for row in ({3: 2, 2: 1, 0: 3}, {3: 1, 0: 1}, {2: 4, 3: -1}):
+        builder.add(row)
+    ways = [
+        Subspace([[1, 0, Fraction(1, 2), 0], [0, 0, 3, -1], [1, 0, 0, 1]], 4),
+        builder.subspace(),
+        kernel_basis([[0, Fraction(2, 3), 0, 0]]),
+        Subspace.coordinate([3, 0, 2, 0], 4),
+    ]
+    for s in ways:
+        assert s == ways[0] and hash(s) == hash(ways[0])
+        assert s.rows == ((1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+        assert s.pivots == (0, 2, 3)
+    # a space not spanned by basis vectors, three ways
+    c = Subspace([[2, -4, 6, 0], [0, 0, 0, 5]], 4)
+    builder = SpanBuilder(4)
+    builder.add({3: 7, 2: 9, 0: 3, 1: -6})
+    builder.add({3: -1})
+    assert builder.subspace() == c
+    assert kernel_basis([[2, 1, 0, 0], [3, 0, -1, 0]]) == c
+    assert hash(builder.subspace()) == hash(c)
+    assert c.rows == ((1, -2, 3, 0), (0, 0, 0, 1))
+    assert all(type(x) is Fraction for row in c.rows for x in row)
 
 
 def test_subspace_reduce_contains_coords():
