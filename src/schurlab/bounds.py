@@ -9,7 +9,9 @@ bounds on dim M(L) are computed exactly:
 
 Both products are even, so the division is exact.  bound_e2 refines
 bound_e1 (they agree exactly when c = 2 or n - m <= 3), and
-bound_e2(n, n-2, c) = n - 1.
+bound_e2(n, n-2, c) = n - 1.  The two formulas live in multiplier.py,
+where multiplier_report reads them without loading this module, and
+are re-exported here, so ``schurlab.bounds.bound_e1`` keeps working.
 
 The remaining functions verify inequalities relating dim(L wedge L)
 to the images of the trilinear map
@@ -20,46 +22,18 @@ to the images of the trilinear map
 and run consistency scans over the built-in catalog.
 """
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb, lcm
 
-from .errors import InvariantMismatch, NotCentral
+from .errors import InvariantMismatch, NotCentral, Record
 from .liealg import LieAlgebra
 from .linalg import SpanBuilder, Subspace, _reduce
-from .multiplier import exterior_square_dim, schur_multiplier_dim
-
-
-def bound_e1(n: int, m: int) -> int:
-    """Upper bound for dim M(L) depending on n and m only."""
-    if m < 1:
-        raise ValueError("requires a nonzero derived subalgebra (m >= 1)")
-    if n < m + 2:
-        raise ValueError("requires n >= m + 2")
-    return (n + m - 2) * (n - m - 1) // 2 + 1
-
-
-def bound_e2(n: int, m: int, c: int) -> int:
-    """Refined upper bound for dim M(L) using the class c.
-
-    bound_e2(n, m, c) = (n - m - 1)(n + m)/2
-                        - sum((n - m - i) for i = 2..min(n - m, c))
-
-    It is non-increasing in c and constant once c >= n - m.  Since
-    bound_e1 - bound_e2 = sum((n - m - i) for i = 3..min(n - m, c)),
-    it equals bound_e1(n, m) exactly when c = 2 or n - m <= 3, and is
-    strictly smaller otherwise.
-    """
-    if m < 1:
-        raise ValueError("requires a nonzero derived subalgebra (m >= 1)")
-    if n < m + 2:
-        raise ValueError("requires n >= m + 2")
-    if not 2 <= c <= n - 1:
-        raise ValueError("requires 2 <= c <= n - 1")
-    total = (n - m - 1) * (n + m) // 2
-    for i in range(2, min(n - m, c) + 1):
-        total -= n - m - i
-    return total
+from .multiplier import (
+    bound_e1,
+    bound_e2,
+    exterior_square_dim,
+    schur_multiplier_dim,
+)
 
 
 def attains_e2(L: LieAlgebra) -> bool:
@@ -71,8 +45,7 @@ def attains_e2(L: LieAlgebra) -> bool:
     return schur_multiplier_dim(L) == bound
 
 
-@dataclass(frozen=True)
-class GammaImages:
+class GammaImages(Record):
     """Dimensions of the images of gamma and its primed variants.
 
     ``dim_im_gamma_prime3`` is None when the class is below 3.
@@ -83,8 +56,7 @@ class GammaImages:
     dim_im_gamma_prime3: int | None
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(Record):
     """Outcome of one inequality or scan: lhs <= rhs (or a violation
     count against zero), with the intermediate dimensions retained."""
 
@@ -382,8 +354,7 @@ def _check_theorem_3_7(entries, max_dim):
     )
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(Record):
     """One catalog entry in a classification sweep."""
 
     name: str

@@ -20,31 +20,25 @@ logging on stderr.
 """
 
 import argparse
-import hashlib
 import json
-import logging
 import os
 import sys
 from fractions import Fraction
 
-from .bounds import (
-    _check_theorem_3_7,
-    _scan_theorem_2_9,
-    check_theorem_2_1,
-    check_theorem_2_2,
-    check_theorem_2_5,
-    check_theorem_2_6,
-    classification_sweep,
-)
-from .catalog import catalog_get, enumerate_catalog
-from .dsl import parse_presentation
 from .errors import InvariantMismatch, ResourceCapExceeded, SchurlabError
 from .linalg import Subspace
-from .multiplier import multiplier_report
 
 SCHEMA_VERSION = "1"
 
-log = logging.getLogger("schurlab")
+
+def _log_info(message, *args):
+    """Log at INFO on the "schurlab" logger, which main configures when
+    SCHURLAB_LOG is set; without it this does nothing, so a default run
+    never imports ``logging``."""
+    if "SCHURLAB_LOG" in os.environ:
+        import logging
+
+        logging.getLogger("schurlab").info(message, *args)
 
 
 def _jsonable(value):
@@ -102,15 +96,21 @@ def _parse_param(text):
 def _load_algebra(args):
     """Resolve --name or --file into (algebra, identity dict)."""
     if args.name is not None:
+        from .catalog import catalog_get
+
         params = dict(args.param or [])
         algebra = catalog_get(args.name, params=params)
-        log.info("loaded catalog algebra %s", algebra.name)
+        _log_info("loaded catalog algebra %s", algebra.name)
         return algebra, {"name": algebra.name}
+    import hashlib
+
+    from .dsl import parse_presentation
+
     with open(args.file, "rb") as handle:
         data = handle.read()
     algebra = parse_presentation(data.decode("utf-8"))
     digest = hashlib.sha256(data).hexdigest()
-    log.info("parsed %s (sha256 %s)", args.file, digest[:12])
+    _log_info("parsed %s (sha256 %s)", args.file, digest[:12])
     return algebra, {"file": args.file, "sha256": digest}
 
 
@@ -134,9 +134,15 @@ def cmd_info(args):
     return 0
 
 
-def cmd_multiplier(args):
+def _load_report(args):
+    from .multiplier import multiplier_report
+
     algebra, identity = _load_algebra(args)
-    report = multiplier_report(algebra)
+    return multiplier_report(algebra), identity
+
+
+def cmd_multiplier(args):
+    report, identity = _load_report(args)
     doc = {
         "schema_version": SCHEMA_VERSION,
         **identity,
@@ -157,8 +163,7 @@ def cmd_multiplier(args):
 
 
 def cmd_capable(args):
-    algebra, identity = _load_algebra(args)
-    report = multiplier_report(algebra)
+    report, identity = _load_report(args)
     doc = {
         "schema_version": SCHEMA_VERSION,
         **identity,
@@ -170,8 +175,7 @@ def cmd_capable(args):
 
 
 def cmd_bounds(args):
-    algebra, identity = _load_algebra(args)
-    report = multiplier_report(algebra)
+    report, identity = _load_report(args)
     doc = {
         "schema_version": SCHEMA_VERSION,
         **identity,
@@ -188,6 +192,8 @@ def cmd_bounds(args):
 
 
 def cmd_sweep(args):
+    from .bounds import classification_sweep
+
     rows = classification_sweep(args.max_dim)
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -222,6 +228,16 @@ def _theorem_doc(report):
 
 
 def _run_checks(theorem, max_dim):
+    from .bounds import (
+        _check_theorem_3_7,
+        _scan_theorem_2_9,
+        check_theorem_2_1,
+        check_theorem_2_2,
+        check_theorem_2_5,
+        check_theorem_2_6,
+    )
+    from .catalog import enumerate_catalog
+
     entries = enumerate_catalog(max_dim)
     reports = []
     if theorem in ("2.1", "all"):
@@ -312,8 +328,13 @@ def build_parser():
 
 
 def main(argv=None):
-    level = os.environ.get("SCHURLAB_LOG", "WARNING").upper()
-    logging.basicConfig(stream=sys.stderr, level=level, format="%(message)s")
+    level = os.environ.get("SCHURLAB_LOG")
+    if level is not None:
+        import logging
+
+        logging.basicConfig(
+            stream=sys.stderr, level=level.upper(), format="%(message)s"
+        )
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

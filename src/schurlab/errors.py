@@ -1,11 +1,74 @@
-"""Exception types shared across schurlab.
+"""Exception types and the result-record base shared across schurlab.
 
 Everything raised on bad mathematical input derives from SchurlabError so
 callers (in particular the CLI) can distinguish "your algebra is wrong"
 from genuine bugs.  Index data carried by these exceptions uses the
 presentation convention x1..xn, i.e. generator numbers are 1-based, even
 though the library indexes coordinates from 0.
+
+Record is the base of the immutable result classes (SeriesReport,
+MultiplierReport, ...).  It lives here because every module imports
+this one anyway.  It replaces ``dataclasses``, whose import and
+per-class code generation cost each process more than a small
+computation takes.
 """
+
+
+class Record:
+    """An immutable value record whose fields are the class annotations,
+    in order.
+
+    Instances are built positionally or by keyword, print as
+    ``Name(field=value, ...)``, compare equal only to instances of the
+    same class with equal values, hash as the tuple of their values, and
+    raise AttributeError on assignment or deletion.
+    """
+
+    _fields = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = cls.__match_args__ = tuple(cls.__annotations__)
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        name = type(self).__qualname__
+        if len(args) > len(fields):
+            raise TypeError(
+                f"{name} takes {len(fields)} fields but {len(args)} were given"
+            )
+        values = dict(zip(fields, args))
+        for key in kwargs:
+            if key not in fields:
+                raise TypeError(f"{name} got an unexpected field {key!r}")
+            if key in values:
+                raise TypeError(f"{name} got multiple values for field {key!r}")
+        values.update(kwargs)
+        if len(values) < len(fields):
+            missing = ", ".join(f for f in fields if f not in values)
+            raise TypeError(f"{name} is missing the fields {missing}")
+        self.__dict__.update(values)
+
+    def _values(self):
+        return tuple(self.__dict__[f] for f in self._fields)
+
+    def __repr__(self):
+        items = ", ".join(f"{f}={self.__dict__[f]!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({items})"
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class SchurlabError(Exception):

@@ -19,11 +19,10 @@ it produces is checked to be an integer.  The Jacobi validator on the
 assembled algebra is kept as an independent test-side oracle.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import InvariantMismatch, ResourceCapExceeded
+from .errors import InvariantMismatch, Record, ResourceCapExceeded
 from .liealg import LieAlgebra
 
 DEFAULT_BASIS_CAP = 5000
@@ -55,8 +54,7 @@ def witt_dim(d, k):
     return total // k
 
 
-@dataclass(frozen=True)
-class HallWord:
+class HallWord(Record):
     """One Hall basis word: a generator or a bracket of earlier words.
 
     ``left`` and ``right`` are positions into the containing basis list

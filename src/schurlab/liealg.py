@@ -13,11 +13,11 @@ table, series, presentation) is cached on the instance.
 """
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 
-from .errors import JacobiViolation, NotAnIdeal, NotNilpotent
+from .errors import JacobiViolation, NotAnIdeal, NotNilpotent, Record
 from .linalg import (
     Subspace,
     SpanBuilder,
@@ -29,8 +29,7 @@ from .linalg import (
 )
 
 
-@dataclass(frozen=True)
-class SeriesReport:
+class SeriesReport(Record):
     """Dimension data of the lower central series.
 
     gamma_dims lists dim(gamma_1), dim(gamma_2), ... down to the first
@@ -45,8 +44,7 @@ class SeriesReport:
     central_complement_dim: int
 
 
-@dataclass(frozen=True)
-class Quotient:
+class Quotient(Record):
     """A quotient L/I together with its projection and section.
 
     ``project`` maps old coordinates to quotient coordinates; ``lift``
@@ -156,13 +154,21 @@ class LieAlgebra:
 
     def _jacobi_triples(self):
         """The triples i < j < k with a nonzero bracket among the pairs
-        (i, j), (j, k), (i, k), generated in lexicographic order."""
+        (i, j), (j, k), (i, k), generated in lexicographic order.
+
+        For each i, a j beyond the last k with [xi, xk] != 0 yields
+        triples only through its own later brackets, so past that point
+        only the active j (those with some [xj, xk] != 0, k > j) are
+        visited."""
         _, adj = self._adjoint()
         n = self.dim
         later = [sorted(k for k in row if k > i) for i, row in enumerate(adj)]
+        active = [j for j in range(n) if later[j]]
         for i in range(n):
             row_i, later_i = adj[i], later[i]
-            for j in range(i + 1, n):
+            last = later_i[-1] if later_i else i
+            rest = active[bisect_right(active, last):]
+            for j in chain(range(i + 1, last + 1), rest):
                 if j in row_i:
                     ks = range(j + 1, n)
                 else:

@@ -16,9 +16,12 @@ automatically lies inside F2.  Since R is an ideal, [F,R] is
 spanned by the brackets of R with the generators alone; and because
 every top-degree Hall word already lies in R, only the kernel rows
 supported below the top degree contribute.
+
+The closed forms bound_e1 and bound_e2 that multiplier_report quotes
+are defined here; bounds.py, which holds the paper's inequalities,
+re-exports them.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -26,6 +29,7 @@ from .errors import (
     InvariantMismatch,
     NotCentral,
     NotOneDimensional,
+    Record,
 )
 from .hall import free_nilpotent_algebra
 from .liealg import LieAlgebra
@@ -120,8 +124,7 @@ class Presentation:
         )
 
 
-@dataclass(frozen=True)
-class GaneaReport:
+class GaneaReport(Record):
     """Dimension comparison for a central line N: dim M(L/N) against
     dim M(L) + dim(N cap L2), and whether N lies in the exterior
     center.  The two tests must agree; ``consistent`` records that."""
@@ -132,8 +135,7 @@ class GaneaReport:
     consistent: bool
 
 
-@dataclass(frozen=True)
-class MultiplierReport:
+class MultiplierReport(Record):
     """All computed invariants of one algebra.
 
     ``bound_e1``, ``bound_e2`` and ``attains_e2`` are None for abelian
@@ -336,10 +338,40 @@ def ganea_dimension_check(L: LieAlgebra, line: Subspace) -> GaneaReport:
     )
 
 
+def bound_e1(n: int, m: int) -> int:
+    """Upper bound for dim M(L) depending on n and m only."""
+    if m < 1:
+        raise ValueError("requires a nonzero derived subalgebra (m >= 1)")
+    if n < m + 2:
+        raise ValueError("requires n >= m + 2")
+    return (n + m - 2) * (n - m - 1) // 2 + 1
+
+
+def bound_e2(n: int, m: int, c: int) -> int:
+    """Refined upper bound for dim M(L) using the class c.
+
+    bound_e2(n, m, c) = (n - m - 1)(n + m)/2
+                        - sum((n - m - i) for i = 2..min(n - m, c))
+
+    It is non-increasing in c and constant once c >= n - m.  Since
+    bound_e1 - bound_e2 = sum((n - m - i) for i = 3..min(n - m, c)),
+    it equals bound_e1(n, m) exactly when c = 2 or n - m <= 3, and is
+    strictly smaller otherwise.
+    """
+    if m < 1:
+        raise ValueError("requires a nonzero derived subalgebra (m >= 1)")
+    if n < m + 2:
+        raise ValueError("requires n >= m + 2")
+    if not 2 <= c <= n - 1:
+        raise ValueError("requires 2 <= c <= n - 1")
+    total = (n - m - 1) * (n + m) // 2
+    for i in range(2, min(n - m, c) + 1):
+        total -= n - m - i
+    return total
+
+
 def multiplier_report(L: LieAlgebra) -> MultiplierReport:
     """Compute every invariant the reports and the CLI expose."""
-    from .bounds import bound_e1, bound_e2
-
     rep = L.series()
     n = L.dim
     m = rep.derived_dim

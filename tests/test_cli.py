@@ -274,19 +274,24 @@ def test_check_single_theorem(capsys):
     assert doc["reports"][0]["witnesses"]["class_two_matches"] == ["L6_26"]
 
 
-def test_console_script_entry_point():
-    # the child finds the package where this process imported it from,
-    # also when only pytest's ``pythonpath`` setting put it on sys.path
+def _child(args, log=None, cwd=None):
+    """Run ``python ARGS`` with schurlab importable and SCHURLAB_LOG set
+    to ``log`` (unset when None).  The child finds the package where
+    this process imported it from, also when only pytest's
+    ``pythonpath`` setting put it on sys.path."""
     src = str(Path(schurlab.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
-    proc = subprocess.run(
-        [sys.executable, "-m", "schurlab", "bounds", "--name", "H(1)",
-         "--format", "json"],
-        capture_output=True,
-        text=True,
-        env=env,
+    env.pop("SCHURLAB_LOG", None)
+    if log is not None:
+        env["SCHURLAB_LOG"] = log
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, cwd=cwd
     )
+
+
+def test_console_script_entry_point():
+    proc = _child(["-m", "schurlab", "bounds", "--name", "H(1)", "--format", "json"])
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["bound_e1"] == 2 and doc["attains_e2"] is True
@@ -317,13 +322,49 @@ def test_production_paths_stay_integer(monkeypatch, capsys):
     assert got == want
 
 
-def test_log_env_smoke(monkeypatch, capsys):
-    monkeypatch.setenv("SCHURLAB_LOG", "INFO")
-    code, out, _ = run_cli(
-        capsys, "info", "--name", "H(1)", "--format", "json"
-    )
-    assert code == 0
-    assert json.loads(out)["n"] == 3
+def test_log_env_smoke():
+    argv = ["-m", "schurlab", "info", "--name", "H(1)", "--format", "json"]
+    logged = _child(argv, log="INFO")
+    assert logged.returncode == 0
+    assert json.loads(logged.stdout)["n"] == 3
+    assert "loaded catalog algebra H(1)" in logged.stderr
+    quiet = _child(argv)
+    assert quiet.returncode == 0
+    assert quiet.stdout == logged.stdout
+    assert quiet.stderr == ""
+    # an invalid level fails in logging's own level check
+    bad = _child(argv, log="LOUD")
+    assert bad.returncode == 1
+    assert "Unknown level: 'LOUD'" in bad.stderr
+
+
+# What a fresh process may import.  Start-up dominates a small query,
+# so no subcommand loads dataclasses (and with it inspect), logging or
+# the theorem module, and info on a file loads no Hall basis,
+# multiplier or catalog code.
+FOOTPRINT_SCRIPT = (
+    "import sys\n"
+    "from schurlab.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print(code, *sorted(sys.modules))\n"
+)
+
+
+@pytest.mark.parametrize("command, engine, absent", [
+    ("info", "schurlab.liealg",
+     ["schurlab.hall", "schurlab.multiplier", "schurlab.catalog"]),
+    ("multiplier", "schurlab.multiplier", ["schurlab.catalog"]),
+])
+def test_subcommands_import_only_what_they_run(tmp_path, command, engine, absent):
+    (tmp_path / "h1.alg").write_text("algebra H1 dim 3\n[x1, x2] = x3\n")
+    proc = _child(["-c", FOOTPRINT_SCRIPT, command, "--file", "h1.alg",
+                   "--format", "json"], cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    code, *loaded = proc.stdout.splitlines()[-1].split()
+    assert code == "0"
+    for module in ["dataclasses", "inspect", "logging", "schurlab.bounds", *absent]:
+        assert module not in loaded
+    assert engine in loaded
 
 
 # The public surface.  Removing or renaming a name or a flag must update

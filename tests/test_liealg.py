@@ -332,3 +332,35 @@ def test_validate_matches_brute_force(bad):
     assert (info.value.triple, info.value.residual) == want
     assert all(isinstance(c, Fraction) for c in info.value.residual)
 
+
+
+def test_jacobi_triples_match_brute_force():
+    # random sparse supports; the walk depends only on which brackets
+    # are nonzero, so the algebras need not satisfy Jacobi
+    import random
+
+    rng = random.Random(10)
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        chosen = rng.sample(pairs, rng.randint(0, min(len(pairs), 2 * n)))
+        L = LieAlgebra(n, {p: {rng.randrange(n): rng.choice((1, -2))} for p in chosen})
+        support = set(L.sc)
+        want = [
+            (i, j, k)
+            for i in range(n)
+            for j in range(i + 1, n)
+            for k in range(j + 1, n)
+            if {(i, j), (j, k), (i, k)} & support
+        ]
+        assert list(L._jacobi_triples()) == want
+
+
+def test_validate_of_one_bracket_in_dimension_20000_is_fast():
+    # the walk visits the triples, not all n^2 pairs
+    import time
+
+    L = LieAlgebra(20000, {(0, 1): {2: 1}})
+    start = time.perf_counter()
+    L.validate()
+    assert time.perf_counter() - start < 5
