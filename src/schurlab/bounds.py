@@ -22,12 +22,12 @@ to the images of the trilinear map
 and run consistency scans over the built-in catalog.
 """
 
-from itertools import combinations
-from math import comb, lcm
+from itertools import chain, combinations
+from math import comb
 
 from .errors import InvariantMismatch, NotCentral, Record
 from .liealg import LieAlgebra
-from .linalg import SpanBuilder, Subspace, _reduce
+from .linalg import SpanBuilder, Subspace
 from .multiplier import (
     bound_e1,
     bound_e2,
@@ -68,42 +68,38 @@ class TheoremReport(Record):
     witnesses: dict
 
 
-def _tensor_rank(rows, n, width):
+def _tensor_rank(rows, n, width, modulo=None):
     """Dimension of the span of the tensors sum(coeff * left (x) e_col),
     one per row of (coeff, left, col) terms with left a sparse integer
-    dict over Q^n."""
+    dict over Q^n, modulo ``modulo`` (x) Q^width for a Subspace
+    ``modulo`` of Q^n: its rows g (x) e_col are added first, uncounted."""
+    kept = modulo.echelon.values() if modulo is not None else ()
+    seeds = [((1, g, col),) for g in kept for col in range(width)]
     builder = SpanBuilder(n * width)
-    for terms in rows:
+    for terms in chain(seeds, rows):
         vec = {}
         for coeff, left, col in terms:
             for k, c in left.items():
                 key = k * width + col
                 vec[key] = vec.get(key, 0) + coeff * c
         builder.add(vec)
-    return builder.rank
+    return builder.rank - len(seeds)
 
 
 def _gamma_rank(L, reps, gamma3):
     """Image dimension of gamma on the unit-vector images of the basis
-    vectors reps.
-
-    The residual of D [x_a, x_b] modulo L3 is injective on L2 modulo
-    L3, so it stands in for L2/L3 coordinates; each comes with its own
-    scale, so the three terms of a row are brought to a common one.
-    gamma is alternating, so a < b < c suffices.
-    """
+    vectors reps, with D [x, y] standing in for [x, y] in L2/L3.
+    gamma is alternating, so a < b < c suffices."""
     _, adj = L._adjoint()
-    table = {
-        (a, b): _reduce(gamma3.echelon, adj[x].get(y, {}))
-        for a, x in enumerate(reps)
-        for b, y in enumerate(reps)
-    }
-    rows = []
-    for a, b, c in combinations(range(len(reps)), 3):
-        terms = [(*table[a, b], c), (*table[c, a], b), (*table[b, c], a)]
-        common = lcm(*(scale for _, scale, _ in terms))
-        rows.append([(common // scale, res, col) for res, scale, col in terms])
-    return _tensor_rank(rows, L.dim, len(reps))
+    rows = (
+        (
+            (1, adj[x].get(y, {}), c),
+            (1, adj[z].get(x, {}), b),
+            (1, adj[y].get(z, {}), a),
+        )
+        for (a, x), (b, y), (c, z) in combinations(enumerate(reps), 3)
+    )
+    return _tensor_rank(rows, L.dim, len(reps), modulo=gamma3)
 
 
 def _gamma_prime3_rank(L, reps):

@@ -133,7 +133,7 @@ def _run_gates():
 
 
 _PART = re.compile(
-    r"(?:(?P<fam>[AH])\(?(?P<idx>\d+)\)?"
+    r"(?:(?P<fam>[AH])(?P<paren>\()?(?P<idx>\d+)(?(paren)\))"
     r"|(?P<table>L\d+_\d+)(?:\((?P<value>[^()]+)\))?)$"
 )
 

@@ -84,7 +84,12 @@ def parse_combo(text, dim, line=None, params=None):
         coeff = Fraction(1)
         if kind in ("rat", "name"):
             if kind == "rat":
-                coeff = Fraction(value)
+                try:
+                    coeff = Fraction(value)
+                except ZeroDivisionError:
+                    raise DslSyntaxError(
+                        f"zero denominator in {value!r}", line
+                    ) from None
             else:
                 if params is None:
                     raise DslSyntaxError(f"unexpected name {value!r}", line)
@@ -199,7 +204,8 @@ def format_presentation(L: LieAlgebra, name=None) -> str:
     positive term, since combinations may not start with a sign.
     """
     label = name or L.name or "L"
-    label = "".join(label.split())
+    # whitespace would split the header and "#" would start a comment
+    label = "".join(label.replace("#", " ").split()) or "L"
     lines = [f"algebra {label} dim {L.dim}"]
     for (i, j), vec in L.sc.items():
         terms = sorted(vec.items())

@@ -11,19 +11,22 @@ left subtree <= u.
 
 To express an arbitrary bracket of basis words in the Hall basis, each
 word is realised as a noncommutative polynomial in the tensor algebra
-([u, v] expands to uv - vu) and the product polynomial is reduced by
-exact integer elimination against the polynomials of the basis words of
-the same degree.  The elimination doubles as a certificate: it verifies
-the Hall words are linearly independent, and every structure constant
-it produces is checked to be an integer.  The Jacobi validator on the
+([u, v] expands to uv - vu), a tensor word of degree k on d generators
+held as its base-d integer.  The polynomials of one degree's Hall words
+are echelonised by ``linalg.SpanBuilder``, each with a tag column of its
+own after every tensor word, so reducing a bracket polynomial leaves
+-scale times its Hall coordinates in the tag columns.  The elimination
+doubles as a certificate: it verifies the Hall words are linearly
+independent, that every bracket lies in their span, and that every
+structure constant is an integer.  The Jacobi validator on the
 assembled algebra is kept as an independent test-side oracle.
 """
 
 from fractions import Fraction
-from math import gcd
 
 from .errors import InvariantMismatch, Record, ResourceCapExceeded
 from .liealg import LieAlgebra
+from .linalg import SpanBuilder
 
 DEFAULT_BASIS_CAP = 5000
 
@@ -133,110 +136,6 @@ def hall_basis(d, s, cap=DEFAULT_BASIS_CAP):
     return _build_words(d, s)
 
 
-def _bracket_poly(a, b):
-    """ab - ba for sparse integer tensor polynomials."""
-    out = {}
-    for wa, ca in a.items():
-        for wb, cb in b.items():
-            c = ca * cb
-            key = wa + wb
-            val = out.get(key, 0) + c
-            if val:
-                out[key] = val
-            else:
-                del out[key]
-            key = wb + wa
-            val = out.get(key, 0) - c
-            if val:
-                out[key] = val
-            else:
-                del out[key]
-    return out
-
-
-class _DegreeSolver:
-    """Echelonised tensor polynomials of the Hall words of one degree.
-
-    Rows carry coordinate tracking, so reducing a bracket polynomial to
-    zero recovers its exact coefficients over the Hall words.
-    """
-
-    def __init__(self):
-        self.rows = {}
-
-    def _reduce(self, poly, coords):
-        """Eliminate in place; return (scale, leftover pivot or None)."""
-        scale = 1
-        while poly:
-            pivot = min(poly)
-            row = self.rows.get(pivot)
-            if row is None:
-                return scale, pivot
-            rpoly, rcoords = row
-            a = poly[pivot]
-            b = rpoly[pivot]
-            g = gcd(a, b)
-            ma = a // g
-            mb = b // g
-            if mb != 1:
-                scale *= mb
-                for key in poly:
-                    poly[key] *= mb
-                for key in coords:
-                    coords[key] *= mb
-            for key, val in rpoly.items():
-                new = poly.get(key, 0) - ma * val
-                if new:
-                    poly[key] = new
-                else:
-                    poly.pop(key, None)
-            for key, val in rcoords.items():
-                new = coords.get(key, 0) - ma * val
-                if new:
-                    coords[key] = new
-                else:
-                    coords.pop(key, None)
-        return scale, None
-
-    def insert(self, position, poly):
-        poly = dict(poly)
-        coords = {position: 1}
-        _, pivot = self._reduce(poly, coords)
-        if pivot is None:
-            raise InvariantMismatch(
-                "Hall-word tensor polynomials are linearly dependent"
-            )
-        g = 0
-        for val in poly.values():
-            g = gcd(g, val)
-        for val in coords.values():
-            g = gcd(g, val)
-        if poly[pivot] < 0:
-            g = -g
-        if g != 1:
-            poly = {k: v // g for k, v in poly.items()}
-            coords = {k: v // g for k, v in coords.items()}
-        self.rows[pivot] = (poly, coords)
-
-    def coordinates(self, poly):
-        """Integer Hall coordinates of a bracket polynomial."""
-        poly = dict(poly)
-        coords = {}
-        scale, pivot = self._reduce(poly, coords)
-        if pivot is not None:
-            raise InvariantMismatch(
-                "bracket polynomial does not lie in the Hall span"
-            )
-        out = {}
-        for t, val in coords.items():
-            q, r = divmod(-val, scale)
-            if r:
-                raise InvariantMismatch("non-integer structure constant")
-            if q:
-                out[t] = q
-        return out
-
-
 class FreeNilpotentAlgebra:
     """Free nilpotent Lie algebra on d generators of class s.
 
@@ -281,22 +180,62 @@ class FreeNilpotentAlgebra:
         if poly is None:
             word = self.basis[pos]
             if word.gen is not None:
-                poly = {(word.gen,): 1}
+                poly = {word.gen: 1}
             else:
-                poly = _bracket_poly(
-                    self._poly_of(word.left), self._poly_of(word.right)
-                )
+                poly = self._bracket_of(word.left, word.right)
             self._polys[pos] = poly
         return poly
 
+    def _bracket_of(self, a, b):
+        """poly(a) poly(b) - poly(b) poly(a), where the concatenation uv
+        of base-d words is u * d^deg(v) + v."""
+        shift_a = self.generators ** self.basis[a].degree
+        shift_b = self.generators ** self.basis[b].degree
+        out = {}
+        for wa, ca in self._poly_of(a).items():
+            for wb, cb in self._poly_of(b).items():
+                key = wa * shift_b + wb
+                out[key] = out.get(key, 0) + ca * cb
+                key = wb * shift_a + wa
+                out[key] = out.get(key, 0) - ca * cb
+        return {key: c for key, c in out.items() if c}
+
     def _solver(self, degree):
+        """The echelon of the degree's Hall words: the row of word
+        ``pos`` is its polynomial plus the tag column d^degree + pos.
+
+        A new pivot in the tag block means the polynomial reduced to
+        zero, so the words are dependent; ``add``'s result cannot tell,
+        since the tag column always raises the rank.
+        """
         solver = self._solvers.get(degree)
         if solver is None:
-            solver = _DegreeSolver()
+            top = self.generators ** degree
+            solver = SpanBuilder(top + self.dim)
             for pos in self.degree_offsets[degree]:
-                solver.insert(pos, self._poly_of(pos))
+                solver.add({**self._poly_of(pos), top + pos: 1})
+                if next(reversed(solver.rows)) >= top:
+                    raise InvariantMismatch(
+                        "Hall-word tensor polynomials are linearly dependent"
+                    )
             self._solvers[degree] = solver
         return solver
+
+    def _coordinates(self, degree, poly):
+        """Integer Hall coordinates of a polynomial of that degree."""
+        top = self.generators ** degree
+        residual, scale = self._solver(degree).reduce(poly)
+        out = {}
+        for col, val in residual.items():
+            if col < top:
+                raise InvariantMismatch(
+                    "bracket polynomial does not lie in the Hall span"
+                )
+            q, r = divmod(-val, scale)
+            if r:
+                raise InvariantMismatch("non-integer structure constant")
+            out[col - top] = q
+        return out
 
     def product(self, a, b):
         """[basis_a, basis_b] as a sparse integer coordinate dict.
@@ -318,8 +257,7 @@ class FreeNilpotentAlgebra:
                 if pos is not None:
                     cached = {pos: 1}
                 else:
-                    poly = _bracket_poly(self._poly_of(a), self._poly_of(b))
-                    cached = self._solver(degree).coordinates(poly)
+                    cached = self._coordinates(degree, self._bracket_of(a, b))
             self._table[key] = cached
         return cached
 

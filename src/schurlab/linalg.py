@@ -18,8 +18,9 @@ hold only the nonzero entries, so a row costs time in its nonzeros, not
 in the ambient dimension.  It is fraction-free in the Bareiss spirit:
 rows are scaled to primitive integer vectors and combined by integer
 cross-multiplication, dividing out the content when it grows, so
-intermediate entries stay small.  Fractions appear only at the API
-edges: ``rows``, ``reduce``, ``coords``, ``invert`` and ``matvec``.
+intermediate entries stay small.  ``SpanBuilder`` holds the package's
+only elimination.  Fractions appear only at the API edges: ``rows``,
+``reduce``, ``coords``, ``invert`` and ``matvec``.
 """
 
 from fractions import Fraction
@@ -142,9 +143,9 @@ class SpanBuilder:
 
     ``rows`` maps each pivot column to its echelon row, a sparse dict
     {column: entry}: primitive, with a positive entry at the pivot, its
-    least column.  Every span, kernel, rank and inverse of the linear
-    algebra goes through it; ``hall`` has its own elimination of tensor
-    polynomials.  Callers feed it integer rows, as sparse dicts or as
+    least column.  It is the only elimination: every span, kernel, rank
+    and inverse goes through it, and so do the Hall products and the
+    gamma-image ranks.  Callers feed it integer rows, as sparse dicts or as
     dense sequences (see ``int_row``), and extract a canonical
     ``Subspace`` at the end.  Each elimination step clears the least
     nonzero column of the incoming row.

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -101,6 +102,20 @@ def test_gamma_images_values():
     assert images.dim_im_gamma_prime3 is None
 
 
+def _dense_change(n, seed):
+    """A seeded dense rational basis change with non-unit diagonal."""
+    rng = random.Random(seed)
+    rows = [[Fraction(int(r == t)) for t in range(n)] for r in range(n)]
+    for r in range(n):
+        for t in range(n):
+            if r != t and rng.random() < 0.5:
+                num = rng.randint(-3, 3)
+                rows[r][t] = Fraction(num, rng.choice([1, 2, 3, 5]))
+        num = rng.choice([1, 2, 3, 7])
+        rows[r][r] = Fraction(num, rng.choice([1, 2, 3]))
+    return rows
+
+
 def test_gamma_images_match_literal_definition():
     """The rank over alternating index sets equals the rank over every
     ordered tuple.  The basis changes move the representatives off the
@@ -116,6 +131,17 @@ def test_gamma_images_match_literal_definition():
         n = catalog_get(name).dim
         triangular = [[int(r <= t) for t in range(n)] for r in range(n)]
         algebras.append(catalog_get(name).change_basis(triangular))
+    # dense changes with non-unit pivots: the representatives' brackets
+    # have L3 parts that reduce modulo L3's echelon with differing
+    # scales, and each rank here is wrong if those parts are kept, or
+    # are dropped with the three terms of a gamma row at unequal scales
+    for name, seed in [
+        ("L5_7+A(2)", 23),
+        ("L5_9+A(2)", 23),
+        ("L5_5+A(1)", 12),
+    ]:
+        base = catalog_get(name)
+        algebras.append(base.change_basis(_dense_change(base.dim, seed)))
     for algebra in algebras:
         images = gamma_images(algebra)
         assert literal_gamma_images(algebra) == (

@@ -42,6 +42,9 @@ def test_unknown_and_missing():
         catalog_get("L6_22(one)")
     with pytest.raises(UnknownName):
         catalog_get("")
+    for unbalanced in ("A(4", "A4)", "H2)", "H(2"):
+        with pytest.raises(UnknownName):
+            catalog_get(unbalanced)
     # bad params values raise UnknownName, like bad inline values;
     # floats are inexact and rejected
     for bad in ("x", "1/0", 0.1, None):

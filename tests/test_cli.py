@@ -221,6 +221,10 @@ def test_exit_codes(tmp_path, capsys):
     assert code == 2 and "Jacobi" in err
     code, _, err = run_cli(capsys, "info", "--file", str(tmp_path / "no.alg"))
     assert code == 2
+    zero = tmp_path / "zero.alg"
+    zero.write_text("algebra Z dim 3\n[x1, x2] = 1/0*x3\n")
+    code, _, err = run_cli(capsys, "info", "--file", str(zero))
+    assert code == 2 and err.startswith("schurlab: line 2: ")
     code, _, err = run_cli(capsys, "multiplier", "--name", "L6_22")
     assert code == 2 and "eps" in err
     code, _, err = run_cli(

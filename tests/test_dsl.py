@@ -76,6 +76,10 @@ def test_line_errors_carry_numbers():
         parse_presentation(text)
     assert info.value.line == 4
     assert "line 4" in str(info.value)
+    with pytest.raises(DslSyntaxError) as info:
+        parse_presentation("algebra Z dim 3\n[x1, x2] = 1/0*x3\n")
+    assert info.value.line == 2
+    assert "zero denominator" in str(info.value)
 
 
 def test_unknown_generator_in_bracket():
@@ -127,6 +131,13 @@ def test_roundtrip_catalog(catalog6):
         again = parse_presentation(text)
         assert again.sc == algebra.sc, name
         assert again.dim == algebra.dim
+    # "#" would start a comment and whitespace would split the header
+    algebra = catalog_get("L5_7")
+    for label, kept in (("a#b", "ab"), ("a b", "ab"), ("#", "L")):
+        text = format_presentation(algebra, label)
+        assert text.startswith(f"algebra {kept} dim 5\n"), label
+        again = parse_presentation(text)
+        assert again.sc == algebra.sc and again.name == kept, label
 
 
 def test_format_avoids_leading_signs():

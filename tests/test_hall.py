@@ -1,10 +1,11 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schurlab.errors import ResourceCapExceeded
+from schurlab.errors import InvariantMismatch, ResourceCapExceeded
 from schurlab.hall import (
     FreeNilpotentAlgebra,
     free_nilpotent_algebra,
@@ -154,3 +155,80 @@ def test_product_bilinearity_via_collect(a, b, c, q):
         for x, y in zip(free.collect(a, c), free.collect(b, c))
     ]
     assert list(lhs) == rhs
+
+
+def _commutator(a, b):
+    """ab - ba for tensor polynomials keyed by tuples of generators."""
+    out = {}
+    for wa, ca in a.items():
+        for wb, cb in b.items():
+            out[wa + wb] = out.get(wa + wb, 0) + ca * cb
+            out[wb + wa] = out.get(wb + wa, 0) - ca * cb
+    return {w: c for w, c in out.items() if c}
+
+
+def _tensor(free, pos):
+    word = free.basis[pos]
+    if word.gen is not None:
+        return {(word.gen,): 1}
+    return _commutator(_tensor(free, word.left), _tensor(free, word.right))
+
+
+def test_products_expand_to_commutators():
+    """Each product, expanded in the tensor algebra through the Hall
+    trees, is poly(a) poly(b) - poly(b) poly(a), and zero past the
+    class: a check that shares no elimination with ``product``."""
+    for d, s in ((2, 6), (3, 4), (4, 3)):
+        free = free_nilpotent_algebra(d, s)
+        tensors = [_tensor(free, pos) for pos in range(free.dim)]
+        for a in range(free.dim):
+            for b in range(free.dim):
+                prod = free.product(a, b)
+                assert all(type(c) is int for c in prod.values())
+                if free.basis[a].degree + free.basis[b].degree > s:
+                    assert prod == {}, (d, s, a, b)
+                    continue
+                expanded = {}
+                for t, c in prod.items():
+                    for w, x in tensors[t].items():
+                        expanded[w] = expanded.get(w, 0) + c * x
+                expanded = {w: x for w, x in expanded.items() if x}
+                assert expanded == _commutator(tensors[a], tensors[b]), (
+                    d, s, a, b,
+                )
+
+
+def test_product_tables_digest():
+    """The product tables of F(2,6), F(3,4) and F(4,3), pinned."""
+    digest = hashlib.sha256()
+    for d, s in ((2, 6), (3, 4), (4, 3)):
+        free = free_nilpotent_algebra(d, s)
+        lines = []
+        for a in range(free.dim):
+            for b in range(a + 1, free.dim):
+                terms = sorted(free.product(a, b).items())
+                lines.append(
+                    f"{a} {b} " + " ".join(f"{k}:{v}" for k, v in terms)
+                )
+        digest.update(("\n".join(lines) + "\n").encode())
+    assert digest.hexdigest() == (
+        "2e4fcc74a6d622713f0de17df5c813b3f9814bd89f59da71d37d91834b81e207"
+    )
+
+
+def test_elimination_certificates():
+    """Corrupted tensor polynomials trip each of the three checks."""
+    # [x2, [x1, x2]] given twice the polynomial of [x1, [x1, x2]]
+    free = FreeNilpotentAlgebra(2, 3)
+    free._polys[4] = {w: 2 * c for w, c in free._poly_of(3).items()}
+    with pytest.raises(InvariantMismatch, match="dependent"):
+        free._solver(3)
+    # the tensor word x1 x1 x1 is not a Lie polynomial
+    free = FreeNilpotentAlgebra(2, 3)
+    with pytest.raises(InvariantMismatch, match="Hall span"):
+        free._coordinates(3, {0: 1})
+    # [x1, x2] given twice its polynomial: the bracket is half of it
+    free = FreeNilpotentAlgebra(2, 2)
+    free._polys[2] = {w: 2 * c for w, c in free._bracket_of(0, 1).items()}
+    with pytest.raises(InvariantMismatch, match="non-integer"):
+        free._coordinates(2, free._bracket_of(0, 1))
