@@ -9,24 +9,18 @@ Hall words are binary trees.  With words totally ordered by position
 u and v are Hall words, u < v, and v is either a generator or has its
 left subtree <= u.
 
-To express an arbitrary bracket of basis words in the Hall basis, each
-word is realised as a noncommutative polynomial in the tensor algebra
-([u, v] expands to uv - vu), a tensor word of degree k on d generators
-held as its base-d integer.  The polynomials of one degree's Hall words
-are echelonised by ``linalg.SpanBuilder``, each with a tag column of its
-own after every tensor word, so reducing a bracket polynomial leaves
--scale times its Hall coordinates in the tag columns.  The elimination
-doubles as a certificate: it verifies the Hall words are linearly
-independent, that every bracket lies in their span, and that every
-structure constant is an integer.  The Jacobi validator on the
-assembled algebra is kept as an independent test-side oracle.
+Brackets of basis words are collected into Hall words by rewriting:
+for a < b = [v1, v2] with a < v1, the Jacobi identity gives
+[a, [v1, v2]] = [v1, [a, v2]] + [v2, [v1, a]], whose inner brackets
+have lower degree and whose outer brackets have both factors above a,
+so the memoised recursion ends in Hall pairs with integer coefficients
+(M. Hall, Proc. AMS 1 (1950); Reutenauer, Free Lie Algebras, ch. 4).
 """
 
 from fractions import Fraction
 
 from .errors import InvariantMismatch, Record, ResourceCapExceeded
 from .liealg import LieAlgebra
-from .linalg import SpanBuilder
 
 DEFAULT_BASIS_CAP = 5000
 
@@ -141,8 +135,8 @@ class FreeNilpotentAlgebra:
 
     ``basis`` lists the Hall words; brackets of basis words are
     computed on demand and memoised (``product`` sparse, ``collect``
-    dense).  ``algebra`` assembles the full structure-constant table as
-    a LieAlgebra, also on demand.
+    dense, ``ad`` against a vector).  ``algebra`` assembles the full
+    structure-constant table as a LieAlgebra, also on demand.
     """
 
     def __init__(self, d, s, cap=DEFAULT_BASIS_CAP):
@@ -165,77 +159,13 @@ class FreeNilpotentAlgebra:
         if start != self.dim:
             raise InvariantMismatch("Hall counts disagree with Witt numbers")
         self.degree_offsets = offsets
-        self._word_index = {
-            (w.left, w.right): w.position
+        # the products (a, b), a < b, computed so far; Hall pairs to begin
+        self._table = {
+            (w.left, w.right): {w.position: 1}
             for w in self.basis
             if w.gen is None
         }
-        self._polys = {}
-        self._solvers = {}
-        self._table = {}
         self._lie = None
-
-    def _poly_of(self, pos):
-        poly = self._polys.get(pos)
-        if poly is None:
-            word = self.basis[pos]
-            if word.gen is not None:
-                poly = {word.gen: 1}
-            else:
-                poly = self._bracket_of(word.left, word.right)
-            self._polys[pos] = poly
-        return poly
-
-    def _bracket_of(self, a, b):
-        """poly(a) poly(b) - poly(b) poly(a), where the concatenation uv
-        of base-d words is u * d^deg(v) + v."""
-        shift_a = self.generators ** self.basis[a].degree
-        shift_b = self.generators ** self.basis[b].degree
-        out = {}
-        for wa, ca in self._poly_of(a).items():
-            for wb, cb in self._poly_of(b).items():
-                key = wa * shift_b + wb
-                out[key] = out.get(key, 0) + ca * cb
-                key = wb * shift_a + wa
-                out[key] = out.get(key, 0) - ca * cb
-        return {key: c for key, c in out.items() if c}
-
-    def _solver(self, degree):
-        """The echelon of the degree's Hall words: the row of word
-        ``pos`` is its polynomial plus the tag column d^degree + pos.
-
-        A new pivot in the tag block means the polynomial reduced to
-        zero, so the words are dependent; ``add``'s result cannot tell,
-        since the tag column always raises the rank.
-        """
-        solver = self._solvers.get(degree)
-        if solver is None:
-            top = self.generators ** degree
-            solver = SpanBuilder(top + self.dim)
-            for pos in self.degree_offsets[degree]:
-                solver.add({**self._poly_of(pos), top + pos: 1})
-                if next(reversed(solver.rows)) >= top:
-                    raise InvariantMismatch(
-                        "Hall-word tensor polynomials are linearly dependent"
-                    )
-            self._solvers[degree] = solver
-        return solver
-
-    def _coordinates(self, degree, poly):
-        """Integer Hall coordinates of a polynomial of that degree."""
-        top = self.generators ** degree
-        residual, scale = self._solver(degree).reduce(poly)
-        out = {}
-        for col, val in residual.items():
-            if col < top:
-                raise InvariantMismatch(
-                    "bracket polynomial does not lie in the Hall span"
-                )
-            q, r = divmod(-val, scale)
-            if r:
-                raise InvariantMismatch("non-integer structure constant")
-            out[col - top] = q
-        return out
 
     def product(self, a, b):
         """[basis_a, basis_b] as a sparse integer coordinate dict.
@@ -249,17 +179,29 @@ class FreeNilpotentAlgebra:
         key = (a, b)
         cached = self._table.get(key)
         if cached is None:
-            degree = self.basis[a].degree + self.basis[b].degree
-            if degree > self.class_bound:
+            v = self.basis[b]
+            if self.basis[a].degree + v.degree > self.class_bound:
                 cached = {}
-            else:
-                pos = self._word_index.get(key)
-                if pos is not None:
-                    cached = {pos: 1}
-                else:
-                    cached = self._coordinates(degree, self._bracket_of(a, b))
+            else:  # not a Hall pair: b = [v1, v2] with a < v1
+                cached = self.ad(v.left, self.product(a, v.right))
+                self.ad(v.right, self.product(v.left, a), cached)
             self._table[key] = cached
         return cached
+
+    def ad(self, j, vec, out=None):
+        """Add [basis_j, vec] into ``out`` and return it, for a sparse
+        integer dict vec of Hall word coordinates; ``out`` is a new dict
+        by default and holds only nonzero entries."""
+        if out is None:
+            out = {}
+        for pos, coeff in vec.items():
+            for t, v in self.product(j, pos).items():
+                x = out.get(t, 0) + coeff * v
+                if x:
+                    out[t] = x
+                else:
+                    del out[t]
+        return out
 
     def collect(self, a, b):
         """[basis_a, basis_b] as a dense coordinate tuple."""

@@ -21,7 +21,6 @@ from .errors import JacobiViolation, NotAnIdeal, NotNilpotent, Record
 from .linalg import (
     Subspace,
     SpanBuilder,
-    _reduce,
     frac,
     invert,
     kernel_basis,
@@ -325,19 +324,18 @@ class LieAlgebra:
         section_rows = tuple(
             tuple(Fraction(int(r == c)) for c in comp) for r in range(n)
         )
-        # the residual of D [x_i, x_j] over scale * D is its projection,
-        # read in the non-pivot columns
+        # D [x_i, x_j] modulo I over D is its projection, read in the
+        # non-pivot columns
         den, adj = self._adjoint()
         index = {c: t for t, c in enumerate(comp)}
         brackets = {}
         for s, i in enumerate(comp):
             for j, w in adj[i].items():
                 if index.get(j, -1) > s:
-                    residual, scale = _reduce(echelon, w)
+                    residual = ideal.reduce(w)
                     if residual:
                         brackets[(s, index[j])] = {
-                            index[k]: Fraction(x, scale * den)
-                            for k, x in residual.items()
+                            index[k]: x / den for k, x in residual.items()
                         }
         name = f"{self.name}/I" if self.name else None
         return Quotient(

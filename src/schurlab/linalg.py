@@ -144,11 +144,11 @@ class SpanBuilder:
     ``rows`` maps each pivot column to its echelon row, a sparse dict
     {column: entry}: primitive, with a positive entry at the pivot, its
     least column.  It is the only elimination: every span, kernel, rank
-    and inverse goes through it, and so do the Hall products and the
-    gamma-image ranks.  Callers feed it integer rows, as sparse dicts or as
-    dense sequences (see ``int_row``), and extract a canonical
-    ``Subspace`` at the end.  Each elimination step clears the least
-    nonzero column of the incoming row.
+    and inverse goes through it, and so do the gamma-image ranks.
+    Callers feed it integer rows, as sparse dicts or as dense sequences
+    (see ``int_row``), and extract a canonical ``Subspace`` at the end.
+    Each elimination step clears the least nonzero column of the
+    incoming row.
     """
 
     __slots__ = ("ambient", "rows")
@@ -294,7 +294,11 @@ class Subspace:
         return len(self.echelon)
 
     def reduce(self, vec):
-        """Canonical representative of vec modulo this subspace."""
+        """Canonical representative of vec modulo this subspace; for a
+        sparse integer dict vec, a dict of its nonzero entries."""
+        if isinstance(vec, dict):
+            residual, scale = _reduce(self.echelon, vec)
+            return {k: Fraction(x, scale) for k, x in residual.items()}
         row = [frac(x) for x in vec]
         if len(row) != self.ambient:
             raise ValueError("vector/ambient mismatch")

@@ -155,20 +155,6 @@ class MultiplierReport(Record):
     attains_e2: bool | None
 
 
-def _product(free, vec, j):
-    """[x_j, vec] in the free algebra, for a sparse integer dict vec of
-    Hall word coordinates, as a dict of its nonzero entries."""
-    out = {}
-    for pos, coeff in vec.items():
-        for t, v in free.product(j, pos).items():
-            x = out.get(t, 0) + coeff * v
-            if x:
-                out[t] = x
-            else:
-                del out[t]
-    return out
-
-
 def present_minimal(L: LieAlgebra) -> Presentation:
     """Build (and cache on L) the minimal truncated free presentation."""
     if L._presentation is not None:
@@ -223,7 +209,7 @@ def present_minimal(L: LieAlgebra) -> Presentation:
     # trailing degree blocks, which keeps the echelon reduction cheap.
     for row in reversed(low_rows):
         for j in range(d):
-            vec = _product(free, row, j)
+            vec = free.ad(j, row)
             if vec:
                 fr_builder.add(vec)
 
@@ -296,7 +282,7 @@ def exterior_center(L: LieAlgebra) -> Subspace:
         scales = []
         for den, lift in lifts:
             # [lift, x_j] = -[x_j, lift]; the sign changes no kernel
-            residual, scale = pres._fr_builder.reduce(_product(free, lift, j))
+            residual, scale = pres._fr_builder.reduce(free.ad(j, lift))
             residuals.append(residual)
             scales.append(scale * den)
         # residuals[k] / scales[k] is the residual of the lift of e_k;

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schurlab.errors import InvariantMismatch, ResourceCapExceeded
+from schurlab.errors import ResourceCapExceeded
 from schurlab.hall import (
     FreeNilpotentAlgebra,
     free_nilpotent_algebra,
@@ -177,8 +177,9 @@ def _tensor(free, pos):
 def test_products_expand_to_commutators():
     """Each product, expanded in the tensor algebra through the Hall
     trees, is poly(a) poly(b) - poly(b) poly(a), and zero past the
-    class: a check that shares no elimination with ``product``."""
-    for d, s in ((2, 6), (3, 4), (4, 3)):
+    class: a check that shares no code with ``product``'s rewriting.
+    F(2,8) nests the rewriting deepest, F(5,3) has many generators."""
+    for d, s in ((2, 6), (3, 4), (4, 3), (2, 8), (5, 3)):
         free = free_nilpotent_algebra(d, s)
         tensors = [_tensor(free, pos) for pos in range(free.dim)]
         for a in range(free.dim):
@@ -198,37 +199,39 @@ def test_products_expand_to_commutators():
                 )
 
 
-def test_product_tables_digest():
-    """The product tables of F(2,6), F(3,4) and F(4,3), pinned."""
+def _table_digest(cases, skip_past_class=False):
+    """sha256 of the product tables of F(d, s) for (d, s) in cases, one
+    line per pair a < b; past the class the pairs are left out when
+    ``skip_past_class`` is set."""
     digest = hashlib.sha256()
-    for d, s in ((2, 6), (3, 4), (4, 3)):
+    for d, s in cases:
         free = free_nilpotent_algebra(d, s)
+        degree = [w.degree for w in free.basis]
         lines = []
         for a in range(free.dim):
             for b in range(a + 1, free.dim):
+                if skip_past_class and degree[a] + degree[b] > s:
+                    continue
                 terms = sorted(free.product(a, b).items())
                 lines.append(
                     f"{a} {b} " + " ".join(f"{k}:{v}" for k, v in terms)
                 )
         digest.update(("\n".join(lines) + "\n").encode())
-    assert digest.hexdigest() == (
+    return digest.hexdigest()
+
+
+def test_product_tables_digest():
+    """The product tables of F(2,6), F(3,4) and F(4,3), pinned."""
+    assert _table_digest(((2, 6), (3, 4), (4, 3))) == (
         "2e4fcc74a6d622713f0de17df5c813b3f9814bd89f59da71d37d91834b81e207"
     )
 
 
-def test_elimination_certificates():
-    """Corrupted tensor polynomials trip each of the three checks."""
-    # [x2, [x1, x2]] given twice the polynomial of [x1, [x1, x2]]
-    free = FreeNilpotentAlgebra(2, 3)
-    free._polys[4] = {w: 2 * c for w, c in free._poly_of(3).items()}
-    with pytest.raises(InvariantMismatch, match="dependent"):
-        free._solver(3)
-    # the tensor word x1 x1 x1 is not a Lie polynomial
-    free = FreeNilpotentAlgebra(2, 3)
-    with pytest.raises(InvariantMismatch, match="Hall span"):
-        free._coordinates(3, {0: 1})
-    # [x1, x2] given twice its polynomial: the bracket is half of it
-    free = FreeNilpotentAlgebra(2, 2)
-    free._polys[2] = {w: 2 * c for w, c in free._bracket_of(0, 1).items()}
-    with pytest.raises(InvariantMismatch, match="non-integer"):
-        free._coordinates(2, free._bracket_of(0, 1))
+def test_deep_product_tables_digest():
+    """The products up to the class in F(2,12), F(5,4) and F(7,3),
+    pinned from the earlier tensor-algebra elimination: F(2,12) rewrites
+    brackets of degree 12."""
+    cases = ((2, 12), (5, 4), (7, 3))
+    assert _table_digest(cases, skip_past_class=True) == (
+        "327c0bbeade6ad906427ea5fdf7985b71beee06083de4eee30fd225c6102a0a5"
+    )
