@@ -138,7 +138,8 @@ _PART = re.compile(
 )
 
 
-def _build_part(part: str, params) -> LieAlgebra:
+def _build_part(part: str, params, used) -> LieAlgebra:
+    """One "+"-part; adds the parameters its entry takes to ``used``."""
     match = _PART.match(part)
     if match is None:
         raise UnknownName(f"unknown algebra name {part!r}")
@@ -150,6 +151,7 @@ def _build_part(part: str, params) -> LieAlgebra:
     entry = _entries().get(table)
     if entry is None:
         raise UnknownName(f"unknown algebra name {part!r}")
+    used.update(entry["parameters"])
     merged = dict(params)
     value = match.group("value")
     if value is not None:
@@ -173,14 +175,19 @@ def catalog_get(name: str, params=None) -> LieAlgebra:
 
     ``params`` gives parameter values, such as {"eps": "1/2"}.  A value
     written inline, as in "L6_22(1/2)", must equal the one in
-    ``params`` if both are given; a conflict raises UnknownName.
+    ``params`` if both are given; a conflict raises UnknownName, and so
+    does a parameter that no part of the name takes.
     """
     _run_gates()
     params = params or {}
     parts = [part.strip() for part in name.replace(" ", "").split("+")]
     if not all(parts):
         raise UnknownName(f"unknown algebra name {name!r}")
-    algebras = [_build_part(part, params) for part in parts]
+    used = set()
+    algebras = [_build_part(part, params, used) for part in parts]
+    unused = sorted(set(params) - used)
+    if unused:
+        raise UnknownName(f"no part of {name!r} takes {', '.join(unused)}")
     result = algebras[0]
     for other in algebras[1:]:
         result = direct_sum(result, other)

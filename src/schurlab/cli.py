@@ -114,6 +114,11 @@ def _load_algebra(args):
     return algebra, {"file": args.file, "sha256": digest}
 
 
+def _fields(record, names=None):
+    """The fields of a record, or the named ones, as a dict in order."""
+    return {f: getattr(record, f) for f in names or record._fields}
+
+
 def _series_doc(algebra, identity):
     rep = algebra.series()
     return {
@@ -143,21 +148,7 @@ def _load_report(args):
 
 def cmd_multiplier(args):
     report, identity = _load_report(args)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        **identity,
-        "n": report.n,
-        "m": report.m,
-        "c": report.c,
-        "d": report.d,
-        "dim_M": report.dim_M,
-        "dim_exterior_square": report.dim_exterior_square,
-        "exterior_center": report.exterior_center,
-        "capable": report.capable,
-        "bound_e1": report.bound_e1,
-        "bound_e2": report.bound_e2,
-        "attains_e2": report.attains_e2,
-    }
+    doc = {"schema_version": SCHEMA_VERSION, **identity, **_fields(report)}
     _emit(doc, args.format)
     return 0
 
@@ -179,13 +170,10 @@ def cmd_bounds(args):
     doc = {
         "schema_version": SCHEMA_VERSION,
         **identity,
-        "n": report.n,
-        "m": report.m,
-        "c": report.c,
-        "dim_M": report.dim_M,
-        "bound_e1": report.bound_e1,
-        "bound_e2": report.bound_e2,
-        "attains_e2": report.attains_e2,
+        **_fields(
+            report,
+            ("n", "m", "c", "dim_M", "bound_e1", "bound_e2", "attains_e2"),
+        ),
     }
     _emit(doc, args.format)
     return 0
@@ -198,33 +186,11 @@ def cmd_sweep(args):
     doc = {
         "schema_version": SCHEMA_VERSION,
         "max_dim": args.max_dim,
-        "entries": [
-            {
-                "name": row.name,
-                "n": row.n,
-                "m": row.m,
-                "c": row.c,
-                "dim_M": row.dim_M,
-                "bound_e2": row.bound_e2,
-                "attains_e2": row.attains_e2,
-            }
-            for row in rows
-        ],
+        "entries": [_fields(row) for row in rows],
         "attainers": [row.name for row in rows if row.attains_e2],
     }
     _emit(doc, args.format)
     return 0
-
-
-def _theorem_doc(report):
-    return {
-        "theorem": report.theorem,
-        "instance": report.instance,
-        "lhs": report.lhs,
-        "rhs": report.rhs,
-        "holds": report.holds,
-        "witnesses": report.witnesses,
-    }
 
 
 def _run_checks(theorem, max_dim):
@@ -271,7 +237,7 @@ def cmd_check(args):
         "schema_version": SCHEMA_VERSION,
         "theorem": args.theorem,
         "max_dim": args.max_dim,
-        "reports": [_theorem_doc(r) for r in reports],
+        "reports": [_fields(r) for r in reports],
         "all_hold": all(r.holds for r in reports),
     }
     _emit(doc, args.format)

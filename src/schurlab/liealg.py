@@ -18,14 +18,7 @@ from itertools import chain
 from math import lcm
 
 from .errors import JacobiViolation, NotAnIdeal, NotNilpotent, Record
-from .linalg import (
-    Subspace,
-    SpanBuilder,
-    frac,
-    invert,
-    kernel_basis,
-    matvec,
-)
+from .linalg import Subspace, SpanBuilder, frac, invert, kernel_basis
 
 
 class SeriesReport(Record):
@@ -44,25 +37,37 @@ class SeriesReport(Record):
 
 
 class Quotient(Record):
-    """A quotient L/I together with its projection and section.
+    """A quotient L/I: ``algebra`` is L/I and ``ideal`` is I.
 
-    ``project`` maps old coordinates to quotient coordinates; ``lift``
-    sends the quotient basis back to the standard basis vectors of L
-    outside the pivot columns of I's reduced echelon form, in index
-    order.  For I = span(e1 + e2) in A(2) the pivot sits in the e1
-    column, so ``lift([1])`` is e2.
+    The quotient basis is the image of the standard basis vectors of L
+    outside the pivot columns of I's echelon, in index order; for
+    I = span(e1 + e2) in A(2) the pivot sits in the e1 column, so the
+    basis is the image of e2.  ``project`` maps coordinates on L to
+    quotient coordinates: the canonical representative
+    ``ideal.reduce(vec)``, read at those columns.  ``lift`` puts
+    quotient coordinates in those columns and zero elsewhere.  Both
+    raise ValueError on a vector of the wrong length.
     """
 
     algebra: "LieAlgebra"
     ideal: Subspace
-    proj_rows: tuple
-    section_rows: tuple
+
+    def _columns(self):
+        echelon = self.ideal.echelon
+        return [j for j in range(self.ideal.ambient) if j not in echelon]
 
     def project(self, vec):
-        return matvec(self.proj_rows, vec)
+        residual = self.ideal.reduce(vec)
+        return tuple(residual[j] for j in self._columns())
 
     def lift(self, vec):
-        return matvec(self.section_rows, vec)
+        columns = self._columns()
+        if len(vec) != len(columns):
+            raise ValueError("vector/quotient dimension mismatch")
+        out = [Fraction(0)] * self.ideal.ambient
+        for j, x in zip(columns, vec):
+            out[j] = frac(x)
+        return tuple(out)
 
 
 class LieAlgebra:
@@ -116,7 +121,10 @@ class LieAlgebra:
         )
 
     def bracket(self, u, v):
-        """[u, v] for coordinate vectors u, v."""
+        """[u, v] for coordinate vectors u, v, by the literal loop over
+        the structure constants.  It is the reference the tests hold the
+        sparse adjoint table to; no computation in the package calls
+        it."""
         out = [Fraction(0)] * self.dim
         for (i, j), vec in self.sc.items():
             c = u[i] * v[j] - u[j] * v[i]
@@ -205,8 +213,8 @@ class LieAlgebra:
                 raise JacobiViolation((i + 1, j + 1, k + 1), vec)
 
     def _sparse_bracket(self, a, b):
-        """D * [a, b] for sparse integer dicts a, b {index: entry}, as a
-        dict of its nonzero entries.  Only the pairs (i in supp a,
+        """D * [a, b] for sparse dicts a, b {index: entry}, as a dict
+        of its nonzero entries.  Only the pairs (i in supp a,
         j in supp b) with a nonzero adjoint entry are evaluated."""
         _, adj = self._adjoint()
         out = {}
@@ -302,28 +310,13 @@ class LieAlgebra:
     # -- constructions -----------------------------------------------
 
     def quotient(self, ideal: Subspace) -> Quotient:
-        """L/I for an ideal I, with projection and section retained."""
+        """L/I for an ideal I, with its ``project`` and ``lift``."""
         n = self.dim
         if ideal.ambient != n:
             raise ValueError("ideal lives in the wrong ambient space")
         if not self.bracket_subspaces(Subspace.full(n), ideal) <= ideal:
             raise NotAnIdeal("subspace is not closed under bracketing with L")
-        echelon = ideal.echelon
-        comp = [j for j in range(n) if j not in echelon]
-        q = len(comp)
-        # e_j minus its canonical row for a pivot j, e_j otherwise
-        proj_rows = tuple(
-            tuple(
-                Fraction(-echelon[j].get(c, 0), echelon[j][j])
-                if j in echelon
-                else Fraction(int(j == c))
-                for j in range(n)
-            )
-            for c in comp
-        )
-        section_rows = tuple(
-            tuple(Fraction(int(r == c)) for c in comp) for r in range(n)
-        )
+        comp = [j for j in range(n) if j not in ideal.echelon]
         # D [x_i, x_j] modulo I over D is its projection, read in the
         # non-pivot columns
         den, adj = self._adjoint()
@@ -338,12 +331,7 @@ class LieAlgebra:
                             index[k]: x / den for k, x in residual.items()
                         }
         name = f"{self.name}/I" if self.name else None
-        return Quotient(
-            algebra=LieAlgebra(q, brackets, name=name),
-            ideal=ideal,
-            proj_rows=proj_rows,
-            section_rows=section_rows,
-        )
+        return Quotient(LieAlgebra(len(comp), brackets, name=name), ideal)
 
     def direct_sum(self, other: "LieAlgebra", name=None) -> "LieAlgebra":
         n1 = self.dim
@@ -358,23 +346,29 @@ class LieAlgebra:
         """The same algebra in the basis given by the columns of P.
 
         New basis vector y_t has old coordinates P[:, t]; raises
-        SingularMatrix when P is not invertible.
+        SingularMatrix when P is not invertible.  [y_s, y_t] is
+        P^-1 (D [P e_s, P e_t]) / D: the bracket is read off the adjoint
+        table on the sparse columns of P and mapped through the sparse
+        columns of P^-1.
         """
         n = self.dim
         p_rows = [[frac(x) for x in row] for row in p_rows]
         if len(p_rows) != n or any(len(r) != n for r in p_rows):
             raise ValueError("change of basis matrix has the wrong shape")
         p_inv = invert(p_rows)
-        cols = [tuple(p_rows[r][t] for r in range(n)) for t in range(n)]
+        cols = [{r: x for r, x in enumerate(c) if x} for c in zip(*p_rows)]
+        inv_cols = [{i: x for i, x in enumerate(c) if x} for c in zip(*p_inv)]
+        den = self._adjoint()[0]
         brackets = {}
         for s in range(n):
             for t in range(s + 1, n):
-                w = self.bracket(cols[s], cols[t])
-                if any(w):
-                    img = matvec(p_inv, w)
-                    entry = {k: c for k, c in enumerate(img) if c}
-                    if entry:
-                        brackets[(s, t)] = entry
+                img = {}
+                for k, x in self._sparse_bracket(cols[s], cols[t]).items():
+                    for i, y in inv_cols[k].items():
+                        img[i] = img.get(i, 0) + x * y
+                entry = {i: img[i] / den for i in sorted(img) if img[i]}
+                if entry:
+                    brackets[(s, t)] = entry
         return LieAlgebra(n, brackets, name=name)
 
     # -- misc --------------------------------------------------------

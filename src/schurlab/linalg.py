@@ -20,7 +20,7 @@ rows are scaled to primitive integer vectors and combined by integer
 cross-multiplication, dividing out the content when it grows, so
 intermediate entries stay small.  ``SpanBuilder`` holds the package's
 only elimination.  Fractions appear only at the API edges: ``rows``,
-``reduce``, ``coords``, ``invert`` and ``matvec``.
+``reduce``, ``coords`` and ``invert`` convert on the way in or out.
 """
 
 from fractions import Fraction
@@ -294,21 +294,20 @@ class Subspace:
         return len(self.echelon)
 
     def reduce(self, vec):
-        """Canonical representative of vec modulo this subspace; for a
-        sparse integer dict vec, a dict of its nonzero entries."""
+        """Canonical representative of vec modulo this subspace, zero at
+        every pivot; for a sparse integer dict vec, a dict of its nonzero
+        entries.  A dense vec is reduced scaled to integers."""
         if isinstance(vec, dict):
             residual, scale = _reduce(self.echelon, vec)
             return {k: Fraction(x, scale) for k, x in residual.items()}
-        row = [frac(x) for x in vec]
-        if len(row) != self.ambient:
+        if len(vec) != self.ambient:
             raise ValueError("vector/ambient mismatch")
-        for p, srow in self.echelon.items():
-            a = row[p]
-            if a:
-                a /= srow[p]
-                for col, x in srow.items():
-                    row[col] -= a * x
-        return tuple(row)
+        fs = [frac(x) for x in vec]
+        den = lcm(*(f.denominator for f in fs))
+        ints = [f.numerator * (den // f.denominator) for f in fs]
+        residual, scale = _reduce(self.echelon, ints)
+        den *= scale
+        return tuple(Fraction(residual.get(k, 0), den) for k in range(len(fs)))
 
     def contains(self, vec) -> bool:
         if len(vec) != self.ambient:
@@ -459,11 +458,4 @@ def invert(matrix):
     return tuple(
         tuple(Fraction(row.get(k, 0), row[t]) for k in range(n, 2 * n))
         for t, row in enumerate(rows)
-    )
-
-
-def matvec(matrix, vec):
-    return tuple(
-        sum((frac(a) * frac(b) for a, b in zip(row, vec)), Fraction(0))
-        for row in matrix
     )

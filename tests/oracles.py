@@ -7,8 +7,9 @@ Hall bases, no echelon code shared).  The exterior-center oracle uses
 the same d3: L wedge L = Lambda^2 L / im d3, so Z^(L) is the set of z
 with z wedge e_i in im d3 for every i.  The gamma oracle evaluates the
 maps of ``schurlab.bounds.gamma_images`` on every ordered tuple of
-representatives, in sympy coordinates.  The Witt oracle counts Lyndon
-words by brute force.
+representatives, in sympy coordinates.  The change-of-basis oracle
+conjugates the literal bracket by P with sympy.  The Witt oracle counts
+Lyndon words by brute force.
 """
 
 from fractions import Fraction
@@ -204,6 +205,34 @@ def literal_gamma_images(L):
                         )
         dim_prime3 = rank(values)
     return gamma(ab_reps, ab_proj), gamma(prime_reps, prime_proj), dim_prime3
+
+
+def literal_change_basis(L, p_rows):
+    """The structure constants of L in the basis of the columns of P, by
+    the definition [y_s, y_t] = P^-1 [P e_s, P e_t]: sympy's inverse,
+    and the bracket expanded term by term from ``L.sc``.  Returns the
+    nonzero brackets for s < t as {(s, t): {k: Fraction}}."""
+    n = L.dim
+    p = Matrix(n, n, lambda i, j: _rat(p_rows[i][j]))
+    p_inv = p.inv()
+    out = {}
+    for s in range(n):
+        for t in range(s + 1, n):
+            u, v = p[:, s], p[:, t]
+            w = zeros(n, 1)
+            for (i, j), vec in L.sc.items():
+                c = u[i] * v[j] - u[j] * v[i]
+                for k, x in vec.items():
+                    w[k] += c * _rat(x)
+            img = p_inv * w
+            entry = {
+                k: Fraction(int(img[k].p), int(img[k].q))
+                for k in range(n)
+                if img[k]
+            }
+            if entry:
+                out[(s, t)] = entry
+    return out
 
 
 def lyndon_count(d, k):

@@ -52,6 +52,15 @@ def test_unknown_and_missing():
             catalog_get("L6_22", {"eps": bad})
         with pytest.raises(UnknownName):
             catalog_get("L6_22(1/2)", {"eps": bad})
+    # a parameter that no part of the name takes is refused
+    for name, params in (
+        ("L6_22", {"eps": 1, "foo": 2}),
+        ("L5_7", {"eps": Fraction(1, 2)}),
+        ("H(1)+A(2)", {"eps": 1}),
+    ):
+        with pytest.raises(UnknownName):
+            catalog_get(name, params)
+    assert catalog_get("L5_7+L6_22", {"eps": 2}).name == "L5_7+L6_22(2)"
 
 
 def test_constructors():

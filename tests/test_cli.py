@@ -12,7 +12,7 @@ import schurlab
 from schurlab.catalog import catalog_get
 from schurlab.cli import build_parser, main
 from schurlab.dsl import format_presentation, parse_presentation
-from schurlab.liealg import LieAlgebra
+from schurlab.liealg import LieAlgebra, Quotient
 
 
 def run_cli(capsys, *argv):
@@ -236,6 +236,12 @@ def test_exit_codes(tmp_path, capsys):
         "--format", "json",
     )
     assert code == 0 and json.loads(out)["name"] == "L6_22(2)"
+    for argv in (
+        ["--name", "L6_22", "--param", "eps=1", "--param", "foo=2"],
+        ["--name", "L5_7", "--param", "eps=1/2"],
+    ):
+        code, _, err = run_cli(capsys, "info", *argv)
+        assert code == 2 and err.startswith("schurlab: ") and "takes" in err
     binary = tmp_path / "binary.alg"
     binary.write_bytes(b"\xff\xfe\x00")
     code, _, err = run_cli(capsys, "info", "--file", str(binary))
@@ -302,8 +308,8 @@ def test_console_script_entry_point():
 
 
 # Commands whose every computation runs on the integer adjoint table
-# and integer echelons; the dense Fraction bracket and matvec are API
-# edges they never reach.
+# and integer echelons; the dense Fraction bracket and the quotient's
+# Fraction project and lift are API edges they never reach.
 INTEGER_PATH_COMMANDS = [
     ["check", "--theorem", "all", "--max-dim", "6"],
     ["sweep", "--max-dim", "6"],
@@ -312,8 +318,6 @@ INTEGER_PATH_COMMANDS = [
 
 
 def test_production_paths_stay_integer(monkeypatch, capsys):
-    import schurlab.liealg
-
     want = [run_cli(capsys, *argv) for argv in INTEGER_PATH_COMMANDS]
     assert all(code == 0 for code, _, _ in want)
 
@@ -321,7 +325,8 @@ def test_production_paths_stay_integer(monkeypatch, capsys):
         raise AssertionError("dense Fraction route called")
 
     monkeypatch.setattr(LieAlgebra, "bracket", forbidden)
-    monkeypatch.setattr(schurlab.liealg, "matvec", forbidden)
+    monkeypatch.setattr(Quotient, "project", forbidden)
+    monkeypatch.setattr(Quotient, "lift", forbidden)
     got = [run_cli(capsys, *argv) for argv in INTEGER_PATH_COMMANDS]
     assert got == want
 

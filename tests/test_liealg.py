@@ -14,7 +14,7 @@ from schurlab.catalog import abelian, catalog_get, heisenberg
 from schurlab.liealg import LieAlgebra, direct_sum
 from schurlab.linalg import Subspace
 
-from oracles import random_basis_change
+from oracles import literal_change_basis, random_basis_change
 
 # Entries with mixed structure, and L6_22(1/2), whose constants already
 # have denominator 2; rational basis changes add more denominators.
@@ -162,6 +162,13 @@ def test_quotient_heisenberg_mod_center_is_abelian():
     for t in range(4):
         unit = [Fraction(int(s == t)) for s in range(4)]
         assert list(q.project(q.lift(unit))) == unit
+    # wrong lengths are refused, not truncated
+    for bad in ([1] * 4, [1] * 6):
+        with pytest.raises(ValueError):
+            q.project(bad)
+    for bad in ([1] * 3, [1] * 5):
+        with pytest.raises(ValueError):
+            q.lift(bad)
 
 
 def test_quotient_requires_ideal():
@@ -193,6 +200,10 @@ def test_quotient_bracket_is_projected_bracket(name):
                     lhs = q.algebra.bracket(ei, ej)
                     rhs = q.project(L.bracket(q.lift(ei), q.lift(ej)))
                     assert list(lhs) == list(rhs), (name, L.sc)
+            with pytest.raises(ValueError):
+                q.project([0] * (L.dim - 1))
+            with pytest.raises(ValueError):
+                q.lift([0] * (q.algebra.dim + 1))
 
 
 def test_direct_sum_series_adds():
@@ -215,6 +226,30 @@ def test_change_basis_keeps_invariants():
         other = random_basis_change(L, rng)
         other.validate()
         assert other.series() == L.series()
+
+
+@pytest.mark.parametrize("name", ["L6_22(1/2)", "L5_7+A(2)", "H(2)"])
+def test_change_basis_matches_literal_definition(name):
+    # seeded invertible P whose nonzero entries mostly have non-unit
+    # denominators; L6_22(1/2) has D = 2, so the adjoint table is scaled
+    import random
+
+    from sympy import Matrix
+
+    L = catalog_get(name)
+    assert (L._adjoint()[0] > 1) == (name == "L6_22(1/2)")
+    n = L.dim
+    rng = random.Random(17)
+    for _ in range(3):
+        while True:
+            p = [
+                [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)]
+                for _ in range(n)
+            ]
+            if Matrix(p).det():
+                break
+        assert any(x.denominator > 1 for row in p for x in row)
+        assert L.change_basis(p).sc == literal_change_basis(L, p)
 
 
 def test_change_basis_rejects_singular():

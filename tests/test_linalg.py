@@ -14,7 +14,6 @@ from schurlab.linalg import (
     int_row,
     invert,
     kernel_basis,
-    matvec,
 )
 
 rationals = st.fractions(
@@ -84,6 +83,29 @@ def test_subspace_reduce_contains_coords():
     assert s.coords([2, 3, 1]) == (Fraction(2), Fraction(3))
     with pytest.raises(ValueError):
         s.coords([0, 0, 1])
+    # Fraction vectors with non-unit denominators against sympy: the
+    # residual is zero at every pivot and vec - residual lies in the span
+    import random
+
+    rng = random.Random(5)
+
+    def rational():
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+
+    for dim in (0, 1, 2, 4):
+        rows = [[rational() for _ in range(5)] for _ in range(dim)]
+        sub = Subspace(rows, 5)
+        assert sub.dim == _sympy_rank(rows, 5)
+        for _ in range(6):
+            vec = [rational() for _ in range(5)]
+            residual = sub.reduce(vec)
+            assert all(type(x) is Fraction for x in residual)
+            assert not any(residual[p] for p in sub.pivots)
+            diff = [x - r for x, r in zip(vec, residual)]
+            assert _sympy_rank(rows + [diff], 5) == sub.dim
+            assert sub.reduce([str(x) for x in vec]) == residual
+    with pytest.raises(ValueError):
+        s.reduce([1, 0])
 
 
 def test_subspace_sum_and_intersection():
@@ -283,8 +305,8 @@ def test_spanbuilder_sparse_and_dense_agree(case):
 def test_invert_roundtrip_and_singular():
     a = [[1, 2], [3, 4]]
     inv = invert(a)
-    prod = [matvec(inv, col) for col in zip(*a)]
-    assert [list(c) for c in zip(*prod)] == [
+    assert [[sum(x * y for x, y in zip(row, col)) for col in zip(*a)]
+            for row in inv] == [
         [Fraction(1), Fraction(0)],
         [Fraction(0), Fraction(1)],
     ]
