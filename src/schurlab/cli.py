@@ -102,6 +102,8 @@ def _load_algebra(args):
         algebra = catalog_get(args.name, params=params)
         _log_info("loaded catalog algebra %s", algebra.name)
         return algebra, {"name": algebra.name}
+    if args.param:
+        raise ValueError("--param applies only to --name")
     import hashlib
 
     from .dsl import parse_presentation
@@ -312,8 +314,9 @@ def main(argv=None):
         print(f"schurlab: {exc}", file=sys.stderr)
         return 4
     except (SchurlabError, OSError, ValueError) as exc:
-        # ValueError: a --file that is not UTF-8, or an argument the
-        # library rejects as out of range (--max-dim 0, H(0))
+        # ValueError: a --file that is not UTF-8, --param with --file,
+        # or an argument the library rejects as out of range
+        # (--max-dim 0, H(0))
         print(f"schurlab: {exc}", file=sys.stderr)
         return 2
 

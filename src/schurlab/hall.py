@@ -17,8 +17,6 @@ so the memoised recursion ends in Hall pairs with integer coefficients
 (M. Hall, Proc. AMS 1 (1950); Reutenauer, Free Lie Algebras, ch. 4).
 """
 
-from fractions import Fraction
-
 from .errors import InvariantMismatch, Record, ResourceCapExceeded
 from .liealg import LieAlgebra
 
@@ -134,9 +132,9 @@ class FreeNilpotentAlgebra:
     """Free nilpotent Lie algebra on d generators of class s.
 
     ``basis`` lists the Hall words; brackets of basis words are
-    computed on demand and memoised (``product`` sparse, ``collect``
-    dense, ``ad`` against a vector).  ``algebra`` assembles the full
-    structure-constant table as a LieAlgebra, also on demand.
+    computed on demand and memoised as sparse integer dicts
+    (``product``, and ``ad`` against a vector).  ``algebra`` assembles
+    the full structure-constant table as a LieAlgebra, also on demand.
     """
 
     def __init__(self, d, s, cap=DEFAULT_BASIS_CAP):
@@ -202,15 +200,6 @@ class FreeNilpotentAlgebra:
                 else:
                     del out[t]
         return out
-
-    def collect(self, a, b):
-        """[basis_a, basis_b] as a dense coordinate tuple."""
-        if not (0 <= a < self.dim and 0 <= b < self.dim):
-            raise ValueError("Hall word index out of range")
-        out = [Fraction(0)] * self.dim
-        for k, v in self.product(a, b).items():
-            out[k] = Fraction(v)
-        return tuple(out)
 
     @property
     def algebra(self) -> LieAlgebra:

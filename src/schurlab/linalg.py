@@ -367,25 +367,6 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
 
 
-def pivot_combination(reduced, col):
-    """Column ``col`` of a matrix as a combination of its pivot columns.
-
-    ``reduced`` is the ``(pivots, rows)`` of ``SpanBuilder.reduced`` for
-    the rows of the matrix.  Row operations keep the linear relations
-    among columns, and in the reduced echelon column ``col`` is
-    sum(rows[t][col] / b_t * (column p_t)), with p_t the pivot of row t
-    and b_t its entry.  Returns ``(den, coeffs)``: ``den`` the positive
-    lcm of the b_t involved and ``coeffs`` the integers {p_t: c_t} with
-    c_t / den = rows[t][col] / b_t, in pivot order.
-    """
-    pivots, rows = reduced
-    terms = [(p, row[col], row[p]) for p, row in zip(pivots, rows) if col in row]
-    den = 1
-    for _, _, b in terms:
-        den = lcm(den, b)
-    return den, {p: a * (den // b) for p, a, b in terms}
-
-
 def kernel_rows(matrix, ncols):
     """The canonical basis of {x : A x = 0} as sparse integer rows.
 
@@ -400,7 +381,11 @@ def kernel_rows(matrix, ncols):
     outside the span of the columns after them, so every other column
     j is a combination of the Q-columns after j.  The kernel row of j
     is e_j minus that combination: pivot j, zero on every other column
-    outside Q, and at most rank + 1 nonzeros.
+    outside Q, and at most rank + 1 nonzeros.  Row operations keep the
+    linear relations among columns, and in the reduced echelon column
+    k is sum(row_t[k] / b_t * (column p_t)), with p_t the pivot of row
+    t and b_t its entry; the kernel row is scaled by the lcm of the b_t
+    involved to keep it integer.
     """
     builder = SpanBuilder(ncols)
     last = ncols - 1
@@ -410,16 +395,18 @@ def kernel_rows(matrix, ncols):
                 raise ValueError(f"row of length {len(r)} with {ncols} columns")
             r = _sparse(int_row(r))
         builder.add({last - k: x for k, x in r.items()})
-    reduced = builder.reduced()
-    taken = set(reduced[0])
+    pivots, reduced = builder.reduced()
+    taken = set(pivots)
     rows = []
     for j in range(ncols):
-        if last - j in taken:
+        k = last - j
+        if k in taken:
             continue
-        den, coeffs = pivot_combination(reduced, last - j)
+        terms = [(p, row[k], row[p]) for p, row in zip(pivots, reduced) if k in row]
+        den = lcm(*(b for _, _, b in terms))
         row = {j: den}
-        for p in reversed(coeffs):  # reversed pivot order is column order
-            row[last - p] = -coeffs[p]
+        for p, a, b in reversed(terms):  # reversed pivot order is column order
+            row[last - p] = -a * (den // b)
         rows.append(_primitive(row))
     return rows
 

@@ -15,14 +15,15 @@ pivot columns of L2's reduced echelon form, in index order, so R
 automatically lies inside F2.  Since R is an ideal, [F,R] is
 spanned by the brackets of R with the generators alone; and because
 every top-degree Hall word already lies in R, only the kernel rows
-supported below the top degree contribute.
+supported below the top degree contribute.  For Z^, the Hall words
+outside the pivots of R's echelon lift a basis of L, so the presentation
+map is eliminated once.
 
 The closed forms bound_e1 and bound_e2 that multiplier_report quotes
 are defined here; bounds.py, which holds the paper's inequalities,
 re-exports them.
 """
 
-from fractions import Fraction
 from math import lcm
 
 from .errors import (
@@ -33,57 +34,34 @@ from .errors import (
 )
 from .hall import free_nilpotent_algebra
 from .liealg import LieAlgebra
-from .linalg import (
-    SpanBuilder,
-    Subspace,
-    kernel_basis,
-    kernel_rows,
-    pivot_combination,
-)
+from .linalg import SpanBuilder, Subspace, kernel_rows
 
 
 class Presentation:
-    """A minimal free presentation of L, truncated at class c+1.
+    """A minimal free presentation of L, truncated at class c+1: what
+    the Hopf formula and the exterior center read.
 
-    ``pi_matrix`` (rows indexed by L, columns by Hall words) is the
-    induced map F' -> L, with Fraction entries and no scaling; ``r`` is
-    its kernel, ``f2`` the span of the Hall words of degree >= 2, and
-    ``fr`` the bracket ideal [F', R'].
-
-    The map is held as ``pi_rows``, one sparse integer dict
-    {word: entry} per row, equal to ``pi_scale`` times ``pi_matrix``.
-    The images come from L's adjoint table, which holds D times each
-    bracket (D the common denominator of the structure constants), so
-    a word of degree k maps to D^(k-1) times its image; every column of
-    degree k is multiplied by D^(c+1-k), c the class of L, so that
-    ``pi_scale`` = D^c is one factor for all columns and the kernel is
-    unchanged.  The kernel is held as the sparse integer rows of
-    ``kernel_rows``, which are already ``r``'s echelon; ``pi_matrix``
-    and ``fr`` are built on first read, while ``dim_fr`` is always
-    available.
+    ``pi_rows`` is the induced map F' -> L, one sparse integer dict
+    {word: entry} per basis vector of L, scaled to D^c times the
+    literal map.  The images come from L's adjoint table, which holds D
+    times each bracket (D the common denominator of the structure
+    constants), so a word of degree k maps to D^(k-1) times its image;
+    every column of degree k is multiplied by D^(c+1-k), c the class of
+    L, so that D^c is one factor for all columns and the kernel is
+    unchanged.  ``r_rows`` are the sparse integer rows of
+    ``kernel_rows``, already the echelon of ``r`` = R = ker pi; ``f2``
+    is the span of the Hall words of degree >= 2, and ``fr`` the
+    bracket ideal [F', R'], built on first read while ``dim_fr`` is
+    always available.
     """
 
-    def __init__(self, algebra, free, pi_rows, pi_scale, r_rows, fr_builder):
-        self.algebra = algebra
+    def __init__(self, free, pi_rows, r_rows, fr_builder):
         self.free = free
         self.pi_rows = pi_rows
-        self.pi_scale = pi_scale
         self.r_rows = r_rows
         self._fr_builder = fr_builder
-        self._pi_matrix = None
         self._fr = None
         self._exterior_center = None
-
-    @property
-    def pi_matrix(self):
-        if self._pi_matrix is None:
-            cols = range(self.free.dim)
-            scale = self.pi_scale
-            self._pi_matrix = tuple(
-                tuple(Fraction(row.get(pos, 0), scale) for pos in cols)
-                for row in self.pi_rows
-            )
-        return self._pi_matrix
 
     @property
     def dim_fr(self):
@@ -103,11 +81,6 @@ class Presentation:
         if self._fr is None:
             self._fr = self._fr_builder.subspace()
         return self._fr
-
-    @property
-    def r_cap_f2(self) -> Subspace:
-        """R cap F2; equals R itself for a minimal presentation."""
-        return self.r
 
     @property
     def dim_multiplier(self):
@@ -213,7 +186,7 @@ def present_minimal(L: LieAlgebra) -> Presentation:
             if vec:
                 fr_builder.add(vec)
 
-    pres = Presentation(L, free, pi_rows, den**c, r_rows, fr_builder)
+    pres = Presentation(free, pi_rows, r_rows, fr_builder)
     L._presentation = pres
     return pres
 
@@ -226,12 +199,15 @@ def schur_multiplier_dim(L: LieAlgebra) -> int:
 
 
 def schur_multiplier(L: LieAlgebra):
-    """(dim M(L), (R cap F2, [F,R])) from the Hopf formula."""
+    """(dim M(L), (R cap F2, [F,R])) from the Hopf formula.
+
+    R lies inside F2 for a minimal presentation, so R cap F2 is R.
+    """
     if L.dim == 0:
         zero = Subspace.zero(0)
         return 0, (zero, zero)
     pres = present_minimal(L)
-    return pres.dim_multiplier, (pres.r_cap_f2, pres.fr)
+    return pres.dim_multiplier, (pres.r, pres.fr)
 
 
 def exterior_square_dim(L: LieAlgebra) -> int:
@@ -251,13 +227,13 @@ def exterior_center(L: LieAlgebra) -> Subspace:
     on the degree of w using the Jacobi identity and the fact that
     [F,R] is an ideal.
 
-    The lifts of the basis of L come from one integer echelon of
-    [pi | I]: its rows are M.pi = R with R reduced, so the lift of e_k
-    is sum_t M[t][k]/b_t e_{p_t}, where p_t and b_t are the pivot
-    column and entry of row t of R.  This is the solution supported on
-    the pivot columns of pi.  The echelon is built from
-    ``pi_rows`` = s.pi as [s.pi | s.I], s = ``pi_scale``, which has the
-    same rows up to the factor s.
+    The lifts are the n Hall words outside the pivots of R's echelon:
+    no nonzero vector supported on them lies in R, so their images
+    under pi are a basis of L.  Any other lift choice gives the same
+    Z^: two lifts of one element differ by some r in R, and [r, g]
+    lies in [F,R].  The kernel, in coordinates over those words, is
+    mapped through their columns of ``pi_rows`` (all scaled by D^c,
+    which changes no span).
     """
     if L.dim == 0:
         return Subspace.zero(0)
@@ -266,26 +242,17 @@ def exterior_center(L: LieAlgebra) -> Subspace:
         return pres._exterior_center
     n = L.dim
     free = pres.free
-    d = free.generators
-    big = free.dim
-    echelon = SpanBuilder(big + n)
-    for k, row in enumerate(pres.pi_rows):
-        echelon.add({**row, big + k: pres.pi_scale})
-    reduced = echelon.reduced()
-    if reduced[0][-1] >= big:
-        raise InvariantMismatch("presentation map is not surjective")
-    # (den, lift): lift / den is the lift of e_k, with lift sparse integer
-    lifts = [pivot_combination(reduced, big + k) for k in range(n)]
+    pivots = {next(iter(row)) for row in pres.r_rows}
+    words = [q for q in range(free.dim) if q not in pivots]
     constraints = []
-    for j in range(d):
+    for j in range(free.generators):
         residuals = []
         scales = []
-        for den, lift in lifts:
-            # [lift, x_j] = -[x_j, lift]; the sign changes no kernel
-            residual, scale = pres._fr_builder.reduce(free.ad(j, lift))
+        for q in words:
+            residual, scale = pres._fr_builder.reduce(free.product(j, q))
             residuals.append(residual)
-            scales.append(scale * den)
-        # residuals[k] / scales[k] is the residual of the lift of e_k;
+            scales.append(scale)
+        # residuals[t] / scales[t] is the residual of [x_j, words[t]];
         # bring the n columns to one denominator so the rows are integer
         common = lcm(*scales)
         factors = [common // s for s in scales]
@@ -293,7 +260,16 @@ def exterior_center(L: LieAlgebra) -> Subspace:
             constraints.append(
                 [res.get(idx, 0) * f for res, f in zip(residuals, factors)]
             )
-    pres._exterior_center = kernel_basis(constraints, ncols=n)
+    # a kernel row a gives sum_t a_t pi(words[t]), scaled by D^c
+    span = SpanBuilder(n)
+    for row in kernel_rows(constraints, n):
+        span.add(
+            [
+                sum(a * pi_k.get(words[t], 0) for t, a in row.items())
+                for pi_k in pres.pi_rows
+            ]
+        )
+    pres._exterior_center = span.subspace()
     return pres._exterior_center
 
 

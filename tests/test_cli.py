@@ -252,6 +252,23 @@ def test_exit_codes(tmp_path, capsys):
     assert code == 2 and err.startswith("schurlab: ") and "max_dim" in err
 
 
+def test_param_with_file_is_refused(tmp_path, capsys):
+    # --param names a catalog parameter; a presentation file has none
+    source = tmp_path / "h.alg"
+    source.write_text("algebra H dim 3\n[x1, x2] = x3\n")
+    for command in ("info", "multiplier"):
+        code, out, err = run_cli(
+            capsys, command, "--file", str(source), "--param", "eps=1",
+            "--format", "json",
+        )
+        assert code == 2 and out == "", command
+        assert err == "schurlab: --param applies only to --name\n", command
+        code, out, _ = run_cli(
+            capsys, command, "--file", str(source), "--format", "json"
+        )
+        assert code == 0 and json.loads(out)["n"] == 3, command
+
+
 def test_sweep_json(capsys):
     code, out, _ = run_cli(
         capsys, "sweep", "--max-dim", "4", "--format", "json"

@@ -101,15 +101,6 @@ def test_free_algebra_grading_and_truncation():
             assert ba == {t: -c for t, c in ab.items()}
 
 
-def test_collect_returns_exact_vectors():
-    free = free_nilpotent_algebra(2, 3)
-    vec = free.collect(0, 1)
-    assert vec[2] == 1 and sum(1 for x in vec if x) == 1
-    assert all(isinstance(x, Fraction) for x in vec)
-    with pytest.raises(ValueError):
-        free.collect(0, 99)
-
-
 def test_lower_central_series_is_degree_filtration():
     free = free_nilpotent_algebra(2, 4)
     gammas = free.algebra.lower_central_series()
@@ -142,17 +133,25 @@ def test_instances_cached():
     st.fractions(min_value=-2, max_value=2, max_denominator=2),
 )
 @settings(max_examples=50, deadline=None)
-def test_product_bilinearity_via_collect(a, b, c, q):
-    """collect of (a + q b) against c equals the matching combination."""
+def test_product_bilinearity_via_product(a, b, c, q):
+    """The bracket of (a + q b) with c equals the matching combination
+    of the sparse products, read as dense vectors."""
     free = free_nilpotent_algebra(2, 3)
     n = free.dim
+
+    def dense(prod):
+        out = [Fraction(0)] * n
+        for k, v in prod.items():
+            out[k] = Fraction(v)
+        return out
+
     u = [Fraction(0)] * n
     u[a] += 1
     u[b] += q
     lhs = free.algebra.bracket(u, free.algebra.basis_vector(c))
     rhs = [
         x + q * y
-        for x, y in zip(free.collect(a, c), free.collect(b, c))
+        for x, y in zip(dense(free.product(a, c)), dense(free.product(b, c)))
     ]
     assert list(lhs) == rhs
 

@@ -11,7 +11,7 @@ from schurlab.catalog import (
 )
 from schurlab.errors import NotCentral, NotOneDimensional
 from schurlab.liealg import LieAlgebra, direct_sum
-from schurlab.linalg import Subspace
+from schurlab.linalg import SpanBuilder, Subspace
 from schurlab.multiplier import (
     exterior_center,
     exterior_square_dim,
@@ -64,6 +64,7 @@ def test_presentation_witness_structure(catalog6):
         assert fr <= r_cap_f2, name
         assert r_cap_f2 <= pres.f2, name
         assert dim_m == r_cap_f2.dim - fr.dim, name
+        assert r_cap_f2 == pres.r, name
         # generator columns of the kernel vanish: R sits inside F2
         d = pres.free.generators
         assert all(
@@ -132,14 +133,13 @@ def _unitriangular(L, rng):
     return LieAlgebra(n, brackets, name=L.name)
 
 
-def _induced_map(pres):
+def _induced_map(L, free):
     """The map F' -> L by Fraction brackets in L, word by word: the
     generators go to the basis vectors outside the pivots of L2."""
-    L = pres.algebra
     pivots = set(L.derived_subspace().pivots)
     gens = [i for i in range(L.dim) if i not in pivots]
     images = []
-    for word in pres.free.basis:
+    for word in free.basis:
         if word.gen is not None:
             images.append(L.basis_vector(gens[word.gen]))
         else:
@@ -165,8 +165,12 @@ def test_heavy_presentations_match_wedge_oracle():
         pres = present_minimal(algebra)
         if name == "L5_7+A(3)":
             assert pres.free.dim == 829
-        pi = _induced_map(pres)
-        assert pres.pi_matrix == pi, name
+        pi = _induced_map(algebra, pres.free)
+        # pi_rows is D^c times the literal map, c the class
+        scale = algebra._adjoint()[0] ** algebra.series().nilpotency_class
+        assert pres.pi_rows == [
+            {col: scale * x for col, x in enumerate(pi_k) if x} for pi_k in pi
+        ], name
         assert all(
             not any(sum(pi_k[col] * x for col, x in row.items()) for pi_k in pi)
             for row in pres.r_rows
@@ -181,6 +185,30 @@ def test_heavy_presentations_match_wedge_oracle():
             n,
         )
         assert exterior_center(algebra) == oracle, name
+
+
+def test_exterior_center_eliminates_only_inside_L(monkeypatch):
+    # once the presentation is cached, Z^ lifts L's basis by Hall words
+    # and reduces modulo [F,R]: no echelon may be wider than L itself
+    # (an echelon of [pi | I] would be dim F' + dim L wide)
+    rng = random.Random(20261018)
+    dense = _unitriangular(catalog_get("L5_7+A(3)"), rng)
+    rational = random_basis_change(catalog_get("L6_22(1/2)+A(1)"), rng)
+    assert rational._adjoint()[0] > 1
+    init = SpanBuilder.__init__
+    for algebra in (dense, rational):
+        present_minimal(algebra)
+        ambients = []
+
+        def record(self, ambient):
+            ambients.append(ambient)
+            init(self, ambient)
+
+        monkeypatch.setattr(SpanBuilder, "__init__", record)
+        zext = exterior_center(algebra)
+        monkeypatch.setattr(SpanBuilder, "__init__", init)
+        assert ambients and max(ambients) <= algebra.dim, ambients
+        assert zext.ambient == algebra.dim
 
 
 def test_exterior_center_known_values():
