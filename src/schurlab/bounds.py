@@ -132,24 +132,19 @@ def _gamma_prime3_rank(L, reps):
     return _tensor_rank(rows, L.dim, len(reps))
 
 
-def _representatives(L, ideal):
-    """The indices of the basis vectors outside the ideal's pivots;
-    their images in L/I are the unit vectors of the quotient basis."""
-    return [j for j in range(L.dim) if j not in ideal.echelon]
-
-
 def gamma_images(L: LieAlgebra) -> GammaImages:
     """Image dimensions of gamma on L/L2, and of the primed variants
     on L/(Z(L) + L2) (the degree-4 variant only when the class is at
-    least 3).  Cached on L, like ``series``."""
+    least 3).  Each quotient basis is the image of the basis vectors in
+    the ideal's ``nonpivots()``.  Cached on L, like ``series``."""
     if L._gamma_images is not None:
         return L._gamma_images
     n = L.dim
     gammas = L.lower_central_series()
     gamma2 = gammas[1] if len(gammas) > 1 else Subspace.zero(n)
     gamma3 = gammas[2] if len(gammas) > 2 else Subspace.zero(n)
-    ab_reps = _representatives(L, gamma2)
-    prime_reps = _representatives(L, gamma2 + L.center())
+    ab_reps = gamma2.nonpivots()
+    prime_reps = (gamma2 + L.center()).nonpivots()
 
     dim_prime3 = None
     if L.series().nilpotency_class >= 3:

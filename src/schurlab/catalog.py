@@ -194,7 +194,7 @@ def catalog_get(name: str, params=None) -> LieAlgebra:
     return result
 
 
-def _catalog_walk(max_dim: int, eps_samples=None):
+def _catalog_walk(max_dim: int):
     """The catalog up to ``max_dim`` in enumeration order, as
     (algebra, extensions) pairs: the abelians A(1)..A(max_dim) with no
     extensions, then each non-abelian base with the (k, name) pairs of
@@ -208,8 +208,6 @@ def _catalog_walk(max_dim: int, eps_samples=None):
             f"{MAX_ENUMERATION_DIM} (asked for {max_dim})"
         )
     _run_gates()
-    if eps_samples is None:
-        eps_samples = DEFAULT_EPS_SAMPLES
 
     walk = [(abelian(k), []) for k in range(1, max_dim + 1)]
 
@@ -223,7 +221,7 @@ def _catalog_walk(max_dim: int, eps_samples=None):
             continue
         if entry["parameters"]:
             parameter = entry["parameters"][0]
-            for eps in eps_samples:
+            for eps in DEFAULT_EPS_SAMPLES:
                 bases.append(_build_entry(entry, {parameter: eps}))
         else:
             bases.append(_build_entry(entry, {}))
@@ -234,7 +232,7 @@ def _catalog_walk(max_dim: int, eps_samples=None):
     return walk
 
 
-def enumerate_catalog(max_dim: int, eps_samples=None):
+def enumerate_catalog(max_dim: int):
     """All catalog entries of dimension <= max_dim as (name, algebra)
     pairs: abelians, then each non-abelian base followed by its
     abelian extensions base+A(k).  The order is deterministic.
@@ -248,18 +246,15 @@ def enumerate_catalog(max_dim: int, eps_samples=None):
     the scans and the tests.
     """
     out = []
-    for base, extensions in _catalog_walk(max_dim, eps_samples):
+    for base, extensions in _catalog_walk(max_dim):
         out.append((base.name, base))
         for k, name in extensions:
             out.append((name, direct_sum(base, abelian(k), name=name)))
     return out
 
 
-def verify_catalog(eps_samples=None):
+def verify_catalog():
     """Rebuild and gate every entry; returns the verified names."""
     global _gates_done
     _gates_done = False
-    _run_gates()
-    names = [name for name, _ in enumerate_catalog(MAX_ENUMERATION_DIM,
-                                                   eps_samples=eps_samples)]
-    return names
+    return [name for name, _ in enumerate_catalog(MAX_ENUMERATION_DIM)]

@@ -110,21 +110,17 @@ def _build_words(d, s):
     return words
 
 
-def _check_size(d, s, cap):
-    """Reject a free nilpotent algebra whose Witt sum exceeds ``cap``."""
+def hall_basis(d, s):
+    """The Hall words of degree <= s on d generators, in basis order;
+    raises ResourceCapExceeded past ``DEFAULT_BASIS_CAP`` words."""
     if d < 1 or s < 1:
         raise ValueError("a free nilpotent algebra needs d >= 1 and s >= 1")
     total = sum(witt_dim(d, k) for k in range(1, s + 1))
-    if total > cap:
+    if total > DEFAULT_BASIS_CAP:
         raise ResourceCapExceeded(
             f"free nilpotent algebra on {d} generators of class {s} "
-            f"needs {total} basis words (cap {cap})"
+            f"needs {total} basis words (cap {DEFAULT_BASIS_CAP})"
         )
-
-
-def hall_basis(d, s, cap=DEFAULT_BASIS_CAP):
-    """The Hall words of degree <= s on d generators, in basis order."""
-    _check_size(d, s, cap)
     return _build_words(d, s)
 
 
@@ -137,10 +133,10 @@ class FreeNilpotentAlgebra:
     the full structure-constant table as a LieAlgebra, also on demand.
     """
 
-    def __init__(self, d, s, cap=DEFAULT_BASIS_CAP):
+    def __init__(self, d, s):
         self.generators = d
         self.class_bound = s
-        self.basis = hall_basis(d, s, cap=cap)
+        self.basis = hall_basis(d, s)
         self.dim = len(self.basis)
         offsets = {}
         start = 0
@@ -228,12 +224,11 @@ class FreeNilpotentAlgebra:
 _FREE_CACHE = {}
 
 
-def free_nilpotent_algebra(d, s, cap=DEFAULT_BASIS_CAP):
+def free_nilpotent_algebra(d, s):
     """The free nilpotent algebra on d generators of class s (cached)."""
-    _check_size(d, s, cap)
     key = (d, s)
     cached = _FREE_CACHE.get(key)
     if cached is None:
-        cached = FreeNilpotentAlgebra(d, s, cap=cap)
+        cached = FreeNilpotentAlgebra(d, s)
         _FREE_CACHE[key] = cached
     return cached

@@ -18,7 +18,7 @@ from itertools import chain
 from math import lcm
 
 from .errors import JacobiViolation, NotAnIdeal, NotNilpotent, Record
-from .linalg import Subspace, SpanBuilder, frac, invert, kernel_basis
+from .linalg import Subspace, SpanBuilder, frac, invert, kernel_rows
 
 
 class SeriesReport(Record):
@@ -39,29 +39,25 @@ class SeriesReport(Record):
 class Quotient(Record):
     """A quotient L/I: ``algebra`` is L/I and ``ideal`` is I.
 
-    The quotient basis is the image of the standard basis vectors of L
-    outside the pivot columns of I's echelon, in index order; for
-    I = span(e1 + e2) in A(2) the pivot sits in the e1 column, so the
-    basis is the image of e2.  ``project`` maps coordinates on L to
-    quotient coordinates: the canonical representative
-    ``ideal.reduce(vec)``, read at those columns.  ``lift`` puts
-    quotient coordinates in those columns and zero elsewhere.  Both
-    raise ValueError on a vector of the wrong length.
+    The quotient basis is the image of the standard basis vectors in
+    the columns ``ideal.nonpivots()``; for I = span(e1 + e2) in A(2)
+    the pivot sits in the e1 column, so the basis is the image of e2.
+    ``project`` maps coordinates on L to quotient coordinates: the
+    canonical representative ``ideal.reduce(vec)``, read at those
+    columns.  ``lift`` puts quotient coordinates in those columns and
+    zero elsewhere.  Both raise ValueError on a vector of the wrong
+    length.
     """
 
     algebra: "LieAlgebra"
     ideal: Subspace
 
-    def _columns(self):
-        echelon = self.ideal.echelon
-        return [j for j in range(self.ideal.ambient) if j not in echelon]
-
     def project(self, vec):
         residual = self.ideal.reduce(vec)
-        return tuple(residual[j] for j in self._columns())
+        return tuple(residual[j] for j in self.ideal.nonpivots())
 
     def lift(self, vec):
-        columns = self._columns()
+        columns = self.ideal.nonpivots()
         if len(vec) != len(columns):
             raise ValueError("vector/quotient dimension mismatch")
         out = [Fraction(0)] * self.ideal.ambient
@@ -74,6 +70,8 @@ class LieAlgebra:
     """A Lie algebra presented by rational structure constants."""
 
     def __init__(self, dim, brackets, name=None):
+        if dim < 0:
+            raise ValueError(f"dimension must be non-negative, got {dim}")
         self.dim = dim
         self.name = name
         sc = {}
@@ -289,7 +287,7 @@ class LieAlgebra:
                     for k, c in vec.items():
                         eqs.setdefault(k, {})[i] = c
                 rows.extend(eqs.values())
-            self._center = kernel_basis(rows, ncols=n)
+            self._center = Subspace._trusted(kernel_rows(rows, n), n)
         return self._center
 
     def series(self) -> SeriesReport:
@@ -316,7 +314,7 @@ class LieAlgebra:
             raise ValueError("ideal lives in the wrong ambient space")
         if not self.bracket_subspaces(Subspace.full(n), ideal) <= ideal:
             raise NotAnIdeal("subspace is not closed under bracketing with L")
-        comp = [j for j in range(n) if j not in ideal.echelon]
+        comp = ideal.nonpivots()
         # D [x_i, x_j] modulo I over D is its projection, read in the
         # non-pivot columns
         den, adj = self._adjoint()

@@ -13,14 +13,16 @@ Conventions used throughout schurlab:
   structural comparison.  ``Subspace.rows`` materialises the canonical
   reduced row echelon basis (pivot entries 1) as tuples of Fractions.
 
-Elimination works on sparse integer rows: dicts {column: entry} that
-hold only the nonzero entries, so a row costs time in its nonzeros, not
-in the ambient dimension.  It is fraction-free in the Bareiss spirit:
-rows are scaled to primitive integer vectors and combined by integer
+Below the API edges every row is a sparse integer dict {column: entry}
+of its nonzero entries, so a row costs time in its nonzeros, not in the
+ambient dimension; ``SpanBuilder`` and ``kernel_rows`` take no other
+format.  Elimination is fraction-free in the Bareiss spirit: rows are
+scaled to primitive integer vectors and combined by integer
 cross-multiplication, dividing out the content when it grows, so
 intermediate entries stay small.  ``SpanBuilder`` holds the package's
-only elimination.  Fractions appear only at the API edges: ``rows``,
-``reduce``, ``coords`` and ``invert`` convert on the way in or out.
+only elimination.  Rational sequences become dict rows only at the API
+edges (``Subspace``, ``kernel_basis``, ``invert``), through one scaling
+helper; ``rows``, ``reduce`` and ``invert`` hand Fractions back.
 """
 
 from fractions import Fraction
@@ -61,25 +63,24 @@ def _primitive(row):
     return row
 
 
+def _scaled(vec):
+    """``(row, den)`` for a rational sequence: ``den`` is the lcm of its
+    denominators and ``row`` the sparse integer dict of ``den * vec``."""
+    fs = [frac(x) for x in vec]
+    den = lcm(*(f.denominator for f in fs))
+    row = {c: f.numerator * (den // f.denominator) for c, f in enumerate(fs) if f}
+    return row, den
+
+
 def int_row(vec):
-    """Scale a rational vector to a primitive integer row (same line),
-    returned as a list."""
-    fs = [x if isinstance(x, (int, Fraction)) else frac(x) for x in vec]
-    den = 1
-    for f in fs:
-        if f.denominator != 1:
-            den = lcm(den, f.denominator)
-    ints = [f.numerator * (den // f.denominator) for f in fs]
-    g = _content(ints)
-    if g > 1:
-        ints = [x // g for x in ints]
-    return ints
+    """The primitive integer row on the line of a rational sequence, as
+    a sparse dict {column: entry} of its nonzero entries."""
+    return _primitive(_scaled(vec)[0])
 
 
-def _sparse(vec):
-    """A fresh dict of the nonzero entries of a dict or a sequence."""
-    items = vec.items() if isinstance(vec, dict) else enumerate(vec)
-    return {c: x for c, x in items if x}
+def _sparse(row):
+    """A fresh dict of the nonzero entries of a dict row."""
+    return {c: x for c, x in row.items() if x}
 
 
 def _eliminate(row, prow, c):
@@ -114,7 +115,7 @@ def _reduce(rows, vec):
 
     ``rows`` maps each pivot to a sparse row whose least column it is,
     as ``SpanBuilder.rows`` and ``Subspace.echelon`` do; ``vec`` is a
-    dict or a sequence and is not changed.  Returns ``(residual,
+    dict row and is not changed.  Returns ``(residual,
     scale)`` with ``residual == scale * vec`` modulo the row space and
     ``scale`` a positive integer, so ``residual/scale`` depends linearly
     on ``vec``.  The residual is a dict of its nonzero entries in column
@@ -145,10 +146,10 @@ class SpanBuilder:
     {column: entry}: primitive, with a positive entry at the pivot, its
     least column.  It is the only elimination: every span, kernel, rank
     and inverse goes through it, and so do the gamma-image ranks.
-    Callers feed it integer rows, as sparse dicts or as dense sequences
-    (see ``int_row``), and extract a canonical ``Subspace`` at the end.
-    Each elimination step clears the least nonzero column of the
-    incoming row.
+    Callers feed it integer rows as sparse dicts {column: entry} (a
+    rational sequence becomes one through ``int_row``) and extract a
+    canonical ``Subspace`` at the end.  Each elimination step clears the
+    least nonzero column of the incoming row.
     """
 
     __slots__ = ("ambient", "rows")
@@ -162,7 +163,7 @@ class SpanBuilder:
         return len(self.rows)
 
     def add(self, vec) -> bool:
-        """Insert an integer row; return True if the rank grew."""
+        """Insert an integer dict row; return True if the rank grew."""
         row = _sparse(vec)
         rows = self.rows
         while row:
@@ -179,19 +180,9 @@ class SpanBuilder:
         return False
 
     def reduce(self, vec):
-        """Reduce an integer row against the current echelon rows.
-
-        Returns ``(residual, scale)`` as ``_reduce`` does; the residual
-        is a dict of its nonzero entries in column order when ``vec`` is
-        a dict, and a list like ``vec`` otherwise.
-        """
-        residual, scale = _reduce(self.rows, vec)
-        if isinstance(vec, dict):
-            return residual, scale
-        dense = [0] * len(vec)
-        for k, x in residual.items():
-            dense[k] = x
-        return dense, scale
+        """Reduce an integer dict row against the current echelon rows;
+        returns ``(residual, scale)`` as ``_reduce`` does."""
+        return _reduce(self.rows, vec)
 
     def contains(self, vec) -> bool:
         return not _reduce(self.rows, vec)[0]
@@ -293,21 +284,25 @@ class Subspace:
     def dim(self) -> int:
         return len(self.echelon)
 
+    def nonpivots(self):
+        """The columns outside the pivots, in increasing order: their
+        standard basis vectors map to the basis of every quotient by
+        this subspace in schurlab."""
+        echelon = self.echelon
+        return [j for j in range(self.ambient) if j not in echelon]
+
     def reduce(self, vec):
         """Canonical representative of vec modulo this subspace, zero at
-        every pivot; for a sparse integer dict vec, a dict of its nonzero
-        entries.  A dense vec is reduced scaled to integers."""
+        every pivot: for a sparse integer dict vec, a dict of its
+        nonzero Fraction entries; for a rational sequence, a tuple."""
         if isinstance(vec, dict):
             residual, scale = _reduce(self.echelon, vec)
             return {k: Fraction(x, scale) for k, x in residual.items()}
         if len(vec) != self.ambient:
             raise ValueError("vector/ambient mismatch")
-        fs = [frac(x) for x in vec]
-        den = lcm(*(f.denominator for f in fs))
-        ints = [f.numerator * (den // f.denominator) for f in fs]
-        residual, scale = _reduce(self.echelon, ints)
-        den *= scale
-        return tuple(Fraction(residual.get(k, 0), den) for k in range(len(fs)))
+        row, den = _scaled(vec)
+        residual = self.reduce(row)
+        return tuple(residual.get(k, _ZERO) / den for k in range(self.ambient))
 
     def contains(self, vec) -> bool:
         if len(vec) != self.ambient:
@@ -370,8 +365,8 @@ class Subspace:
 def kernel_rows(matrix, ncols):
     """The canonical basis of {x : A x = 0} as sparse integer rows.
 
-    The rows of A are sequences of ``ncols`` rationals or sparse integer
-    dicts {column: entry}.  Each kernel row is a dict: primitive, its
+    The rows of A are sparse integer dicts {column: entry} with columns
+    below ``ncols``.  Each kernel row is a dict: primitive, its
     pivot (least column) first with a positive entry, the other entries
     in column order.  Rows come in pivot order; dividing each by its
     pivot entry gives the canonical reduced echelon basis of the kernel.
@@ -390,10 +385,6 @@ def kernel_rows(matrix, ncols):
     builder = SpanBuilder(ncols)
     last = ncols - 1
     for r in matrix:
-        if not isinstance(r, dict):
-            if len(r) != ncols:
-                raise ValueError(f"row of length {len(r)} with {ncols} columns")
-            r = _sparse(int_row(r))
         builder.add({last - k: x for k, x in r.items()})
     pivots, reduced = builder.reduced()
     taken = set(pivots)
@@ -412,14 +403,17 @@ def kernel_rows(matrix, ncols):
 
 
 def kernel_basis(matrix, ncols=None) -> Subspace:
-    """The solution space {x : A x = 0} as a canonical Subspace, read
-    off one echelon by ``kernel_rows``."""
+    """The solution space {x : A x = 0} of a rational matrix as a
+    canonical Subspace, read off one echelon by ``kernel_rows``."""
     matrix = list(matrix)
     if ncols is None:
         if not matrix:
             raise ValueError("ncols required for an empty matrix")
         ncols = len(matrix[0])
-    return Subspace._trusted(kernel_rows(matrix, ncols), ncols)
+    for r in matrix:
+        if len(r) != ncols:
+            raise ValueError(f"row of length {len(r)} with {ncols} columns")
+    return Subspace._trusted(kernel_rows(map(int_row, matrix), ncols), ncols)
 
 
 def invert(matrix):

@@ -10,14 +10,14 @@ gamma_{c+2}(F) into [F, R], so R/[F,R] and F2/[F,R] are unchanged.
     L wedge L = F2 / [F,R]
     Z^(L)     = {z in L : [lift(z), F'] contained in [F',R']}
 
-Minimal generators are the standard basis vectors of L outside the
-pivot columns of L2's reduced echelon form, in index order, so R
-automatically lies inside F2.  Since R is an ideal, [F,R] is
-spanned by the brackets of R with the generators alone; and because
+Minimal generators are the standard basis vectors of L in the columns
+``L2.nonpivots()`` (``Subspace.nonpivots``, the quotient basis of
+L/L2), so R automatically lies inside F2.  Since R is an ideal, [F,R]
+is spanned by the brackets of R with the generators alone; and because
 every top-degree Hall word already lies in R, only the kernel rows
 supported below the top degree contribute.  For Z^, the Hall words
-outside the pivots of R's echelon lift a basis of L, so the presentation
-map is eliminated once.
+``R.nonpivots()`` lift a basis of L, so the presentation map is
+eliminated once.
 
 The closed forms bound_e1 and bound_e2 that multiplier_report quotes
 are defined here; bounds.py, which holds the paper's inequalities,
@@ -139,8 +139,7 @@ def present_minimal(L: LieAlgebra) -> Presentation:
     m = rep.derived_dim
     c = rep.nilpotency_class
     d = n - m
-    derived = L.derived_subspace()
-    complement = [i for i in range(n) if i not in derived.echelon]
+    complement = L.derived_subspace().nonpivots()
     free = free_nilpotent_algebra(d, c + 1)
     big = free.dim
 
@@ -227,11 +226,11 @@ def exterior_center(L: LieAlgebra) -> Subspace:
     on the degree of w using the Jacobi identity and the fact that
     [F,R] is an ideal.
 
-    The lifts are the n Hall words outside the pivots of R's echelon:
-    no nonzero vector supported on them lies in R, so their images
-    under pi are a basis of L.  Any other lift choice gives the same
-    Z^: two lifts of one element differ by some r in R, and [r, g]
-    lies in [F,R].  The kernel, in coordinates over those words, is
+    The lifts are the n Hall words ``pres.r.nonpivots()``, outside the
+    pivots of R's echelon: no nonzero vector supported on them lies in
+    R, so their images under pi are a basis of L.  Any other lift
+    choice gives the same Z^: two lifts of one element differ by some r
+    in R, and [r, g] lies in [F,R].  The kernel, in coordinates over those words, is
     mapped through their columns of ``pi_rows`` (all scaled by D^c,
     which changes no span).
     """
@@ -242,32 +241,27 @@ def exterior_center(L: LieAlgebra) -> Subspace:
         return pres._exterior_center
     n = L.dim
     free = pres.free
-    pivots = {next(iter(row)) for row in pres.r_rows}
-    words = [q for q in range(free.dim) if q not in pivots]
+    words = pres.r.nonpivots()
     constraints = []
     for j in range(free.generators):
-        residuals = []
-        scales = []
-        for q in words:
-            residual, scale = pres._fr_builder.reduce(free.product(j, q))
-            residuals.append(residual)
-            scales.append(scale)
-        # residuals[t] / scales[t] is the residual of [x_j, words[t]];
-        # bring the n columns to one denominator so the rows are integer
-        common = lcm(*scales)
-        factors = [common // s for s in scales]
-        for idx in sorted(set().union(*residuals)):
-            constraints.append(
-                [res.get(idx, 0) * f for res, f in zip(residuals, factors)]
-            )
+        # residual / scale of reduced[t] is the residual of [x_j, words[t]];
+        # one row per free word idx over the n lift columns t, brought to
+        # one denominator so the rows are integer
+        reduced = [pres._fr_builder.reduce(free.product(j, q)) for q in words]
+        common = lcm(*(scale for _, scale in reduced))
+        rows = {}
+        for t, (residual, scale) in enumerate(reduced):
+            for idx, x in residual.items():
+                rows.setdefault(idx, {})[t] = x * (common // scale)
+        constraints.extend(rows[idx] for idx in sorted(rows))
     # a kernel row a gives sum_t a_t pi(words[t]), scaled by D^c
     span = SpanBuilder(n)
     for row in kernel_rows(constraints, n):
         span.add(
-            [
-                sum(a * pi_k.get(words[t], 0) for t, a in row.items())
-                for pi_k in pres.pi_rows
-            ]
+            {
+                k: sum(a * pi_k.get(words[t], 0) for t, a in row.items())
+                for k, pi_k in enumerate(pres.pi_rows)
+            }
         )
     pres._exterior_center = span.subspace()
     return pres._exterior_center

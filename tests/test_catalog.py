@@ -96,11 +96,14 @@ def test_enumerate_shape_and_determinism(catalog6):
     assert all(algebra.dim <= 6 for _, algebra in catalog6)
 
 
-def test_enumerate_respects_eps_samples():
-    entries = enumerate_catalog(6, eps_samples=(Fraction(3),))
-    names = [name for name, _ in entries]
-    assert "L6_22(3)" in names
-    assert "L6_22(0)" not in names
+def test_enumerate_lists_the_eps_samples():
+    names = [name for name, _ in enumerate_catalog(6)]
+    assert [name for name in names if name.startswith("L6_22")] == [
+        "L6_22(0)",
+        "L6_22(1)",
+        "L6_22(-1)",
+        "L6_22(1/2)",
+    ]
 
 
 def test_enumerate_caps():

@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -457,6 +458,61 @@ PUBLIC_NAMES = [
     "witt_dim",
 ]
 
+# The parameter names of every public callable whose signature
+# ``inspect`` can read (the exception classes without their own
+# ``__init__`` have none), so that a new knob shows up as a pin change.
+PUBLIC_PARAMETERS = {
+    "DslError": ["message", "line"],
+    "DslSyntaxError": ["message", "line"],
+    "DuplicateInconsistentBracket": ["message", "line"],
+    "FreeNilpotentAlgebra": ["d", "s"],
+    "GammaImages": ["args", "kwargs"],
+    "GaneaReport": ["args", "kwargs"],
+    "HallWord": ["args", "kwargs"],
+    "JacobiViolation": ["triple", "residual"],
+    "LieAlgebra": ["dim", "brackets", "name"],
+    "MultiplierReport": ["args", "kwargs"],
+    "Presentation": ["free", "pi_rows", "r_rows", "fr_builder"],
+    "Quotient": ["args", "kwargs"],
+    "SeriesReport": ["args", "kwargs"],
+    "SpanBuilder": ["ambient"],
+    "Subspace": ["vectors", "ambient"],
+    "SweepRow": ["args", "kwargs"],
+    "TheoremReport": ["args", "kwargs"],
+    "UnknownGenerator": ["message", "line"],
+    "abelian": ["n"],
+    "attains_e2": ["L"],
+    "bound_e1": ["n", "m"],
+    "bound_e2": ["n", "m", "c"],
+    "catalog_get": ["name", "params"],
+    "check_theorem_2_1": ["L", "K"],
+    "check_theorem_2_2": ["L"],
+    "check_theorem_2_5": ["L"],
+    "check_theorem_2_6": ["L"],
+    "check_theorem_3_7": ["max_dim"],
+    "classification_sweep": ["max_dim"],
+    "direct_sum": ["a", "b", "name"],
+    "enumerate_catalog": ["max_dim"],
+    "exterior_center": ["L"],
+    "exterior_square_dim": ["L"],
+    "format_presentation": ["L", "name"],
+    "free_nilpotent_algebra": ["d", "s"],
+    "gamma_images": ["L"],
+    "ganea_dimension_check": ["L", "line"],
+    "hall_basis": ["d", "s"],
+    "heisenberg": ["m"],
+    "is_capable": ["L"],
+    "kernel_basis": ["matrix", "ncols"],
+    "multiplier_report": ["L"],
+    "parse_presentation": ["text"],
+    "present_minimal": ["L"],
+    "scan_theorem_2_9": ["max_dim"],
+    "schur_multiplier": ["L"],
+    "schur_multiplier_dim": ["L"],
+    "verify_catalog": [],
+    "witt_dim": ["d", "k"],
+}
+
 SOURCE_OPTIONS = ["--file", "--format", "--help", "--name", "--param", "-h"]
 SUBCOMMAND_OPTIONS = {
     "info": SOURCE_OPTIONS,
@@ -479,3 +535,14 @@ def test_public_surface_pinned():
         for name, p in sub.choices.items()
     }
     assert options == SUBCOMMAND_OPTIONS
+
+
+def test_public_parameters_pinned():
+    parameters = {}
+    for name in schurlab.__all__:
+        try:
+            signature = inspect.signature(getattr(schurlab, name))
+        except (TypeError, ValueError):
+            continue
+        parameters[name] = list(signature.parameters)
+    assert parameters == PUBLIC_PARAMETERS

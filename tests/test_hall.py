@@ -66,14 +66,12 @@ def test_hall_word_structure():
 
 
 def test_resource_cap():
-    with pytest.raises(ResourceCapExceeded):
-        hall_basis(5, 5, cap=100)
-    with pytest.raises(ResourceCapExceeded):
-        free_nilpotent_algebra(5, 5, cap=100)
-    # the cap applies even when a larger-cap instance is cached
-    free_nilpotent_algebra(2, 3)
-    with pytest.raises(ResourceCapExceeded):
-        free_nilpotent_algebra(2, 3, cap=2)
+    # F(5, 7) needs 14,569 Hall words, past the cap of 5000
+    assert sum(witt_dim(5, k) for k in range(1, 8)) == 14569
+    for build in (hall_basis, free_nilpotent_algebra, FreeNilpotentAlgebra):
+        with pytest.raises(ResourceCapExceeded) as info:
+            build(5, 7)
+        assert "needs 14569 basis words (cap 5000)" in str(info.value)
 
 
 def test_free_algebra_satisfies_jacobi():

@@ -36,6 +36,12 @@ def test_constructor_normalizes_and_rejects():
     LieAlgebra(3, {(0, 1): {2: 1}, (1, 0): {2: -1}})
 
 
+def test_negative_dimension_is_rejected():
+    with pytest.raises(ValueError, match="non-negative"):
+        LieAlgebra(-1, {})
+    assert LieAlgebra(0, {}).series().min_generators == 0
+
+
 vectors5 = st.lists(
     st.fractions(min_value=-2, max_value=2, max_denominator=2),
     min_size=5,

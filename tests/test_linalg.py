@@ -39,8 +39,9 @@ def test_frac_rejects_floats():
 
 def test_int_row_primitive():
     row = [Fraction(1, 2), Fraction(-3, 4), Fraction(0)]
-    assert int_row(row) == [2, -3, 0]
-    assert int_row([Fraction(0)] * 3) == [0, 0, 0]
+    assert int_row(row) == {0: 2, 1: -3}
+    assert int_row([Fraction(0)] * 3) == {}
+    assert int_row([4, "6", 0, -2]) == {0: 2, 1: 3, 3: -1}
 
 
 def test_subspace_canonical_equality():
@@ -76,6 +77,13 @@ def test_subspace_canonical_equality():
     assert all(type(x) is Fraction for row in c.rows for x in row)
 
 
+def test_nonpivots_complement_the_pivots():
+    assert Subspace([[1, 1]], 2).nonpivots() == [1]
+    assert Subspace([[0, 2, 1, 0], [0, 0, 1, 1]], 4).nonpivots() == [0, 3]
+    assert Subspace.zero(3).nonpivots() == [0, 1, 2]
+    assert Subspace.full(3).nonpivots() == []
+
+
 def test_subspace_reduce_contains_coords():
     s = Subspace([[1, 0, 2], [0, 1, -1]], 3)
     assert s.contains([1, 1, 1])
@@ -104,6 +112,10 @@ def test_subspace_reduce_contains_coords():
             diff = [x - r for x, r in zip(vec, residual)]
             assert _sympy_rank(rows + [diff], 5) == sub.dim
             assert sub.reduce([str(x) for x in vec]) == residual
+            # an integer dict goes through the same reduction
+            ints = [rng.randint(-4, 4) for _ in range(5)]
+            want = {k: x for k, x in enumerate(sub.reduce(ints)) if x}
+            assert sub.reduce({k: x for k, x in enumerate(ints)}) == want
     with pytest.raises(ValueError):
         s.reduce([1, 0])
 
@@ -210,21 +222,23 @@ def test_kernel_basis_is_canonical_examples():
 
 def test_spanbuilder_integer_reduce_linearity():
     builder = SpanBuilder(3)
-    builder.add([2, 4, 0])
-    builder.add([0, 0, 3])
-    residual, scale = builder.reduce([1, 3, 5])
+    builder.add({0: 2, 1: 4, 2: 0})
+    builder.add({2: 3})
+    vec = {0: 1, 1: 3, 2: 5}
+    residual, scale = builder.reduce(vec)
     assert scale > 0
     # residual == scale * vec modulo the span
-    check = [scale * x - r for x, r in zip([1, 3, 5], residual)]
-    assert builder.contains([Fraction(c) for c in check])
+    check = {k: scale * x - residual.get(k, 0) for k, x in vec.items()}
+    assert builder.contains(check)
     assert builder.subspace() == Subspace([[1, 2, 0], [0, 0, 1]], 3)
 
 
 def test_spanbuilder_add_reports_novelty():
     builder = SpanBuilder(2)
-    assert builder.add([1, 1])
-    assert not builder.add([2, 2])
-    assert builder.add([1, 0])
+    assert builder.add({0: 1, 1: 1})
+    assert not builder.add({0: 2, 1: 2})
+    assert not builder.add({0: 0, 1: 0})
+    assert builder.add({0: 1, 1: 0})
     assert builder.rank == 2
 
 
@@ -264,16 +278,16 @@ def _sympy_rank(rows, n):
 
 @given(_spanbuilder_case())
 @settings(max_examples=150, deadline=None)
-def test_spanbuilder_sparse_and_dense_agree(case):
-    # rows fed as lists and as dicts (with explicit zero entries when
-    # ``keep_zeros``) give the same echelon, which is sympy's RREF
+def test_spanbuilder_dict_rows_match_sympy(case):
+    # dict rows (with explicit zero entries when ``keep_zeros``) give
+    # sympy's rank and RREF; reduce and contains agree with sympy's ranks
     n, rows, vecs, keep_zeros = case
-    dense, sparse = SpanBuilder(n), SpanBuilder(n)
-    for row in rows:
-        assert dense.add(row) == sparse.add(_as_dict(row, keep_zeros))
-    assert dense.rank == sparse.rank == _sympy_rank(rows, n)
-    assert dense.rows == sparse.rows
-    for pivot, row in dense.rows.items():
+    builder = SpanBuilder(n)
+    for i, row in enumerate(rows):
+        grew = _sympy_rank(rows[: i + 1], n) > _sympy_rank(rows[:i], n)
+        assert builder.add(_as_dict(row, keep_zeros)) == grew
+    assert builder.rank == _sympy_rank(rows, n)
+    for pivot, row in builder.rows.items():
         assert min(row) == pivot and row[pivot] > 0
         assert all(row.values())
         assert gcd(*row.values()) == 1
@@ -281,25 +295,26 @@ def test_spanbuilder_sparse_and_dense_agree(case):
         rref, _ = Matrix(rows).rref()
         want = tuple(
             tuple(Fraction(int(x.p), int(x.q)) for x in rref.row(i))
-            for i in range(dense.rank)
+            for i in range(builder.rank)
         )
     else:
         want = ()
-    assert dense.subspace().rows == sparse.subspace().rows == want
+    assert builder.subspace().rows == want
 
-    rank = dense.rank
+    rank = builder.rank
     for vec in vecs:
-        residual, scale = dense.reduce(vec)
-        sparse_residual, sparse_scale = sparse.reduce(_as_dict(vec, keep_zeros))
-        assert isinstance(residual, list) and len(residual) == n
-        assert sparse_residual == {c: x for c, x in enumerate(residual) if x}
-        assert scale == sparse_scale and scale > 0
+        row = _as_dict(vec, keep_zeros)
+        residual, scale = builder.reduce(row)
+        assert row == _as_dict(vec, keep_zeros)  # the input is not changed
+        # only nonzero entries, in column order
+        assert all(residual.values()) and list(residual) == sorted(residual)
+        assert scale > 0
         inside = _sympy_rank(rows + [vec], n) == rank
-        assert (not any(residual)) == inside == dense.contains(vec)
+        assert (not residual) == inside == builder.contains(row)
         # residual == scale * vec modulo the span
-        diff = [scale * x - r for x, r in zip(vec, residual)]
+        diff = [scale * x - residual.get(c, 0) for c, x in enumerate(vec)]
         assert _sympy_rank(rows + [diff], n) == rank
-        assert not any(residual[p] for p in dense.rows)
+        assert not any(p in residual for p in builder.rows)
 
 
 def test_invert_roundtrip_and_singular():
