@@ -23,7 +23,7 @@ _EXPORTS = {
         "GammaImages", "SweepRow", "TheoremReport", "attains_e2",
         "check_theorem_2_1", "check_theorem_2_2", "check_theorem_2_5",
         "check_theorem_2_6", "check_theorem_3_7", "classification_sweep",
-        "gamma_images", "scan_theorem_2_9",
+        "gamma_images", "run_checks", "scan_theorem_2_9",
     ),
     "catalog": (
         "abelian", "catalog_get", "enumerate_catalog", "heisenberg",

@@ -18,8 +18,9 @@ to the images of the trilinear map
 
     gamma(x, y, z) = [x,y] (x) z + [z,x] (x) y + [y,z] (x) x
 
-(values in L2/L3 tensor L/L2, and the primed variants on L/Z(L)L2)
-and run consistency scans over the built-in catalog.
+(values in L2/L3 tensor L/L2, and the primed variants on L/Z(L)L2),
+and ``run_checks`` runs them and the paper's scans, each from one
+entry of the table THEOREMS, over any source of (name, algebra) pairs.
 """
 
 from itertools import chain, combinations
@@ -188,10 +189,10 @@ def check_theorem_2_2(L: LieAlgebra) -> TheoremReport:
     """dim M(L) <= m when dim L >= 4 and L2 has codimension 2."""
     rep = L.series()
     n, m = L.dim, rep.derived_dim
-    if m != n - 2:
-        raise ValueError("applies only when the derived subalgebra has codimension 2")
-    if n < 4:
-        raise ValueError("applies only in dimension at least 4")
+    if not THEOREMS["2.2"][0](n, m, rep.nilpotency_class):
+        raise ValueError(
+            "applies only in dimension at least 4 with L2 of codimension 2"
+        )
     dim_m = schur_multiplier_dim(L)
     return TheoremReport(
         theorem="codimension-2 derived subalgebra bound",
@@ -209,7 +210,7 @@ def check_theorem_2_5(L: LieAlgebra) -> TheoremReport:
     """
     rep = L.series()
     n, m = L.dim, rep.derived_dim
-    if m == 0:
+    if not THEOREMS["2.5"][0](n, m, rep.nilpotency_class):
         raise ValueError("applies to non-abelian algebras only")
     images = gamma_images(L)
     gammas = L.lower_central_series()
@@ -241,7 +242,7 @@ def check_theorem_2_6(L: LieAlgebra) -> TheoremReport:
     """
     rep = L.series()
     n, m = L.dim, rep.derived_dim
-    if rep.nilpotency_class != 3:
+    if not THEOREMS["2.6"][0](n, m, rep.nilpotency_class):
         raise ValueError("applies to algebras of class exactly 3")
     images = gamma_images(L)
     g3 = L.lower_central_series()[2].dim
@@ -266,45 +267,83 @@ def check_theorem_2_6(L: LieAlgebra) -> TheoremReport:
     )
 
 
+# Theorem id -> (applies, check), in the order ``run_checks`` reports
+# them.  ``applies`` reads the invariants (n, m, c) = (dim L, dim L2,
+# class); a nilpotent L has Z(L) != 0 exactly when n > 0.  A callable
+# ``check`` gives one report per applicable algebra.  A scan's check is
+# (title, noted, outcome): outcome(n, m, c, dim M) names the witness
+# list an applicable algebra joins, "violations" or ``noted``, or is
+# falsy, and the scan reports the number of violations.
+THEOREMS = {
+    "2.1": (lambda n, m, c: n > 0, lambda L: check_theorem_2_1(L, L.center())),
+    "2.2": (lambda n, m, c: m == n - 2 and n >= 4, check_theorem_2_2),
+    "2.5": (lambda n, m, c: m > 0, check_theorem_2_5),
+    "2.6": (lambda n, m, c: c == 3, check_theorem_2_6),
+    "2.9": (
+        lambda n, m, c: m == 3,
+        (
+            "multiplier gap for m = 3",
+            "class_two_matches",
+            lambda n, m, c, dim_m: dim_m == (n - 1) * (n - 2) // 2 - 2
+            and ("violations" if c >= 3 else "class_two_matches"),
+        ),
+    ),
+    "3.7": (
+        lambda n, m, c: m > 0 and c >= 3,
+        (
+            "strict refinement for class >= 3",
+            "equality_witnesses",
+            lambda n, m, c, dim_m: (
+                "violations" if dim_m >= bound_e2(n, m, c)
+                else dim_m == bound_e2(n, m, c) - 1 and "equality_witnesses"
+            ),
+        ),
+    ),
+}
+
+
+def run_checks(entries, theorem: str, source: str) -> list[TheoremReport]:
+    """Run the theorem ``theorem`` (an id of THEOREMS, or "all" for
+    each in table order) over ``entries``, any iterable of (name,
+    algebra) pairs.  Returns one report per applicable algebra, or one
+    per scan, whose ``instance`` is ``source`` and whose witnesses list
+    the entries by name."""
+    if theorem != "all" and theorem not in THEOREMS:
+        raise ValueError(f"unknown theorem {theorem!r}")
+    rows = []
+    for name, L in entries:
+        rep = L.series()
+        rows.append((name, L, (L.dim, rep.derived_dim, rep.nilpotency_class)))
+    reports = []
+    for key, (applies, check) in THEOREMS.items():
+        if theorem not in (key, "all"):
+            continue
+        applicable = [row for row in rows if applies(*row[2])]
+        if callable(check):
+            reports += [check(L) for _, L, _ in applicable]
+            continue
+        title, noted, outcome = check
+        witnesses = {"checked": [], "violations": [], noted: []}
+        for name, L, invariants in applicable:
+            witnesses["checked"].append(name)
+            joins = outcome(*invariants, schur_multiplier_dim(L))
+            if joins:
+                witnesses[joins].append(name)
+        violations = len(witnesses["violations"])
+        reports.append(
+            TheoremReport(title, source, violations, 0, not violations, witnesses)
+        )
+    return reports
+
+
 def scan_theorem_2_9(max_dim: int = 6) -> TheoremReport:
     """Scan the catalog: no algebra of class >= 3 with m = 3 has
     dim M(L) = (n-1)(n-2)/2 - 2.  Class-2 algebras hitting that value
     are recorded for information but are not violations."""
     from .catalog import enumerate_catalog
 
-    return _scan_theorem_2_9(enumerate_catalog(max_dim), max_dim)
-
-
-def _scan_theorem_2_9(entries, max_dim):
-    """``scan_theorem_2_9`` over the catalog entries up to ``max_dim``."""
-    checked = []
-    violations = []
-    class_two = []
-    for name, algebra in entries:
-        rep = algebra.series()
-        if rep.derived_dim != 3:
-            continue
-        n = algebra.dim
-        target = (n - 1) * (n - 2) // 2 - 2
-        dim_m = schur_multiplier_dim(algebra)
-        checked.append(name)
-        if dim_m == target:
-            if rep.nilpotency_class >= 3:
-                violations.append(name)
-            else:
-                class_two.append(name)
-    return TheoremReport(
-        theorem="multiplier gap for m = 3",
-        instance=f"catalog up to dimension {max_dim}",
-        lhs=len(violations),
-        rhs=0,
-        holds=not violations,
-        witnesses={
-            "checked": checked,
-            "violations": violations,
-            "class_two_matches": class_two,
-        },
-    )
+    source = f"catalog up to dimension {max_dim}"
+    return run_checks(enumerate_catalog(max_dim), "2.9", source)[0]
 
 
 def check_theorem_3_7(max_dim: int = 6) -> TheoremReport:
@@ -312,37 +351,8 @@ def check_theorem_3_7(max_dim: int = 6) -> TheoremReport:
     dim M(L) <= bound_e2 - 1; the equality witnesses are recorded."""
     from .catalog import enumerate_catalog
 
-    return _check_theorem_3_7(enumerate_catalog(max_dim), max_dim)
-
-
-def _check_theorem_3_7(entries, max_dim):
-    """``check_theorem_3_7`` over the catalog entries up to ``max_dim``."""
-    checked = []
-    violations = []
-    equality = []
-    for name, algebra in entries:
-        rep = algebra.series()
-        if rep.derived_dim == 0 or rep.nilpotency_class < 3:
-            continue
-        bound = bound_e2(algebra.dim, rep.derived_dim, rep.nilpotency_class)
-        dim_m = schur_multiplier_dim(algebra)
-        checked.append(name)
-        if dim_m > bound - 1:
-            violations.append(name)
-        if dim_m == bound - 1:
-            equality.append(name)
-    return TheoremReport(
-        theorem="strict refinement for class >= 3",
-        instance=f"catalog up to dimension {max_dim}",
-        lhs=len(violations),
-        rhs=0,
-        holds=not violations,
-        witnesses={
-            "checked": checked,
-            "violations": violations,
-            "equality_witnesses": equality,
-        },
-    )
+    source = f"catalog up to dimension {max_dim}"
+    return run_checks(enumerate_catalog(max_dim), "3.7", source)[0]
 
 
 class SweepRow(Record):
@@ -365,11 +375,11 @@ def _sweep_row(name, n, m, c, dim_m):
         return SweepRow(name, n, m, c, dim_m, None, False)
     bound = bound_e2(n, m, c)
     attains = dim_m == bound
-    if c >= 3 and dim_m > bound - 1:
+    if THEOREMS["3.7"][0](n, m, c) and dim_m > bound - 1:
         raise InvariantMismatch(
             f"{name}: class {c} >= 3 but dim M = {dim_m} exceeds {bound} - 1"
         )
-    if m == n - 2 and n >= 4 and attains:
+    if THEOREMS["2.2"][0](n, m, c) and attains:
         raise InvariantMismatch(
             f"{name}: codimension-2 derived subalgebra attains the bound"
         )

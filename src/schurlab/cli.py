@@ -195,46 +195,15 @@ def cmd_sweep(args):
     return 0
 
 
-def _run_checks(theorem, max_dim):
-    from .bounds import (
-        _check_theorem_3_7,
-        _scan_theorem_2_9,
-        check_theorem_2_1,
-        check_theorem_2_2,
-        check_theorem_2_5,
-        check_theorem_2_6,
-    )
+def cmd_check(args):
+    from .bounds import run_checks
     from .catalog import enumerate_catalog
 
-    entries = enumerate_catalog(max_dim)
-    reports = []
-    if theorem in ("2.1", "all"):
-        for name, algebra in entries:
-            center = algebra.center()
-            if center.dim:
-                reports.append(check_theorem_2_1(algebra, center))
-    if theorem in ("2.2", "all"):
-        for name, algebra in entries:
-            rep = algebra.series()
-            if rep.derived_dim == algebra.dim - 2 and algebra.dim >= 4:
-                reports.append(check_theorem_2_2(algebra))
-    if theorem in ("2.5", "all"):
-        for name, algebra in entries:
-            if algebra.series().derived_dim:
-                reports.append(check_theorem_2_5(algebra))
-    if theorem in ("2.6", "all"):
-        for name, algebra in entries:
-            if algebra.series().nilpotency_class == 3:
-                reports.append(check_theorem_2_6(algebra))
-    if theorem in ("2.9", "all"):
-        reports.append(_scan_theorem_2_9(entries, max_dim))
-    if theorem in ("3.7", "all"):
-        reports.append(_check_theorem_3_7(entries, max_dim))
-    return reports
-
-
-def cmd_check(args):
-    reports = _run_checks(args.theorem, args.max_dim)
+    reports = run_checks(
+        enumerate_catalog(args.max_dim),
+        args.theorem,
+        f"catalog up to dimension {args.max_dim}",
+    )
     doc = {
         "schema_version": SCHEMA_VERSION,
         "theorem": args.theorem,
@@ -284,6 +253,8 @@ def build_parser():
     p.set_defaults(handler=cmd_sweep)
 
     p = sub.add_parser("check", help="verify theorem inequalities on the catalog")
+    # the ids of bounds.THEOREMS, spelled out so that building the
+    # parser does not load the theorem module
     p.add_argument(
         "--theorem",
         choices=("2.1", "2.2", "2.5", "2.6", "2.9", "3.7", "all"),

@@ -14,6 +14,7 @@ from schurlab.bounds import (
     check_theorem_3_7,
     classification_sweep,
     gamma_images,
+    run_checks,
     scan_theorem_2_9,
     SweepRow,
 )
@@ -214,6 +215,44 @@ def test_theorem_3_7_witnesses():
         "L5_7",
         "L5_9",
     ]
+
+
+def test_run_checks_on_any_source(catalog6):
+    """run_checks reads only the pairs it is given: seeded basis
+    changes of the catalog, under the catalog names, give the catalog's
+    reports.  ``instance`` is left out, since a per-algebra report reads
+    it from L.name, which change_basis drops."""
+    rng = random.Random(16)
+    moved = [(name, random_basis_change(L, rng)) for name, L in catalog6]
+    fields = ("theorem", "lhs", "rhs", "holds", "witnesses")
+    want = run_checks(catalog6, "all", "catalog up to dimension 6")
+    got = run_checks(moved, "all", "moved catalog")
+    assert len(got) == len(want) == 62
+    for g, w in zip(got, want):
+        assert [getattr(g, f) for f in fields] == [getattr(w, f) for f in fields]
+    with pytest.raises(ValueError):
+        run_checks(catalog6, "2.7", "catalog up to dimension 6")
+
+
+def test_scans_count_violations(monkeypatch):
+    """No catalog entry violates a scan, so dim M is raised here to each
+    scan's limit: e2 for 3.7, (n-1)(n-2)/2 - 2 at class >= 3 for 2.9."""
+    import schurlab.bounds
+
+    dims = {"L4_3": 3, "L5_7": 3, "L5_9": 4, "L6_26": 8}
+    monkeypatch.setattr(
+        schurlab.bounds, "schur_multiplier_dim", lambda L: dims[L.name]
+    )
+    entries = [(name, catalog_get(name)) for name in dims]
+    (scan_3_7,) = run_checks(entries, "3.7", "four entries")
+    assert scan_3_7.witnesses["violations"] == ["L4_3", "L5_9"]
+    assert scan_3_7.witnesses["equality_witnesses"] == ["L5_7"]
+    assert (scan_3_7.lhs, scan_3_7.holds) == (2, False)
+    (scan_2_9,) = run_checks(entries, "2.9", "four entries")
+    assert scan_2_9.witnesses["checked"] == ["L5_7", "L5_9", "L6_26"]
+    assert scan_2_9.witnesses["violations"] == ["L5_9"]
+    assert scan_2_9.witnesses["class_two_matches"] == ["L6_26"]
+    assert (scan_2_9.lhs, scan_2_9.holds) == (1, False)
 
 
 def test_sweep_small():

@@ -302,6 +302,36 @@ def test_check_single_theorem(capsys):
     assert doc["reports"][0]["witnesses"]["class_two_matches"] == ["L6_26"]
 
 
+def test_check_each_theorem_adds_up_to_all(capsys):
+    from schurlab.bounds import THEOREMS
+
+    def reports(theorem):
+        code, out, _ = run_cli(
+            capsys, "check", "--theorem", theorem, "--max-dim", "5",
+            "--format", "json",
+        )
+        assert code == 0
+        return json.loads(out)["reports"]
+
+    each = [report for theorem in THEOREMS for report in reports(theorem)]
+    assert each == reports("all")
+
+
+def test_theorem_choices_are_the_table_ids():
+    # The parser spells the ids out: reading them from the table would
+    # load the theorem module for every subcommand.
+    from schurlab.bounds import THEOREMS
+
+    (sub,) = [
+        a for a in build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    ]
+    (theorem,) = [
+        a for a in sub.choices["check"]._actions if a.dest == "theorem"
+    ]
+    assert tuple(theorem.choices) == (*THEOREMS, "all")
+
+
 def _child(args, log=None, cwd=None):
     """Run ``python ARGS`` with schurlab importable and SCHURLAB_LOG set
     to ``log`` (unset when None).  The child finds the package where
@@ -451,6 +481,7 @@ PUBLIC_NAMES = [
     "multiplier_report",
     "parse_presentation",
     "present_minimal",
+    "run_checks",
     "scan_theorem_2_9",
     "schur_multiplier",
     "schur_multiplier_dim",
@@ -506,6 +537,7 @@ PUBLIC_PARAMETERS = {
     "multiplier_report": ["L"],
     "parse_presentation": ["text"],
     "present_minimal": ["L"],
+    "run_checks": ["entries", "theorem", "source"],
     "scan_theorem_2_9": ["max_dim"],
     "schur_multiplier": ["L"],
     "schur_multiplier_dim": ["L"],
