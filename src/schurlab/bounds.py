@@ -37,13 +37,18 @@ from .multiplier import (
 )
 
 
+def _invariants(L):
+    """(n, m, c) = (dim L, dim L2, class), the invariants THEOREMS reads."""
+    rep = L.series()
+    return L.dim, rep.derived_dim, rep.nilpotency_class
+
+
 def attains_e2(L: LieAlgebra) -> bool:
     """Whether dim M(L) equals bound_e2(n, m, c)."""
-    rep = L.series()
-    if rep.derived_dim == 0:
+    n, m, c = _invariants(L)
+    if m == 0:
         raise ValueError("the bound applies to non-abelian algebras only")
-    bound = bound_e2(L.dim, rep.derived_dim, rep.nilpotency_class)
-    return schur_multiplier_dim(L) == bound
+    return schur_multiplier_dim(L) == bound_e2(n, m, c)
 
 
 class GammaImages(Record):
@@ -158,6 +163,21 @@ def gamma_images(L: LieAlgebra) -> GammaImages:
     return L._gamma_images
 
 
+def _applicable(L, theorem, message):
+    """The invariants (n, m, c) of L; raises ValueError(message) unless
+    the theorem ``theorem`` of THEOREMS applies to L."""
+    invariants = _invariants(L)
+    if not THEOREMS[theorem][0](*invariants):
+        raise ValueError(message)
+    return invariants
+
+
+def _report(title, L, lhs, rhs, witnesses):
+    """The report of the inequality lhs <= rhs on L."""
+    name = L.name if L.name is not None else f"<algebra of dimension {L.dim}>"
+    return TheoremReport(title, name, lhs, rhs, lhs <= rhs, witnesses)
+
+
 def check_theorem_2_1(L: LieAlgebra, K: Subspace) -> TheoremReport:
     """For central K of dimension k:
 
@@ -168,69 +188,40 @@ def check_theorem_2_1(L: LieAlgebra, K: Subspace) -> TheoremReport:
         raise NotCentral("K must be a central subspace")
     k = K.dim
     quotient = L.quotient(K).algebra
-    q_rep = quotient.series()
+    q_n, q_m, _ = _invariants(quotient)
+    dim_m_quotient = schur_multiplier_dim(quotient)
     lhs = schur_multiplier_dim(L) + (L.derived_subspace() & K).dim
-    rhs = (
-        schur_multiplier_dim(quotient)
-        + k * (k - 1) // 2
-        + k * (quotient.dim - q_rep.derived_dim)
-    )
-    return TheoremReport(
-        theorem="central quotient bound",
-        instance=_name_of(L),
-        lhs=lhs,
-        rhs=rhs,
-        holds=lhs <= rhs,
-        witnesses={"k": k, "dim_M_quotient": schur_multiplier_dim(quotient)},
-    )
+    rhs = dim_m_quotient + k * (k - 1) // 2 + k * (q_n - q_m)
+    witnesses = {"k": k, "dim_M_quotient": dim_m_quotient}
+    return _report("central quotient bound", L, lhs, rhs, witnesses)
 
 
 def check_theorem_2_2(L: LieAlgebra) -> TheoremReport:
     """dim M(L) <= m when dim L >= 4 and L2 has codimension 2."""
-    rep = L.series()
-    n, m = L.dim, rep.derived_dim
-    if not THEOREMS["2.2"][0](n, m, rep.nilpotency_class):
-        raise ValueError(
-            "applies only in dimension at least 4 with L2 of codimension 2"
-        )
-    dim_m = schur_multiplier_dim(L)
-    return TheoremReport(
-        theorem="codimension-2 derived subalgebra bound",
-        instance=_name_of(L),
-        lhs=dim_m,
-        rhs=m,
-        holds=dim_m <= m,
-        witnesses={"n": n, "m": m},
+    n, m, _ = _applicable(
+        L, "2.2", "applies only in dimension at least 4 with L2 of codimension 2"
     )
+    title = "codimension-2 derived subalgebra bound"
+    return _report(title, L, schur_multiplier_dim(L), m, {"n": n, "m": m})
 
 
 def check_theorem_2_5(L: LieAlgebra) -> TheoremReport:
     """dim(L wedge L) + dim im(gamma')
         <= C(n-m, 2) + sum over i >= 2 of dim(g_i/g_{i+1}) * dim L/(Z(L)+L2).
+
+    The layers dim(g_i/g_{i+1}) add up to dim L2 = m, so the sum is
+    m * dim L/(Z(L)+L2).
     """
-    rep = L.series()
-    n, m = L.dim, rep.derived_dim
-    if not THEOREMS["2.5"][0](n, m, rep.nilpotency_class):
-        raise ValueError("applies to non-abelian algebras only")
-    images = gamma_images(L)
-    gammas = L.lower_central_series()
-    layer_sum = 0
+    n, m, _ = _applicable(L, "2.5", "applies to non-abelian algebras only")
+    wedge = exterior_square_dim(L)
+    prime2 = gamma_images(L).dim_im_gamma_prime2
     prime_width = n - (L.derived_subspace() + L.center()).dim
-    for i in range(1, len(gammas) - 1):
-        layer = gammas[i].dim - gammas[i + 1].dim
-        layer_sum += layer * prime_width
-    lhs = exterior_square_dim(L) + images.dim_im_gamma_prime2
-    rhs = comb(n - m, 2) + layer_sum
-    return TheoremReport(
-        theorem="exterior square bound via gamma'",
-        instance=_name_of(L),
-        lhs=lhs,
-        rhs=rhs,
-        holds=lhs <= rhs,
-        witnesses={
-            "dim_wedge": exterior_square_dim(L),
-            "dim_im_gamma_prime2": images.dim_im_gamma_prime2,
-        },
+    return _report(
+        "exterior square bound via gamma'",
+        L,
+        wedge + prime2,
+        comb(n - m, 2) + m * prime_width,
+        {"dim_wedge": wedge, "dim_im_gamma_prime2": prime2},
     )
 
 
@@ -240,30 +231,22 @@ def check_theorem_2_6(L: LieAlgebra) -> TheoremReport:
     dim(L wedge L) + dim im(gamma'_2) + dim im(gamma'_3)
         <= C(n-m, 2) + (m - g3)(n - m) + g3 (n - m),  g3 = dim L3.
     """
-    rep = L.series()
-    n, m = L.dim, rep.derived_dim
-    if not THEOREMS["2.6"][0](n, m, rep.nilpotency_class):
-        raise ValueError("applies to algebras of class exactly 3")
+    n, m, _ = _applicable(L, "2.6", "applies to algebras of class exactly 3")
+    wedge = exterior_square_dim(L)
     images = gamma_images(L)
     g3 = L.lower_central_series()[2].dim
-    lhs = (
-        exterior_square_dim(L)
-        + images.dim_im_gamma_prime2
-        + images.dim_im_gamma_prime3
-    )
-    rhs = comb(n - m, 2) + (m - g3) * (n - m) + g3 * (n - m)
-    return TheoremReport(
-        theorem="class-3 exterior square bound",
-        instance=_name_of(L),
-        lhs=lhs,
-        rhs=rhs,
-        holds=lhs <= rhs,
-        witnesses={
-            "dim_wedge": exterior_square_dim(L),
-            "dim_im_gamma_prime2": images.dim_im_gamma_prime2,
-            "dim_im_gamma_prime3": images.dim_im_gamma_prime3,
-            "g3": g3,
-        },
+    witnesses = {
+        "dim_wedge": wedge,
+        "dim_im_gamma_prime2": images.dim_im_gamma_prime2,
+        "dim_im_gamma_prime3": images.dim_im_gamma_prime3,
+        "g3": g3,
+    }
+    return _report(
+        "class-3 exterior square bound",
+        L,
+        wedge + images.dim_im_gamma_prime2 + images.dim_im_gamma_prime3,
+        comb(n - m, 2) + (m - g3) * (n - m) + g3 * (n - m),
+        witnesses,
     )
 
 
@@ -305,22 +288,23 @@ THEOREMS = {
 def run_checks(entries, theorem: str, source: str) -> list[TheoremReport]:
     """Run the theorem ``theorem`` (an id of THEOREMS, or "all" for
     each in table order) over ``entries``, any iterable of (name,
-    algebra) pairs.  Returns one report per applicable algebra, or one
-    per scan, whose ``instance`` is ``source`` and whose witnesses list
-    the entries by name."""
+    algebra) pairs.  Returns one report per applicable algebra, whose
+    ``instance`` is the name of its pair, or one per scan, whose
+    ``instance`` is ``source`` and whose witnesses list the entries by
+    name."""
     if theorem != "all" and theorem not in THEOREMS:
         raise ValueError(f"unknown theorem {theorem!r}")
-    rows = []
-    for name, L in entries:
-        rep = L.series()
-        rows.append((name, L, (L.dim, rep.derived_dim, rep.nilpotency_class)))
+    rows = [(name, L, _invariants(L)) for name, L in entries]
     reports = []
     for key, (applies, check) in THEOREMS.items():
         if theorem not in (key, "all"):
             continue
         applicable = [row for row in rows if applies(*row[2])]
         if callable(check):
-            reports += [check(L) for _, L, _ in applicable]
+            reports += [
+                TheoremReport(**{**vars(check(L)), "instance": name})
+                for name, L, _ in applicable
+            ]
             continue
         title, noted, outcome = check
         witnesses = {"checked": [], "violations": [], noted: []}
@@ -403,8 +387,7 @@ def classification_sweep(max_dim: int = 6):
 
     rows = []
     for base, extensions in _catalog_walk(max_dim):
-        rep = base.series()
-        n, m, c = base.dim, rep.derived_dim, rep.nilpotency_class
+        n, m, c = _invariants(base)
         dim_m = schur_multiplier_dim(base)
         rows.append(_sweep_row(base.name, n, m, c, dim_m))
         for k, name in extensions:
@@ -412,6 +395,3 @@ def classification_sweep(max_dim: int = 6):
             rows.append(_sweep_row(name, n + k, m, c, dim_sum))
     return rows
 
-
-def _name_of(L):
-    return L.name if L.name is not None else f"<algebra of dimension {L.dim}>"

@@ -238,12 +238,9 @@ def enumerate_catalog(max_dim: int):
     abelian extensions base+A(k).  The order is deterministic.
 
     ``classification_sweep`` reports its rows in this order but builds
-    no base+A(k): by the Kunneth formula
-    M(A + B) = M(A) + M(B) + (A/A2 (x) B/B2) (Batten, Moneyhun and
-    Stitzinger, Comm. Algebra 24 (1996)),
-    dim M(L + A(k)) = dim M(L) + C(k, 2) + k(n - m) for L of dimension n
-    with dim L2 = m.  Here every direct sum is built, for ``check``,
-    the scans and the tests.
+    no base+A(k); its docstring gives the Kunneth formula it uses
+    instead.  Here every direct sum is built, for ``check``, the scans
+    and the tests.
     """
     out = []
     for base, extensions in _catalog_walk(max_dim):

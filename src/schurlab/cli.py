@@ -81,12 +81,13 @@ def _emit_table(doc, indent):
 
 def _parse_param(text):
     name, sep, value = text.partition("=")
+    name = name.strip()
     if not sep or not name:
         raise argparse.ArgumentTypeError(
             f"expected NAME=VALUE, got {text!r}"
         )
     try:
-        return name.strip(), Fraction(value.strip())
+        return name, Fraction(value.strip())
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(
             f"invalid rational value in {text!r}"
@@ -121,10 +122,10 @@ def _fields(record, names=None):
     return {f: getattr(record, f) for f in names or record._fields}
 
 
-def _series_doc(algebra, identity):
+def cmd_info(args):
+    algebra, identity = _load_algebra(args)
     rep = algebra.series()
     return {
-        "schema_version": SCHEMA_VERSION,
         **identity,
         "n": algebra.dim,
         "m": rep.derived_dim,
@@ -133,12 +134,6 @@ def _series_doc(algebra, identity):
         "gamma_dims": list(rep.gamma_dims),
         "center_dim": rep.center_dim,
     }
-
-
-def cmd_info(args):
-    algebra, identity = _load_algebra(args)
-    _emit(_series_doc(algebra, identity), args.format)
-    return 0
 
 
 def _load_report(args):
@@ -150,49 +145,33 @@ def _load_report(args):
 
 def cmd_multiplier(args):
     report, identity = _load_report(args)
-    doc = {"schema_version": SCHEMA_VERSION, **identity, **_fields(report)}
-    _emit(doc, args.format)
-    return 0
+    return {**identity, **_fields(report)}
 
 
 def cmd_capable(args):
     report, identity = _load_report(args)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
+    return {
         **identity,
         "capable": report.capable,
         "dim_exterior_center": report.exterior_center.dim,
     }
-    _emit(doc, args.format)
-    return 0
 
 
 def cmd_bounds(args):
     report, identity = _load_report(args)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        **identity,
-        **_fields(
-            report,
-            ("n", "m", "c", "dim_M", "bound_e1", "bound_e2", "attains_e2"),
-        ),
-    }
-    _emit(doc, args.format)
-    return 0
+    names = ("n", "m", "c", "dim_M", "bound_e1", "bound_e2", "attains_e2")
+    return {**identity, **_fields(report, names)}
 
 
 def cmd_sweep(args):
     from .bounds import classification_sweep
 
     rows = classification_sweep(args.max_dim)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
+    return {
         "max_dim": args.max_dim,
         "entries": [_fields(row) for row in rows],
         "attainers": [row.name for row in rows if row.attains_e2],
     }
-    _emit(doc, args.format)
-    return 0
 
 
 def cmd_check(args):
@@ -204,15 +183,12 @@ def cmd_check(args):
         args.theorem,
         f"catalog up to dimension {args.max_dim}",
     )
-    doc = {
-        "schema_version": SCHEMA_VERSION,
+    return {
         "theorem": args.theorem,
         "max_dim": args.max_dim,
         "reports": [_fields(r) for r in reports],
         "all_hold": all(r.holds for r in reports),
     }
-    _emit(doc, args.format)
-    return 0 if doc["all_hold"] else 4
 
 
 def _add_source_args(parser):
@@ -277,7 +253,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        doc = {"schema_version": SCHEMA_VERSION, **args.handler(args)}
+        _emit(doc, args.format)
     except ResourceCapExceeded as exc:
         print(f"schurlab: {exc}", file=sys.stderr)
         return 3
@@ -290,6 +267,7 @@ def main(argv=None):
         # (--max-dim 0, H(0))
         print(f"schurlab: {exc}", file=sys.stderr)
         return 2
+    return 4 if doc.get("all_hold") is False else 0
 
 
 if __name__ == "__main__":

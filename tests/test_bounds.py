@@ -220,18 +220,17 @@ def test_theorem_3_7_witnesses():
 def test_run_checks_on_any_source(catalog6):
     """run_checks reads only the pairs it is given: seeded basis
     changes of the catalog, under the catalog names, give the catalog's
-    reports.  ``instance`` is left out, since a per-algebra report reads
-    it from L.name, which change_basis drops."""
+    reports, each per-algebra report named after its pair although
+    change_basis drops L.name."""
     rng = random.Random(16)
     moved = [(name, random_basis_change(L, rng)) for name, L in catalog6]
-    fields = ("theorem", "lhs", "rhs", "holds", "witnesses")
-    want = run_checks(catalog6, "all", "catalog up to dimension 6")
-    got = run_checks(moved, "all", "moved catalog")
+    source = "catalog up to dimension 6"
+    want = run_checks(catalog6, "all", source)
+    got = run_checks(moved, "all", source)
     assert len(got) == len(want) == 62
-    for g, w in zip(got, want):
-        assert [getattr(g, f) for f in fields] == [getattr(w, f) for f in fields]
+    assert got == want
     with pytest.raises(ValueError):
-        run_checks(catalog6, "2.7", "catalog up to dimension 6")
+        run_checks(catalog6, "2.7", source)
 
 
 def test_scans_count_violations(monkeypatch):

@@ -77,6 +77,18 @@ def test_check_json_golden_digest(capsys):
     )
 
 
+def test_check_max_dim_8_json_golden_digest(capsys):
+    # Pins the dimension 7 and 8 reports (L6_22(eps)+A(k), L5_7+A(3),
+    # ...), which the digest above stops short of.
+    code, out, _ = run_cli(
+        capsys, "check", "--theorem", "all", "--max-dim", "8", "--format", "json"
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "60e1050e1c7941f2be761e5b7c5269f22a332c157e46a04bc66045e30896a205"
+    )
+
+
 def test_sweep_json_golden_digest(capsys):
     # Pins the sweep output across versions, like the check digest above.
     code, out, _ = run_cli(
@@ -251,6 +263,38 @@ def test_exit_codes(tmp_path, capsys):
     assert code == 2 and err.startswith("schurlab: ") and "max_dim" in err
     code, _, err = run_cli(capsys, "check", "--max-dim", "-1")
     assert code == 2 and err.startswith("schurlab: ") and "max_dim" in err
+
+
+def test_failed_check_exits_4(monkeypatch, capsys):
+    # L4_3 is made to read its bound e2 = 3 (its dim M is 2), which the
+    # strict refinement for class >= 3 forbids; every other algebra
+    # keeps its value.
+    import schurlab.bounds
+
+    real = schurlab.bounds.schur_multiplier_dim
+    monkeypatch.setattr(
+        schurlab.bounds,
+        "schur_multiplier_dim",
+        lambda L: 3 if L.name == "L4_3" else real(L),
+    )
+    code, out, _ = run_cli(
+        capsys, "check", "--theorem", "3.7", "--max-dim", "4",
+        "--format", "json",
+    )
+    assert code == 4
+    doc = json.loads(out)
+    assert doc["all_hold"] is False
+    assert doc["reports"][0]["witnesses"]["violations"] == ["L4_3"]
+    code, out, err = run_cli(capsys, "sweep", "--max-dim", "4")
+    assert code == 4 and out == ""
+    assert err == "schurlab: L4_3: class 3 >= 3 but dim M = 3 exceeds 3 - 1\n"
+
+
+def test_blank_param_name_is_refused(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["info", "--name", "L5_7", "--param", " =1"])
+    assert exc.value.code == 2
+    assert "expected NAME=VALUE" in capsys.readouterr().err
 
 
 def test_param_with_file_is_refused(tmp_path, capsys):
