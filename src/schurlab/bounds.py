@@ -230,6 +230,9 @@ def check_theorem_2_6(L: LieAlgebra) -> TheoremReport:
 
     dim(L wedge L) + dim im(gamma'_2) + dim im(gamma'_3)
         <= C(n-m, 2) + (m - g3)(n - m) + g3 (n - m),  g3 = dim L3.
+
+    The two layer terms add up to m(n - m), so g3 does not enter the
+    bound; it is reported as a witness.
     """
     n, m, _ = _applicable(L, "2.6", "applies to algebras of class exactly 3")
     wedge = exterior_square_dim(L)
@@ -245,7 +248,7 @@ def check_theorem_2_6(L: LieAlgebra) -> TheoremReport:
         "class-3 exterior square bound",
         L,
         wedge + images.dim_im_gamma_prime2 + images.dim_im_gamma_prime3,
-        comb(n - m, 2) + (m - g3) * (n - m) + g3 * (n - m),
+        comb(n - m, 2) + m * (n - m),
         witnesses,
     )
 

@@ -10,8 +10,8 @@ file for the exact citation and layout.
 Every constructed algebra passes the Jacobi check, and each data-file
 entry is gated against its asserted (n, m, c) triple; the entries that
 also assert a multiplier dimension (L4_3, L5_8, L6_26) are verified
-once per process on first use, so a wrong structure constant fails
-loudly rather than producing quiet nonsense.
+before every lookup until they pass, once per process, so a wrong
+structure constant fails loudly rather than producing quiet nonsense.
 
 Names accepted by catalog_get: "A(4)" or "A4", "H(2)" or "H2",
 "L5_7", "L6_22(1/2)", and direct sums joined with "+", for example
@@ -21,6 +21,7 @@ Names accepted by catalog_get: "A(4)" or "A4", "H(2)" or "H2",
 import json
 import re
 from fractions import Fraction
+from functools import cache
 from importlib import resources
 
 from .dsl import parse_combo
@@ -42,9 +43,6 @@ DEFAULT_EPS_SAMPLES = (
     Fraction(1, 2),
 )
 
-_raw_entries = None
-_gates_done = False
-
 
 def abelian(n: int) -> LieAlgebra:
     """A(n): the abelian algebra of dimension n >= 0."""
@@ -61,16 +59,14 @@ def heisenberg(m: int) -> LieAlgebra:
     return LieAlgebra(2 * m + 1, brackets, name=f"H({m})")
 
 
+@cache
 def _entries():
-    global _raw_entries
-    if _raw_entries is None:
-        text = (
-            resources.files("schurlab")
-            .joinpath("data/catalog.json")
-            .read_text(encoding="utf-8")
-        )
-        _raw_entries = {e["name"]: e for e in json.loads(text)["entries"]}
-    return _raw_entries
+    text = (
+        resources.files("schurlab")
+        .joinpath("data/catalog.json")
+        .read_text(encoding="utf-8")
+    )
+    return {e["name"]: e for e in json.loads(text)["entries"]}
 
 
 def _parameter_value(value, where) -> Fraction:
@@ -115,12 +111,9 @@ def _build_entry(entry, params) -> LieAlgebra:
     return algebra
 
 
+@cache
 def _run_gates():
-    """Check asserted multiplier dimensions, once per process."""
-    global _gates_done
-    if _gates_done:
-        return
-    _gates_done = True
+    """Check asserted multiplier dimensions; only a pass is cached."""
     for entry in _entries().values():
         if "dim_M" in entry:
             algebra = _build_entry(entry, {})
@@ -252,6 +245,5 @@ def enumerate_catalog(max_dim: int):
 
 def verify_catalog():
     """Rebuild and gate every entry; returns the verified names."""
-    global _gates_done
-    _gates_done = False
+    _run_gates.cache_clear()
     return [name for name, _ in enumerate_catalog(MAX_ENUMERATION_DIM)]

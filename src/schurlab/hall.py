@@ -17,6 +17,8 @@ so the memoised recursion ends in Hall pairs with integer coefficients
 (M. Hall, Proc. AMS 1 (1950); Reutenauer, Free Lie Algebras, ch. 4).
 """
 
+from functools import cache
+
 from .errors import InvariantMismatch, Record, ResourceCapExceeded
 from .liealg import LieAlgebra
 
@@ -130,7 +132,8 @@ class FreeNilpotentAlgebra:
     ``basis`` lists the Hall words; brackets of basis words are
     computed on demand and memoised as sparse integer dicts
     (``product``, and ``ad`` against a vector).  ``algebra`` assembles
-    the full structure-constant table as a LieAlgebra, also on demand.
+    the full structure-constant table as a LieAlgebra, built on each
+    read.
     """
 
     def __init__(self, d, s):
@@ -159,7 +162,6 @@ class FreeNilpotentAlgebra:
             for w in self.basis
             if w.gen is None
         }
-        self._lie = None
 
     def product(self, a, b):
         """[basis_a, basis_b] as a sparse integer coordinate dict.
@@ -200,19 +202,17 @@ class FreeNilpotentAlgebra:
     @property
     def algebra(self) -> LieAlgebra:
         """The underlying LieAlgebra with the full bracket table."""
-        if self._lie is None:
-            brackets = {}
-            for a in range(self.dim):
-                for b in range(a + 1, self.dim):
-                    prod = self.product(a, b)
-                    if prod:
-                        brackets[(a, b)] = prod
-            self._lie = LieAlgebra(
-                self.dim,
-                brackets,
-                name=f"F({self.generators},{self.class_bound})",
-            )
-        return self._lie
+        brackets = {}
+        for a in range(self.dim):
+            for b in range(a + 1, self.dim):
+                prod = self.product(a, b)
+                if prod:
+                    brackets[(a, b)] = prod
+        return LieAlgebra(
+            self.dim,
+            brackets,
+            name=f"F({self.generators},{self.class_bound})",
+        )
 
     def __repr__(self):
         return (
@@ -221,14 +221,9 @@ class FreeNilpotentAlgebra:
         )
 
 
-_FREE_CACHE = {}
-
-
+@cache
 def free_nilpotent_algebra(d, s):
-    """The free nilpotent algebra on d generators of class s (cached)."""
-    key = (d, s)
-    cached = _FREE_CACHE.get(key)
-    if cached is None:
-        cached = FreeNilpotentAlgebra(d, s)
-        _FREE_CACHE[key] = cached
-    return cached
+    """The free nilpotent algebra on d generators of class s: one
+    instance per (d, s) per process, so every presentation over it
+    shares its memoised products."""
+    return FreeNilpotentAlgebra(d, s)

@@ -92,15 +92,12 @@ class LieAlgebra:
                 c = frac(c) * sign
                 if c:
                     entry[k] = c
-            if (i, j) in sc:
-                if sc[(i, j)] != entry:
-                    raise ValueError(
-                        f"conflicting definitions for [x{i + 1}, x{j + 1}]"
-                    )
-                continue
-            if entry:
-                sc[(i, j)] = entry
-        self.sc = {key: sc[key] for key in sorted(sc)}
+            # kept even when zero: zero and nonzero conflict in either order
+            if sc.setdefault((i, j), entry) != entry:
+                raise ValueError(
+                    f"conflicting definitions for [x{i + 1}, x{j + 1}]"
+                )
+        self.sc = {key: sc[key] for key in sorted(sc) if sc[key]}
         self._series = None
         self._gammas = None
         self._center = None

@@ -223,10 +223,10 @@ class Subspace:
     integer row {column: entry}: primitive, positive at the pivot (its
     least column) and zero at every other pivot.  ``rows`` is the
     canonical reduced row echelon basis, each echelon row divided by its
-    pivot entry, as tuples of Fractions built on first read.
+    pivot entry, as tuples of Fractions built when read.
     """
 
-    __slots__ = ("ambient", "echelon", "_rows")
+    __slots__ = ("ambient", "echelon")
 
     def __init__(self, vectors, ambient: int):
         builder = SpanBuilder(ambient)
@@ -238,7 +238,6 @@ class Subspace:
             builder.add(int_row(v))
         self.ambient = ambient
         self.echelon = builder.subspace().echelon
-        self._rows = None
 
     @classmethod
     def _trusted(cls, rows, ambient):
@@ -247,7 +246,6 @@ class Subspace:
         self = object.__new__(cls)
         self.ambient = ambient
         self.echelon = {min(row): row for row in rows}
-        self._rows = None
         return self
 
     @classmethod
@@ -265,16 +263,14 @@ class Subspace:
 
     @property
     def rows(self):
-        if self._rows is None:
-            rows = []
-            for p, row in self.echelon.items():
-                lead = row[p]
-                vec = [_ZERO] * self.ambient
-                for col, x in row.items():
-                    vec[col] = Fraction(x, lead)
-                rows.append(tuple(vec))
-            self._rows = tuple(rows)
-        return self._rows
+        rows = []
+        for p, row in self.echelon.items():
+            lead = row[p]
+            vec = [_ZERO] * self.ambient
+            for col, x in row.items():
+                vec[col] = Fraction(x, lead)
+            rows.append(tuple(vec))
+        return tuple(rows)
 
     @property
     def pivots(self):

@@ -51,8 +51,8 @@ class Presentation:
     unchanged.  ``r_rows`` are the sparse integer rows of
     ``kernel_rows``, already the echelon of ``r`` = R = ker pi; ``f2``
     is the span of the Hall words of degree >= 2, and ``fr`` the
-    bracket ideal [F', R'], built on first read while ``dim_fr`` is
-    always available.
+    bracket ideal [F', R'], built when read while ``dim_fr`` is always
+    available.
     """
 
     def __init__(self, free, pi_rows, r_rows, fr_builder):
@@ -60,8 +60,6 @@ class Presentation:
         self.pi_rows = pi_rows
         self.r_rows = r_rows
         self._fr_builder = fr_builder
-        self._fr = None
-        self._exterior_center = None
 
     @property
     def dim_fr(self):
@@ -78,9 +76,7 @@ class Presentation:
 
     @property
     def fr(self) -> Subspace:
-        if self._fr is None:
-            self._fr = self._fr_builder.subspace()
-        return self._fr
+        return self._fr_builder.subspace()
 
     @property
     def dim_multiplier(self):
@@ -237,8 +233,6 @@ def exterior_center(L: LieAlgebra) -> Subspace:
     if L.dim == 0:
         return Subspace.zero(0)
     pres = present_minimal(L)
-    if pres._exterior_center is not None:
-        return pres._exterior_center
     n = L.dim
     free = pres.free
     words = pres.r.nonpivots()
@@ -263,8 +257,7 @@ def exterior_center(L: LieAlgebra) -> Subspace:
                 for k, pi_k in enumerate(pres.pi_rows)
             }
         )
-    pres._exterior_center = span.subspace()
-    return pres._exterior_center
+    return span.subspace()
 
 
 def is_capable(L: LieAlgebra) -> bool:

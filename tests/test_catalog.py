@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import schurlab.catalog
 from schurlab.catalog import (
     abelian,
     catalog_get,
@@ -11,6 +12,7 @@ from schurlab.catalog import (
 )
 from schurlab.dsl import parse_presentation
 from schurlab.errors import (
+    InvariantMismatch,
     MissingParameter,
     ResourceCapExceeded,
     UnknownName,
@@ -117,3 +119,20 @@ def test_enumerate_caps():
 def test_verify_catalog_runs():
     names = verify_catalog()
     assert "L5_8" in names and "L6_26" in names
+
+
+def test_failed_gate_fails_every_lookup(monkeypatch):
+    real = schurlab.catalog.schur_multiplier_dim
+    monkeypatch.setattr(
+        schurlab.catalog,
+        "schur_multiplier_dim",
+        lambda L: real(L) + (L.name == "L5_8"),
+    )
+    # a failed gate is not remembered as passed: it fails again
+    for _ in range(2):
+        with pytest.raises(InvariantMismatch, match="L5_8"):
+            verify_catalog()
+        with pytest.raises(InvariantMismatch, match="L5_8"):
+            catalog_get("L5_7")
+    monkeypatch.undo()
+    assert "L5_8" in verify_catalog()

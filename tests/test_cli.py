@@ -1,4 +1,5 @@
 import argparse
+import ast
 import hashlib
 import inspect
 import json
@@ -622,3 +623,18 @@ def test_public_parameters_pinned():
             continue
         parameters[name] = list(signature.parameters)
     assert parameters == PUBLIC_PARAMETERS
+
+
+def test_no_global_statements():
+    # A process-wide memo is a functools.cache on the function that
+    # fills it: a failure is never cached, so nothing can be marked
+    # done before it succeeds, as a flag set through ``global`` can.
+    offenders = []
+    for path in sorted(Path(schurlab.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        offenders += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Global)
+        ]
+    assert offenders == []

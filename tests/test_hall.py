@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from schurlab.catalog import catalog_get
 from schurlab.errors import ResourceCapExceeded
 from schurlab.hall import (
     FreeNilpotentAlgebra,
@@ -12,7 +13,7 @@ from schurlab.hall import (
     hall_basis,
     witt_dim,
 )
-from schurlab.multiplier import schur_multiplier_dim
+from schurlab.multiplier import present_minimal, schur_multiplier_dim
 
 from oracles import lyndon_count
 
@@ -72,6 +73,10 @@ def test_resource_cap():
         with pytest.raises(ResourceCapExceeded) as info:
             build(5, 7)
         assert "needs 14569 basis words (cap 5000)" in str(info.value)
+    # a failure is not cached: every call raises again
+    for _ in range(2):
+        with pytest.raises(ResourceCapExceeded):
+            free_nilpotent_algebra(2, 20)
 
 
 def test_free_algebra_satisfies_jacobi():
@@ -122,6 +127,11 @@ def test_instances_cached():
     b = free_nilpotent_algebra(2, 3)
     assert a is b
     assert isinstance(a, FreeNilpotentAlgebra)
+    # L5_8 and L6_26 both have 3 generators and class 2, so both are
+    # presented over F(3, 3) and share its memoised products
+    free = present_minimal(catalog_get("L5_8")).free
+    assert free is present_minimal(catalog_get("L6_26")).free
+    assert free is free_nilpotent_algebra(3, 3)
 
 
 @given(

@@ -36,6 +36,18 @@ def test_constructor_normalizes_and_rejects():
     LieAlgebra(3, {(0, 1): {2: 1}, (1, 0): {2: -1}})
 
 
+def test_zero_statement_conflicts_in_either_order():
+    for brackets in (
+        {(0, 1): {}, (1, 0): {2: 1}},
+        {(1, 0): {2: 1}, (0, 1): {}},
+        {(0, 1): {2: 0}, (1, 0): {2: 1}},
+    ):
+        with pytest.raises(ValueError, match=r"conflicting .*\[x1, x2\]"):
+            LieAlgebra(3, brackets)
+    # two agreeing zero statements are accepted and store nothing
+    assert LieAlgebra(3, {(0, 1): {2: 0}, (1, 0): {}}).sc == {}
+
+
 def test_negative_dimension_is_rejected():
     with pytest.raises(ValueError, match="non-negative"):
         LieAlgebra(-1, {})
