@@ -99,7 +99,12 @@ def _load_algebra(args):
     if args.name is not None:
         from .catalog import catalog_get
 
-        params = dict(args.param or [])
+        params = {}
+        for key, value in args.param or []:
+            if params.setdefault(key, value) != value:
+                raise ValueError(
+                    f"--param {key}={value} conflicts with {key}={params[key]}"
+                )
         algebra = catalog_get(args.name, params=params)
         _log_info("loaded catalog algebra %s", algebra.name)
         return algebra, {"name": algebra.name}

@@ -5,17 +5,20 @@
 
     line     :=  "[" GEN "," GEN "]" "=" combo
     combo    :=  "0" | term (("+" | "-") term)*
-    term     :=  (RATIONAL "*")? GEN
+    term     :=  (COEFF "*")? GEN
+    COEFF    :=  RATIONAL | NAME  NAME only in catalog data, valued by
+                                  the entry's parameters
     GEN      :=  "x" INT          generators are x1 .. xn
     RATIONAL :=  INT ("/" INT)?
+    NAME     :=  a word that does not start like a generator
 
 "#" starts a comment running to the end of the line; blank lines are
-ignored; whitespace within a line is insignificant.  A combination may
-not start with a sign (write "[x2, x1] = ..." instead of a leading
-minus).  Unstated brackets are zero, and statements given as [xj, xi]
-with j > i are normalized by antisymmetry.  Parsing validates the
-Jacobi identity and nilpotency, so the result is always a nilpotent
-Lie algebra.
+ignored.  Whitespace may surround brackets, signs and "*", but not sit
+inside a GEN or a RATIONAL.  A combination may not start with a sign
+(write "[x2, x1] = ..." instead of a leading minus).  Unstated brackets
+are zero, and statements given as [xj, xi] with j > i are normalized
+by antisymmetry.  Parsing validates the Jacobi identity and
+nilpotency, so the result is always a nilpotent Lie algebra.
 """
 
 import re
@@ -31,105 +34,70 @@ from .liealg import LieAlgebra
 
 _HEADER = re.compile(r"algebra\s+(\S+)\s+dim\s+(\d+)\s*$")
 _LINE = re.compile(r"\[\s*x(\d+)\s*,\s*x(\d+)\s*\]\s*=\s*(.*?)\s*$")
-_TOKEN = re.compile(
-    r"\s*(?:(?P<gen>x\d+)"
-    r"|(?P<rat>\d+(?:/\d+)?)"
-    r"|(?P<name>[A-Za-z_]\w*)"
-    r"|(?P<op>[+\-*])"
-    r"|(?P<bad>\S))"
+_SIGN = re.compile(r"([+-])")
+# NAME may not start like a generator: "x2*x1" is no lookup of "x2"
+_TERM = re.compile(
+    r"(?:(?:(?P<rat>\d+(?:/\d+)?)|(?P<name>(?!x\d)[A-Za-z_]\w*))\s*\*\s*)?"
+    r"x(?P<gen>\d+)"
 )
 
 
-def _tokenize(text, line):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN.match(text, pos)
-        if match is None:
-            break
-        if match.group("bad"):
-            raise DslSyntaxError(
-                f"unexpected character {match.group('bad')!r}", line
-            )
-        for kind in ("gen", "rat", "name", "op"):
-            value = match.group(kind)
-            if value is not None:
-                tokens.append((kind, value))
-                break
-        pos = match.end()
-    return tokens
+def _generator(digits, dim, line):
+    """The 0-based index of generator x<digits>, which must exist."""
+    gen = int(digits)
+    if not 1 <= gen <= dim:
+        raise UnknownGenerator(
+            f"unknown generator x{gen} (dimension is {dim})", line
+        )
+    return gen - 1
+
+
+def _coefficient(rat, name, line, params):
+    if name is not None:
+        if params is None:
+            raise DslSyntaxError(f"unexpected name {name!r}", line)
+        if name not in params:
+            raise MissingParameter(f"no value supplied for parameter {name!r}")
+        return Fraction(params[name])
+    try:
+        return Fraction(rat or 1)
+    except ZeroDivisionError:
+        raise DslSyntaxError(f"zero denominator in {rat!r}", line) from None
 
 
 def parse_combo(text, dim, line=None, params=None):
     """Parse a right-hand side into a sparse {index: Fraction} dict.
 
+    The text is split at its signs and each term matched whole.
     ``params`` maps symbolic coefficient names (catalog parameters) to
     Fractions; plain presentation text passes None and any name is a
     syntax error.
     """
-    tokens = _tokenize(text, line)
-    if not tokens:
-        raise DslSyntaxError("empty right-hand side", line)
-    if len(tokens) == 1 and tokens[0] == ("rat", "0"):
+    pieces = _SIGN.split(text)
+    if not pieces[0].strip():
+        if len(pieces) == 1:
+            raise DslSyntaxError("empty right-hand side", line)
+        raise DslSyntaxError("a combination may not start with a sign", line)
+    if text.strip() == "0":
         return {}
-    if tokens[0][0] == "op":
-        raise DslSyntaxError(
-            "a combination may not start with a sign", line
-        )
     out = {}
-    sign = 1
-    idx = 0
-    while idx < len(tokens):
-        kind, value = tokens[idx]
-        coeff = Fraction(1)
-        if kind in ("rat", "name"):
-            if kind == "rat":
-                try:
-                    coeff = Fraction(value)
-                except ZeroDivisionError:
-                    raise DslSyntaxError(
-                        f"zero denominator in {value!r}", line
-                    ) from None
-            else:
-                if params is None:
-                    raise DslSyntaxError(f"unexpected name {value!r}", line)
-                if value not in params:
-                    raise MissingParameter(
-                        f"no value supplied for parameter {value!r}"
-                    )
-                coeff = Fraction(params[value])
-            idx += 1
-            if idx >= len(tokens) or tokens[idx] != ("op", "*"):
-                raise DslSyntaxError(
-                    "a coefficient must be followed by '*'", line
-                )
-            idx += 1
-            if idx >= len(tokens) or tokens[idx][0] != "gen":
-                raise DslSyntaxError("expected a generator after '*'", line)
-            kind, value = tokens[idx]
-        if kind != "gen":
-            raise DslSyntaxError(f"expected a term, got {value!r}", line)
-        gen = int(value[1:])
-        if not 1 <= gen <= dim:
-            raise UnknownGenerator(
-                f"unknown generator x{gen} (dimension is {dim})", line
+    for sign, term in zip(["+", *pieces[1::2]], pieces[::2]):
+        term = term.strip()
+        match = _TERM.fullmatch(term)
+        if match is None:
+            raise DslSyntaxError(
+                f"expected a term such as x3 or 2*x3, got {term!r}"
+                if term
+                else f"expected a term after {sign!r}",
+                line,
             )
-        key = gen - 1
-        total = out.get(key, Fraction(0)) + sign * coeff
+        coeff = _coefficient(*match.group("rat", "name"), line, params)
+        key = _generator(match.group("gen"), dim, line)
+        total = out.get(key, 0) + (coeff if sign == "+" else -coeff)
         if total:
             out[key] = total
         else:
             out.pop(key, None)
-        idx += 1
-        if idx == len(tokens):
-            break
-        kind, value = tokens[idx]
-        if kind != "op" or value not in "+-":
-            raise DslSyntaxError(f"expected '+' or '-', got {value!r}", line)
-        sign = 1 if value == "+" else -1
-        idx += 1
-        if idx == len(tokens):
-            raise DslSyntaxError("trailing operator", line)
     return out
 
 
@@ -142,7 +110,8 @@ def _significant_lines(text):
 
 def parse_presentation(text: str) -> LieAlgebra:
     """Parse, validate (Jacobi) and nilpotency-check a presentation."""
-    lines = _significant_lines(text)
+    # some editors start a file with a byte-order mark
+    lines = _significant_lines(text.removeprefix("\ufeff"))
     try:
         number, header = next(lines)
     except StopIteration:
@@ -158,31 +127,23 @@ def parse_presentation(text: str) -> LieAlgebra:
         match = _LINE.match(body)
         if match is None:
             raise DslSyntaxError("expected '[xi, xj] = combination'", number)
-        i, j = int(match.group(1)), int(match.group(2))
-        for gen in (i, j):
-            if not 1 <= gen <= dim:
-                raise UnknownGenerator(
-                    f"unknown generator x{gen} (dimension is {dim})", number
-                )
+        i, j = (_generator(g, dim, number) for g in match.group(1, 2))
         combo = parse_combo(match.group(3), dim, line=number)
         if i == j:
             if combo:
                 raise DslSyntaxError(
-                    f"[x{i}, x{i}] must equal 0 by antisymmetry", number
+                    f"[x{i + 1}, x{i + 1}] must equal 0 by antisymmetry",
+                    number,
                 )
             continue
         sign = 1
         if i > j:
             i, j, sign = j, i, -1
         entry = {k: sign * c for k, c in combo.items()}
-        key = (i - 1, j - 1)
-        if key in brackets:
-            if brackets[key] != entry:
-                raise DuplicateInconsistentBracket(
-                    f"conflicting definitions for [x{i}, x{j}]", number
-                )
-            continue
-        brackets[key] = entry
+        if brackets.setdefault((i, j), entry) != entry:
+            raise DuplicateInconsistentBracket(
+                f"conflicting definitions for [x{i + 1}, x{j + 1}]", number
+            )
 
     algebra = LieAlgebra(dim, brackets, name=name)
     algebra.validate()
@@ -190,35 +151,29 @@ def parse_presentation(text: str) -> LieAlgebra:
     return algebra
 
 
-def _format_coeff(coeff, gen):
-    if coeff == 1:
-        return f"x{gen + 1}"
-    return f"{coeff}*x{gen + 1}"
+def _format_term(coeff, gen):
+    return f"x{gen + 1}" if coeff == 1 else f"{coeff}*x{gen + 1}"
 
 
 def format_presentation(L: LieAlgebra, name=None) -> str:
     """Serialize an algebra; the output reparses to an equal algebra.
 
-    A statement whose coefficients are all negative is emitted with
-    the bracket swapped, and mixed-sign statements lead with a
-    positive term, since combinations may not start with a sign.
+    Terms are written positive first, then by index, and a statement
+    with no positive term is emitted with the bracket swapped, since
+    combinations may not start with a sign.
     """
     label = name or L.name or "L"
     # whitespace would split the header and "#" would start a comment
     label = "".join(label.replace("#", " ").split()) or "L"
     lines = [f"algebra {label} dim {L.dim}"]
     for (i, j), vec in L.sc.items():
-        terms = sorted(vec.items())
-        if all(c < 0 for _, c in terms):
-            i, j = j, i
-            terms = [(k, -c) for k, c in terms]
-        else:
-            terms = [t for t in terms if t[1] > 0] + [
-                t for t in terms if t[1] < 0
-            ]
-        parts = [_format_coeff(terms[0][1], terms[0][0])]
-        for k, c in terms[1:]:
-            parts.append("+" if c > 0 else "-")
-            parts.append(_format_coeff(abs(c), k))
-        lines.append(f"[x{i + 1}, x{j + 1}] = " + " ".join(parts))
+        if not any(c > 0 for c in vec.values()):
+            i, j, vec = j, i, {k: -c for k, c in vec.items()}
+        terms = sorted(vec.items(), key=lambda t: (t[1] < 0, t[0]))
+        # each term with its sign; the first is positive and drops "+ "
+        rhs = " ".join(
+            f"{'+' if c > 0 else '-'} {_format_term(abs(c), k)}"
+            for k, c in terms
+        )
+        lines.append(f"[x{i + 1}, x{j + 1}] = {rhs[2:]}")
     return "\n".join(lines) + "\n"

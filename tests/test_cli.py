@@ -13,7 +13,7 @@ import pytest
 import schurlab
 from schurlab.catalog import catalog_get
 from schurlab.cli import build_parser, main
-from schurlab.dsl import format_presentation, parse_presentation
+from schurlab.dsl import format_presentation, parse_combo, parse_presentation
 from schurlab.liealg import LieAlgebra, Quotient
 
 
@@ -250,6 +250,16 @@ def test_exit_codes(tmp_path, capsys):
         "--format", "json",
     )
     assert code == 0 and json.loads(out)["name"] == "L6_22(2)"
+    code, _, err = run_cli(
+        capsys, "info", "--name", "L6_22", "--param", "eps=1/2",
+        "--param", "eps=1/3",
+    )
+    assert code == 2 and err.startswith("schurlab: ") and "conflicts" in err
+    code, out, _ = run_cli(
+        capsys, "info", "--name", "L6_22", "--param", "eps=1/2",
+        "--param", "eps=2/4", "--format", "json",
+    )
+    assert code == 0 and json.loads(out)["name"] == "L6_22(1/2)"
     for argv in (
         ["--name", "L6_22", "--param", "eps=1", "--param", "foo=2"],
         ["--name", "L5_7", "--param", "eps=1/2"],
@@ -264,6 +274,26 @@ def test_exit_codes(tmp_path, capsys):
     assert code == 2 and err.startswith("schurlab: ") and "max_dim" in err
     code, _, err = run_cli(capsys, "check", "--max-dim", "-1")
     assert code == 2 and err.startswith("schurlab: ") and "max_dim" in err
+
+
+def test_byte_order_mark_is_ignored(tmp_path, capsys):
+    text = "algebra H dim 3\r\n[x1, x2] = x3\r\n"
+    docs = []
+    for name, data in (
+        ("plain.alg", text.encode()),
+        ("bom.alg", b"\xef\xbb\xbf" + text.encode()),
+    ):
+        source = tmp_path / name
+        source.write_bytes(data)
+        code, out, _ = run_cli(
+            capsys, "info", "--file", str(source), "--format", "json"
+        )
+        assert code == 0, name
+        doc = json.loads(out)
+        assert doc.pop("file") == str(source)
+        assert doc.pop("sha256") == hashlib.sha256(data).hexdigest()
+        docs.append(doc)
+    assert docs[0] == docs[1]
 
 
 def test_failed_check_exits_4(monkeypatch, capsys):
@@ -623,6 +653,10 @@ def test_public_parameters_pinned():
             continue
         parameters[name] = list(signature.parameters)
     assert parameters == PUBLIC_PARAMETERS
+    # not exported, but the catalog, parse_presentation and perfbench's
+    # tracer call it by name and keyword
+    signature = inspect.signature(parse_combo)
+    assert list(signature.parameters) == ["text", "dim", "line", "params"]
 
 
 def test_no_global_statements():

@@ -1,14 +1,19 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from oracles import random_basis_change
 from schurlab.catalog import catalog_get
 from schurlab.dsl import format_presentation, parse_combo, parse_presentation
 from schurlab.errors import (
+    DslError,
     DslSyntaxError,
     DuplicateInconsistentBracket,
     JacobiViolation,
+    MissingParameter,
     NotNilpotent,
+    SchurlabError,
     UnknownGenerator,
 )
 
@@ -58,6 +63,72 @@ def test_combo_errors():
         parse_combo("eps*x1", 4)
     with pytest.raises(UnknownGenerator):
         parse_combo("x9", 4)
+
+
+# one fault each, read as the right-hand side of line 4 at dimension 3
+SINGLE_FAULTS = [
+    ("-x3", DslSyntaxError, "a combination may not start with a sign"),
+    ("+ x3", DslSyntaxError, "a combination may not start with a sign"),
+    ("", DslSyntaxError, "empty right-hand side"),
+    ("x3 +", DslSyntaxError, "expected a term after '+'"),
+    ("x3 + - x1", DslSyntaxError, "expected a term after '+'"),
+    ("2 x3", DslSyntaxError, "got '2 x3'"),
+    ("x3 x1", DslSyntaxError, "got 'x3 x1'"),
+    ("x3 2", DslSyntaxError, "got 'x3 2'"),
+    ("x3 @", DslSyntaxError, "got 'x3 @'"),
+    ("2*", DslSyntaxError, "got '2*'"),
+    ("x3 - 2 * ", DslSyntaxError, "got '2 *'"),
+    ("0/1", DslSyntaxError, "got '0/1'"),
+    ("1/2x3", DslSyntaxError, "got '1/2x3'"),
+    ("x3 +* x1", DslSyntaxError, "got '* x1'"),
+    ("*x3", DslSyntaxError, "got '*x3'"),
+    ("eps*x3", DslSyntaxError, "unexpected name 'eps'"),
+    ("1/0*x3", DslSyntaxError, "zero denominator in '1/0'"),
+    ("x9", UnknownGenerator, "unknown generator x9 (dimension is 3)"),
+    ("x0", UnknownGenerator, "unknown generator x0 (dimension is 3)"),
+]
+
+
+@pytest.mark.parametrize("rhs, kind, message", SINGLE_FAULTS)
+def test_single_fault_messages(rhs, kind, message):
+    text = f"algebra T dim 3\n# a comment\n\n[x1, x2] = {rhs}\n"
+    with pytest.raises(DslError) as info:
+        parse_presentation(text)
+    assert type(info.value) is kind
+    assert info.value.line == 4
+    assert str(info.value).startswith("line 4: ")
+    assert message in str(info.value)
+    assert "''" not in str(info.value)
+
+
+def test_missing_parameter_names_it():
+    with pytest.raises(MissingParameter) as info:
+        parse_combo("eps*x1", 3, params={})
+    assert str(info.value) == "no value supplied for parameter 'eps'"
+
+
+def test_fuzz_combos():
+    pieces = [
+        "x1", "x9", "x0", "x", "2", "0", "1/2", "3/0", "/", "*", "+", "-",
+        " ", "\t", "eps", "@", "x1a", "_b",
+    ]
+    rng = random.Random(19)
+    accepted = 0
+    for _ in range(20000):
+        text = "".join(rng.choices(pieces, k=rng.randint(0, 7)))
+        for params in (None, {"eps": 2}):
+            try:
+                combo = parse_combo(text, 4, line=7, params=params)
+            except DslError as exc:
+                assert exc.line == 7, text
+                assert "''" not in str(exc), text
+                continue
+            except SchurlabError:
+                continue
+            accepted += 1
+            assert all(0 <= k < 4 and c for k, c in combo.items()), text
+            assert all(type(c) is Fraction for c in combo.values()), text
+    assert accepted > 0
 
 
 def test_header_errors():
@@ -126,11 +197,18 @@ def test_parse_rejects_non_jacobi_and_non_nilpotent():
 
 
 def test_roundtrip_catalog(catalog6):
-    for name, algebra in catalog6:
+    # basis changes give mixed-sign, all-negative and fractional statements
+    rng = random.Random(5)
+    moved = [(name, random_basis_change(L, rng)) for name, L in catalog6]
+    for name, algebra in catalog6 + moved:
         text = format_presentation(algebra)
         again = parse_presentation(text)
         assert again.sc == algebra.sc, name
         assert again.dim == algebra.dim
+    vectors = [v.values() for _, L in moved for v in L.sc.values()]
+    assert any(min(v) < 0 < max(v) for v in vectors)
+    assert any(max(v) < 0 for v in vectors)
+    assert any(c.denominator > 1 for v in vectors for c in v)
     # "#" would start a comment and whitespace would split the header
     algebra = catalog_get("L5_7")
     for label, kept in (("a#b", "ab"), ("a b", "ab"), ("#", "L")):
