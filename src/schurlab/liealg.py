@@ -102,6 +102,7 @@ class LieAlgebra:
         self._gammas = None
         self._center = None
         self._presentation = None
+        self._split = None
         self._gamma_images = None
         self._adj = None
 

@@ -19,6 +19,30 @@ supported below the top degree contribute.  For Z^, the Hall words
 ``R.nonpivots()`` lift a basis of L, so the presentation map is
 eliminated once.
 
+An abelian direct factor is split off before any presentation.  With
+k = dim Z - dim(Z cap L2), any complement C of Z cap L2 in Z is a
+central ideal and L = L0 + A(k) with L0 = L/C, so for k >= 1 and a
+nonabelian L, by the Kunneth formula (Batten, Moneyhun and Stitzinger,
+Comm. Algebra 24 (1996))
+
+    dim M(L)  = dim M(L0) + C(k,2) + k(n - k - m)
+    Z^(L)     = {x in L2 : pi(x) in Z^(L0)},   pi: L -> L0
+
+The second holds because L wedge L = (L0 wedge L0) + (A wedge A) +
+(L0/L0^2 (x) A).  Write z = z0 + a with z0 in L0 and a in A(k).  The
+cross term of z wedge L0 is the image of a in L0/L0^2 (x) A, nonzero
+for some element of L0 unless a = 0, since L0/L0^2 != 0; that of
+z wedge A is the image of z0, nonzero unless z0 lies in L0^2 = L2,
+since k >= 1.  For z in L2, z wedge L = 0 exactly when pi(z) wedge
+L0 = 0 in L0 wedge L0.  The results do not depend on the choice of C,
+and Z^ comes out as a canonical Subspace of L.
+
+``schur_multiplier_dim``, ``exterior_square_dim`` and
+``exterior_center``, and with them capability, the report and the Ganea
+check, take the split.  Abelian algebras stay unsplit (Z^(A(1)) =
+A(1), which the formula does not give), and so do the witnesses
+``present_minimal`` and ``schur_multiplier``, which present L whole.
+
 The closed forms bound_e1 and bound_e2 that multiplier_report quotes
 are defined here; bounds.py, which holds the paper's inequalities,
 re-exports them.
@@ -186,11 +210,42 @@ def present_minimal(L: LieAlgebra) -> Presentation:
     return pres
 
 
+def _split(L: LieAlgebra):
+    """The quotient onto L0 in L = L0 + A(k), cached on L, or False when
+    nothing splits off: L is abelian, or k = dim Z - dim(Z cap L2) is 0.
+
+    The rows of Z's echelon that are independent modulo L2 span a
+    complement C of Z cap L2 in Z, and any subset of a canonical echelon
+    is one.  C is central, hence an ideal, and L0 = L/C.
+    """
+    if L._split is None:
+        rep = L.series()
+        split = False
+        if rep.central_complement_dim and rep.derived_dim:
+            builder = SpanBuilder(L.dim)
+            for row in L.derived_subspace().echelon.values():
+                builder.add(row)
+            rows = [row for row in L.center().echelon.values() if builder.add(row)]
+            split = L.quotient(Subspace._trusted(rows, L.dim))
+        L._split = split
+    return L._split
+
+
 def schur_multiplier_dim(L: LieAlgebra) -> int:
-    """dim M(L), without materialising witness subspaces."""
+    """dim M(L), without materialising witness subspaces: for
+    L = L0 + A(k), dim M(L0) + C(k,2) + k dim(L0/L0^2)."""
     if L.dim == 0:
         return 0
-    return present_minimal(L).dim_multiplier
+    split = _split(L)
+    if not split:
+        return present_minimal(L).dim_multiplier
+    rep = L.series()
+    k = rep.central_complement_dim
+    return (
+        schur_multiplier_dim(split.algebra)
+        + k * (k - 1) // 2
+        + k * (rep.min_generators - k)
+    )
 
 
 def schur_multiplier(L: LieAlgebra):
@@ -207,13 +262,14 @@ def schur_multiplier(L: LieAlgebra):
 
 def exterior_square_dim(L: LieAlgebra) -> int:
     """dim(L wedge L) = dim F2 - dim [F,R] = dim M(L) + dim L2."""
-    if L.dim == 0:
-        return 0
-    return present_minimal(L).dim_exterior_square
+    return schur_multiplier_dim(L) + L.series().derived_dim
 
 
 def exterior_center(L: LieAlgebra) -> Subspace:
     """Z^(L): the z with z wedge L = 0 in L wedge L.
+
+    An abelian direct factor of a nonabelian L is split off first (see
+    the module docstring); otherwise Z^ is read off L's own presentation.
 
     A lift of z is bracketed with each free generator and reduced
     modulo [F,R]; the simultaneous kernel of those residuals is Z^.
@@ -232,22 +288,18 @@ def exterior_center(L: LieAlgebra) -> Subspace:
     """
     if L.dim == 0:
         return Subspace.zero(0)
+    split = _split(L)
+    if split:
+        return _split_exterior_center(L, split)
     pres = present_minimal(L)
     n = L.dim
     free = pres.free
     words = pres.r.nonpivots()
     constraints = []
     for j in range(free.generators):
-        # residual / scale of reduced[t] is the residual of [x_j, words[t]];
-        # one row per free word idx over the n lift columns t, brought to
-        # one denominator so the rows are integer
+        # residual / scale of reduced[t] is the residual of [x_j, words[t]]
         reduced = [pres._fr_builder.reduce(free.product(j, q)) for q in words]
-        common = lcm(*(scale for _, scale in reduced))
-        rows = {}
-        for t, (residual, scale) in enumerate(reduced):
-            for idx, x in residual.items():
-                rows.setdefault(idx, {})[t] = x * (common // scale)
-        constraints.extend(rows[idx] for idx in sorted(rows))
+        constraints.extend(_constraints(reduced))
     # a kernel row a gives sum_t a_t pi(words[t]), scaled by D^c
     span = SpanBuilder(n)
     for row in kernel_rows(constraints, n):
@@ -257,6 +309,44 @@ def exterior_center(L: LieAlgebra) -> Subspace:
                 for k, pi_k in enumerate(pres.pi_rows)
             }
         )
+    return span.subspace()
+
+
+def _constraints(reduced):
+    """Integer rows whose kernel is {a : sum_t a_t residual_t / scale_t
+    = 0} for the ``(residual, scale)`` pairs of ``reduced``: one row per
+    column the residuals use, over the columns t, brought to one
+    denominator."""
+    common = lcm(*(scale for _, scale in reduced))
+    rows = {}
+    for t, (residual, scale) in enumerate(reduced):
+        for idx, x in residual.items():
+            rows.setdefault(idx, {})[t] = x * (common // scale)
+    return [rows[idx] for idx in sorted(rows)]
+
+
+def _split_exterior_center(L, split):
+    """Z^(L) = {x in L2 : pi(x) in Z^(L0)}, pi the quotient map onto L0.
+
+    pi^-1(Z^(L0)) is C plus Z^(L0) put back in C's non-pivot columns;
+    x = sum_t a_t b_t over the echelon rows b_t of L2, for the kernel
+    rows a of the b_t reduced modulo it.
+    """
+    cols = split.ideal.nonpivots()
+    preimage = SpanBuilder(L.dim)
+    for row in split.ideal.echelon.values():
+        preimage.add(row)
+    for row in exterior_center(split.algebra).echelon.values():
+        preimage.add({cols[c]: x for c, x in row.items()})
+    basis = list(L.derived_subspace().echelon.values())
+    reduced = [preimage.reduce(b) for b in basis]
+    span = SpanBuilder(L.dim)
+    for row in kernel_rows(_constraints(reduced), len(basis)):
+        vec = {}
+        for t, a in row.items():
+            for col, x in basis[t].items():
+                vec[col] = vec.get(col, 0) + a * x
+        span.add(vec)
     return span.subspace()
 
 

@@ -166,11 +166,12 @@ def test_criterion_07(catalog6):
             for k in range(1, 4):
                 total = direct_sum(base, abelian(k))
                 expected = base_m + k * (k - 1) // 2 + k * ab
-                assert schur_multiplier_dim(total) == expected, (name, k)
+                # the unsplit engine: schur_multiplier_dim applies the formula
+                assert present_minimal(total).dim_multiplier == expected, (name, k)
         for n in range(4, 9):
             total = direct_sum(catalog_get("L4_3"), abelian(n - 4))
             expected = 2 + (n - 4) * (n - 5) // 2 + 2 * (n - 4)
-            assert schur_multiplier_dim(total) == expected, n
+            assert present_minimal(total).dim_multiplier == expected, n
 
 
 def test_criterion_08(catalog6, reports6):

@@ -21,7 +21,7 @@ from schurlab.bounds import (
 from schurlab.catalog import abelian, catalog_get, enumerate_catalog, heisenberg
 from schurlab.errors import NotCentral
 from schurlab.linalg import Subspace
-from schurlab.multiplier import schur_multiplier_dim
+from schurlab.multiplier import present_minimal
 
 from oracles import literal_gamma_images, random_basis_change
 
@@ -276,7 +276,8 @@ def test_sweep_deterministic():
 def test_sweep_abelian_extension_rows_match_engine():
     """The sweep derives each base+A(k) row from its base; here every
     such entry of the dimension-8 catalog is built as a direct sum and
-    computed with the engine, so k = 4 and 5 are covered too."""
+    presented whole by the unsplit engine (schur_multiplier_dim applies
+    the same formula), so k = 4 and 5 are covered too."""
     rows = {row.name: row for row in classification_sweep(8)}
     sums = [(name, L) for name, L in enumerate_catalog(8) if "+A(" in name]
     assert len(sums) == 35
@@ -284,7 +285,7 @@ def test_sweep_abelian_extension_rows_match_engine():
     for name, L in sums:
         rep = L.series()
         n, m, c = L.dim, rep.derived_dim, rep.nilpotency_class
-        dim_m = schur_multiplier_dim(L)
+        dim_m = present_minimal(L).dim_multiplier
         bound = bound_e2(n, m, c)
         want = SweepRow(name, n, m, c, dim_m, bound, dim_m == bound)
         assert rows[name] == want

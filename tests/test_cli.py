@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -205,6 +206,36 @@ def test_file_input_with_digest(tmp_path, capsys):
     assert doc["dim_M"] == 2
     assert doc["file"] == str(source)
     assert len(doc["sha256"]) == 64
+
+
+def test_wide_files_split_off_their_abelian_factor(tmp_path, capsys):
+    # one bracket in dim n is H(1) + A(n - 3): the multiplier presents
+    # only H(1), where the whole algebra would need 20,540 Hall words at
+    # n = 40.  H(13) has no abelian factor and still meets the cap.
+    def multiplier(text):
+        path = tmp_path / "wide.lie"
+        path.write_text(text)
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "multiplier", "--file", str(path), "--format", "json"
+        )
+        return code, out, err, time.perf_counter() - start
+
+    code, out, _, _ = multiplier("algebra W dim 40\n[x1, x2] = x3\n")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["dim_M"], doc["dim_exterior_square"]) == (742, 743)
+    assert doc["capable"] is True
+    code, out, _, seconds = multiplier("algebra W dim 200\n[x1, x2] = x3\n")
+    assert code == 0 and json.loads(out)["dim_M"] == 19702
+    assert seconds < 2, seconds
+    h13 = "".join(f"[x{i}, x{i + 13}] = x27\n" for i in range(1, 14))
+    code, out, err, _ = multiplier("algebra H13 dim 27\n" + h13)
+    assert code == 3 and out == ""
+    assert err == (
+        "schurlab: free nilpotent algebra on 26 generators of class 3 "
+        "needs 6201 basis words (cap 5000)\n"
+    )
 
 
 def test_param_flag(capsys):

@@ -88,6 +88,17 @@ def test_exterior_center_inclusions(catalog6):
             assert zext <= algebra.derived_subspace(), name
 
 
+def _oracle_center(algebra):
+    """Z^ from the Lambda^2 oracle, as a Subspace."""
+    return Subspace(
+        [
+            [Fraction(int(x.p), int(x.q)) for x in vec]
+            for vec in wedge_exterior_center(algebra)
+        ],
+        algebra.dim,
+    )
+
+
 def test_exterior_center_matches_wedge_oracle():
     # the catalog up to dimension 7, and random bases of two algebras
     # with a nonzero exterior center (H(2), H(2)+A(1)) and two capable
@@ -99,15 +110,7 @@ def test_exterior_center_matches_wedge_oracle():
         for t in range(3):
             cases.append((f"{name} basis {t}", random_basis_change(base, rng)))
     for name, algebra in cases:
-        n = algebra.dim
-        oracle = Subspace(
-            [
-                [Fraction(int(x.p), int(x.q)) for x in vec]
-                for vec in wedge_exterior_center(algebra)
-            ],
-            n,
-        )
-        assert exterior_center(algebra) == oracle, name
+        assert exterior_center(algebra) == _oracle_center(algebra), name
 
 
 def _unitriangular(L, rng):
@@ -161,7 +164,6 @@ def test_heavy_presentations_match_wedge_oracle():
             assert algebra._adjoint()[0] > 1
         else:
             algebra = _unitriangular(catalog_get(name), rng)
-        n = algebra.dim
         pres = present_minimal(algebra)
         if name == "L5_7+A(3)":
             assert pres.free.dim == 829
@@ -177,27 +179,21 @@ def test_heavy_presentations_match_wedge_oracle():
         ), name
         assert schur_multiplier_dim(algebra) == ce_multiplier_dim(algebra), name
         assert exterior_square_dim(algebra) == wedge_dim(algebra), name
-        oracle = Subspace(
-            [
-                [Fraction(int(x.p), int(x.q)) for x in vec]
-                for vec in wedge_exterior_center(algebra)
-            ],
-            n,
-        )
-        assert exterior_center(algebra) == oracle, name
+        assert exterior_center(algebra) == _oracle_center(algebra), name
 
 
 def test_exterior_center_eliminates_only_inside_L(monkeypatch):
-    # once the presentation is cached, Z^ lifts L's basis by Hall words
-    # and reduces modulo [F,R]: no echelon may be wider than L itself
-    # (an echelon of [pi | I] would be dim F' + dim L wide)
+    # once the core L0 of L = L0 + A(k) is presented, Z^(L0) lifts L0's
+    # basis by Hall words and reduces modulo [F,R], and Z^(L) is a kernel
+    # over L2's rows: no echelon may be wider than L itself (an echelon
+    # of [pi | I] would be dim F' + dim L wide)
     rng = random.Random(20261018)
     dense = _unitriangular(catalog_get("L5_7+A(3)"), rng)
     rational = random_basis_change(catalog_get("L6_22(1/2)+A(1)"), rng)
     assert rational._adjoint()[0] > 1
     init = SpanBuilder.__init__
     for algebra in (dense, rational):
-        present_minimal(algebra)
+        schur_multiplier_dim(algebra)
         ambients = []
 
         def record(self, ambient):
@@ -233,8 +229,32 @@ def test_kunneth_direct_sums():
     for k in range(0, 4):
         total = direct_sum(base, abelian(k))
         expected = 3 + k * (k - 1) // 2 + k * ab_dim
-        assert schur_multiplier_dim(total) == expected, k
-    assert schur_multiplier_dim(catalog_get("L5_8+A(1)")) == 9
+        # the unsplit engine: schur_multiplier_dim applies the formula
+        assert present_minimal(total).dim_multiplier == expected, k
+    assert present_minimal(catalog_get("L5_8+A(1)")).dim_multiplier == 9
+
+
+def test_split_matches_unsplit_engine_and_oracles():
+    # every base+A(k) entry up to dimension 7 in two random bases and a
+    # dense one: the split route (the Kunneth formula for dim M, Z^
+    # pulled back from the core) against the whole algebra presented by
+    # the unsplit engine, the Chevalley-Eilenberg multiplier and the
+    # Lambda^2 exterior center.  In the dense basis L2 meets the pivot
+    # columns of the split-off complement, so a Z^ lifted from the core
+    # without the pull-back to L2 would differ.
+    rng = random.Random(20261019)
+    sums = [(name, L) for name, L in enumerate_catalog(7) if "+A(" in name]
+    assert len(sums) == 22
+    for name, base in sums:
+        for make in (random_basis_change, random_basis_change, _unitriangular):
+            algebra = make(base, rng)
+            pres = present_minimal(algebra)
+            dim_m = schur_multiplier_dim(algebra)
+            assert algebra._split, name
+            assert dim_m == pres.dim_multiplier == ce_multiplier_dim(algebra), name
+            assert exterior_square_dim(algebra) == pres.dim_exterior_square, name
+            assert exterior_center(algebra) == _oracle_center(algebra), name
+            assert schur_multiplier(algebra)[0] == dim_m, name
 
 
 def test_zero_algebra():
