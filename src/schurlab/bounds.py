@@ -33,6 +33,7 @@ from .multiplier import (
     bound_e1,
     bound_e2,
     exterior_square_dim,
+    kunneth_gain,
     schur_multiplier_dim,
 )
 
@@ -191,7 +192,7 @@ def check_theorem_2_1(L: LieAlgebra, K: Subspace) -> TheoremReport:
     q_n, q_m, _ = _invariants(quotient)
     dim_m_quotient = schur_multiplier_dim(quotient)
     lhs = schur_multiplier_dim(L) + (L.derived_subspace() & K).dim
-    rhs = dim_m_quotient + k * (k - 1) // 2 + k * (q_n - q_m)
+    rhs = dim_m_quotient + kunneth_gain(k, q_n - q_m)
     witnesses = {"k": k, "dim_M_quotient": dim_m_quotient}
     return _report("central quotient bound", L, lhs, rhs, witnesses)
 
@@ -394,7 +395,7 @@ def classification_sweep(max_dim: int = 6):
         dim_m = schur_multiplier_dim(base)
         rows.append(_sweep_row(base.name, n, m, c, dim_m))
         for k, name in extensions:
-            dim_sum = dim_m + comb(k, 2) + k * (n - m)
+            dim_sum = dim_m + kunneth_gain(k, n - m)
             rows.append(_sweep_row(name, n + k, m, c, dim_sum))
     return rows
 

@@ -32,7 +32,6 @@ from .errors import (
     UnknownName,
 )
 from .liealg import LieAlgebra, direct_sum
-from .linalg import frac
 from .multiplier import schur_multiplier_dim
 
 MAX_ENUMERATION_DIM = 8
@@ -69,28 +68,27 @@ def _entries():
     return {e["name"]: e for e in json.loads(text)["entries"]}
 
 
-def _parameter_value(value, where) -> Fraction:
-    """An exact rational parameter value; anything else, a float
-    included, raises UnknownName naming ``where``."""
+def _parameter_value(text, part) -> Fraction:
+    """The rational ``text`` written inline in ``part``, as "1/2" in
+    "L6_22(1/2)"; text that is not one raises UnknownName."""
     try:
-        return frac(value)
-    except (TypeError, ValueError, ZeroDivisionError):
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
         raise UnknownName(
-            f"invalid parameter value {value!r} {where}"
+            f"invalid parameter value {text!r} in {part!r}"
         ) from None
 
 
-def _build_entry(entry, params) -> LieAlgebra:
+def _build_entry(entry, values) -> LieAlgebra:
+    """The algebra of a data-file entry, its parameters given exact
+    ``values``; one with no value raises MissingParameter."""
     dim = entry["dim"]
-    values = {}
     for parameter in entry["parameters"]:
-        if parameter not in params:
+        if parameter not in values:
             raise MissingParameter(
-                f"{entry['name']} needs a value for {parameter!r}"
+                f"{entry['name']} needs a value for {parameter!r}, "
+                f"written as {entry['name']}(VALUE)"
             )
-        values[parameter] = _parameter_value(
-            params[parameter], f"for {parameter} of {entry['name']}"
-        )
     brackets = {}
     for i, j, combo in entry["brackets"]:
         brackets[(i - 1, j - 1)] = parse_combo(combo, dim, params=values)
@@ -131,8 +129,8 @@ _PART = re.compile(
 )
 
 
-def _build_part(part: str, params, used) -> LieAlgebra:
-    """One "+"-part; adds the parameters its entry takes to ``used``."""
+def _build_part(part: str) -> LieAlgebra:
+    """One "+"-part of a catalog name."""
     match = _PART.match(part)
     if match is None:
         raise UnknownName(f"unknown algebra name {part!r}")
@@ -144,43 +142,26 @@ def _build_part(part: str, params, used) -> LieAlgebra:
     entry = _entries().get(table)
     if entry is None:
         raise UnknownName(f"unknown algebra name {part!r}")
-    used.update(entry["parameters"])
-    merged = dict(params)
     value = match.group("value")
-    if value is not None:
-        if not entry["parameters"]:
-            raise UnknownName(f"{table} takes no parameter")
-        parameter = entry["parameters"][0]
-        inline = _parameter_value(value, f"in {part!r}")
-        if parameter in params and _parameter_value(
-            params[parameter], f"for {parameter} of {table}"
-        ) != inline:
-            raise UnknownName(
-                f"{part!r} sets {parameter} = {inline}, which conflicts "
-                f"with the given {parameter} = {params[parameter]}"
-            )
-        merged[parameter] = inline
-    return _build_entry(entry, merged)
+    if value is None:
+        return _build_entry(entry, {})
+    if not entry["parameters"]:
+        raise UnknownName(f"{table} takes no parameter")
+    inline = _parameter_value(value, part)
+    return _build_entry(entry, {entry["parameters"][0]: inline})
 
 
-def catalog_get(name: str, params=None) -> LieAlgebra:
+def catalog_get(name: str) -> LieAlgebra:
     """Construct a catalog algebra by name, or a "+"-joined direct sum.
 
-    ``params`` gives parameter values, such as {"eps": "1/2"}.  A value
-    written inline, as in "L6_22(1/2)", must equal the one in
-    ``params`` if both are given; a conflict raises UnknownName, and so
-    does a parameter that no part of the name takes.
+    A parameter value is written in the name, as in "L6_22(1/2)"; a
+    parameterised entry named without one raises MissingParameter.
     """
     _run_gates()
-    params = params or {}
     parts = [part.strip() for part in name.replace(" ", "").split("+")]
     if not all(parts):
         raise UnknownName(f"unknown algebra name {name!r}")
-    used = set()
-    algebras = [_build_part(part, params, used) for part in parts]
-    unused = sorted(set(params) - used)
-    if unused:
-        raise UnknownName(f"no part of {name!r} takes {', '.join(unused)}")
+    algebras = [_build_part(part) for part in parts]
     result = algebras[0]
     for other in algebras[1:]:
         result = direct_sum(result, other)

@@ -3,7 +3,7 @@
     schurlab info        --name L5_7 | --file presentation.alg
     schurlab multiplier  --name "H(1)+A(2)" [--format json]
     schurlab capable     --name A1
-    schurlab bounds      --name L5_8
+    schurlab bounds      --name "L6_22(1/2)"
     schurlab sweep       --max-dim 6
     schurlab check       --theorem all
 
@@ -79,37 +79,14 @@ def _emit_table(doc, indent):
             sys.stdout.write(f"{indent}{key}: {value}\n")
 
 
-def _parse_param(text):
-    name, sep, value = text.partition("=")
-    name = name.strip()
-    if not sep or not name:
-        raise argparse.ArgumentTypeError(
-            f"expected NAME=VALUE, got {text!r}"
-        )
-    try:
-        return name, Fraction(value.strip())
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(
-            f"invalid rational value in {text!r}"
-        ) from None
-
-
 def _load_algebra(args):
     """Resolve --name or --file into (algebra, identity dict)."""
     if args.name is not None:
         from .catalog import catalog_get
 
-        params = {}
-        for key, value in args.param or []:
-            if params.setdefault(key, value) != value:
-                raise ValueError(
-                    f"--param {key}={value} conflicts with {key}={params[key]}"
-                )
-        algebra = catalog_get(args.name, params=params)
+        algebra = catalog_get(args.name)
         _log_info("loaded catalog algebra %s", algebra.name)
         return algebra, {"name": algebra.name}
-    if args.param:
-        raise ValueError("--param applies only to --name")
     import hashlib
 
     from .dsl import parse_presentation
@@ -198,15 +175,8 @@ def cmd_check(args):
 
 def _add_source_args(parser):
     source = parser.add_mutually_exclusive_group(required=True)
-    source.add_argument("--name", help="catalog name, e.g. L5_7 or H(1)+A(2)")
+    source.add_argument("--name", help="catalog name, e.g. L6_22(1/2) or H(1)+A(2)")
     source.add_argument("--file", help="path to a presentation file")
-    parser.add_argument(
-        "--param",
-        action="append",
-        type=_parse_param,
-        metavar="NAME=VALUE",
-        help="catalog parameter value, e.g. eps=1/2",
-    )
 
 
 def build_parser():
@@ -267,9 +237,8 @@ def main(argv=None):
         print(f"schurlab: {exc}", file=sys.stderr)
         return 4
     except (SchurlabError, OSError, ValueError) as exc:
-        # ValueError: a --file that is not UTF-8, --param with --file,
-        # or an argument the library rejects as out of range
-        # (--max-dim 0, H(0))
+        # ValueError: a --file that is not UTF-8, or an argument the
+        # library rejects as out of range (--max-dim 0, H(0))
         print(f"schurlab: {exc}", file=sys.stderr)
         return 2
     return 4 if doc.get("all_hold") is False else 0

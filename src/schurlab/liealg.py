@@ -307,15 +307,18 @@ class LieAlgebra:
 
     def quotient(self, ideal: Subspace) -> Quotient:
         """L/I for an ideal I, with its ``project`` and ``lift``."""
-        n = self.dim
-        if ideal.ambient != n:
+        if ideal.ambient != self.dim:
             raise ValueError("ideal lives in the wrong ambient space")
-        if not self.bracket_subspaces(Subspace.full(n), ideal) <= ideal:
+        # only the basis vectors outside the center of the adjoint table
+        # can bracket I out of itself
+        den, adj = self._adjoint()
+        basis = [{i: 1} for i, row in enumerate(adj) if row]
+        spanned = self._bracket_span(basis, ideal.echelon.values())
+        if not spanned.subspace() <= ideal:
             raise NotAnIdeal("subspace is not closed under bracketing with L")
         comp = ideal.nonpivots()
         # D [x_i, x_j] modulo I over D is its projection, read in the
         # non-pivot columns
-        den, adj = self._adjoint()
         index = {c: t for t, c in enumerate(comp)}
         brackets = {}
         for s, i in enumerate(comp):

@@ -231,6 +231,12 @@ def _split(L: LieAlgebra):
     return L._split
 
 
+def kunneth_gain(k: int, width: int) -> int:
+    """dim M(L0 + A(k)) - dim M(L0) = C(k, 2) + k * width, for
+    width = dim(L0/L0^2)."""
+    return k * (k - 1) // 2 + k * width
+
+
 def schur_multiplier_dim(L: LieAlgebra) -> int:
     """dim M(L), without materialising witness subspaces: for
     L = L0 + A(k), dim M(L0) + C(k,2) + k dim(L0/L0^2)."""
@@ -241,10 +247,8 @@ def schur_multiplier_dim(L: LieAlgebra) -> int:
         return present_minimal(L).dim_multiplier
     rep = L.series()
     k = rep.central_complement_dim
-    return (
-        schur_multiplier_dim(split.algebra)
-        + k * (k - 1) // 2
-        + k * (rep.min_generators - k)
+    return schur_multiplier_dim(split.algebra) + kunneth_gain(
+        k, rep.min_generators - k
     )
 
 

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 import schurlab.catalog
@@ -28,7 +26,11 @@ def test_name_forms():
     total = catalog_get("H(1)+A(2)")
     assert total.dim == 5 and total.name == "H(1)+A(2)"
     assert catalog_get("L6_22(1/2)").name == "L6_22(1/2)"
-    assert catalog_get("L6_22", params={"eps": Fraction(-1)}).name == "L6_22(-1)"
+    assert catalog_get("L6_22(2/4)").name == "L6_22(1/2)"
+    assert catalog_get("L6_22(-1)").name == "L6_22(-1)"
+    assert catalog_get("L5_7+L6_22(2)").name == "L5_7+L6_22(2)"
+    both = catalog_get("L6_22(1/2)+L6_22(-1)")
+    assert both.dim == 12 and both.name == "L6_22(1/2)+L6_22(-1)"
 
 
 def test_unknown_and_missing():
@@ -38,31 +40,30 @@ def test_unknown_and_missing():
         catalog_get("L9_99")
     with pytest.raises(UnknownName):
         catalog_get("L5_7(3)")
-    with pytest.raises(MissingParameter):
+    with pytest.raises(MissingParameter) as info:
         catalog_get("L6_22")
-    with pytest.raises(UnknownName):
-        catalog_get("L6_22(one)")
+    assert str(info.value) == (
+        "L6_22 needs a value for 'eps', written as L6_22(VALUE)"
+    )
+    with pytest.raises(MissingParameter):
+        catalog_get("L5_7+L6_22")
     with pytest.raises(UnknownName):
         catalog_get("")
-    for unbalanced in ("A(4", "A4)", "H2)", "H(2"):
+    for unbalanced in ("A(4", "A4)", "H2)", "H(2", "L6_22(1/2", "L6_22(1/2))"):
         with pytest.raises(UnknownName):
             catalog_get(unbalanced)
-    # bad params values raise UnknownName, like bad inline values;
-    # floats are inexact and rejected
-    for bad in ("x", "1/0", 0.1, None):
-        with pytest.raises(UnknownName):
-            catalog_get("L6_22", {"eps": bad})
-        with pytest.raises(UnknownName):
-            catalog_get("L6_22(1/2)", {"eps": bad})
-    # a parameter that no part of the name takes is refused
-    for name, params in (
-        ("L6_22", {"eps": 1, "foo": 2}),
-        ("L5_7", {"eps": Fraction(1, 2)}),
-        ("H(1)+A(2)", {"eps": 1}),
-    ):
-        with pytest.raises(UnknownName):
-            catalog_get(name, params)
-    assert catalog_get("L5_7+L6_22", {"eps": 2}).name == "L5_7+L6_22(2)"
+    # a bad inline value raises UnknownName naming the part
+    for bad in ("one", "x", "1/0"):
+        with pytest.raises(UnknownName) as info:
+            catalog_get(f"L6_22({bad})")
+        assert str(info.value) == (
+            f"invalid parameter value {bad!r} in 'L6_22({bad})'"
+        )
+    # a value for an entry that takes no parameter is refused
+    for name in ("L5_7(1/2)", "H(1)+L5_7(3)"):
+        with pytest.raises(UnknownName) as info:
+            catalog_get(name)
+        assert str(info.value) == "L5_7 takes no parameter"
 
 
 def test_constructors():

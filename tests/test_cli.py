@@ -4,6 +4,7 @@ import hashlib
 import inspect
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -239,18 +240,15 @@ def test_wide_files_split_off_their_abelian_factor(tmp_path, capsys):
 
 
 def test_param_flag(capsys):
-    code, out, _ = run_cli(
-        capsys,
-        "multiplier",
-        "--name",
-        "L6_22",
-        "--param",
-        "eps=1/2",
-        "--format",
-        "json",
-    )
-    assert code == 0
-    assert json.loads(out)["name"] == "L6_22(1/2)"
+    # a catalog parameter is written in the name
+    for value, name in (("1/2", "L6_22(1/2)"), ("2/4", "L6_22(1/2)"),
+                        ("-1", "L6_22(-1)")):
+        code, out, _ = run_cli(
+            capsys, "multiplier", "--name", f"L6_22({value})",
+            "--format", "json",
+        )
+        assert code == 0
+        assert json.loads(out)["name"] == name
 
 
 def test_exit_codes(tmp_path, capsys):
@@ -270,33 +268,14 @@ def test_exit_codes(tmp_path, capsys):
     zero.write_text("algebra Z dim 3\n[x1, x2] = 1/0*x3\n")
     code, _, err = run_cli(capsys, "info", "--file", str(zero))
     assert code == 2 and err.startswith("schurlab: line 2: ")
-    code, _, err = run_cli(capsys, "multiplier", "--name", "L6_22")
-    assert code == 2 and "eps" in err
-    code, _, err = run_cli(
-        capsys, "info", "--name", "L6_22(2)", "--param", "eps=3"
+    code, out, err = run_cli(capsys, "multiplier", "--name", "L6_22")
+    assert code == 2 and out == ""
+    assert err == (
+        "schurlab: L6_22 needs a value for 'eps', written as L6_22(VALUE)\n"
     )
-    assert code == 2 and err.startswith("schurlab: ") and "conflicts" in err
-    code, out, _ = run_cli(
-        capsys, "info", "--name", "L6_22(2)", "--param", "eps=2",
-        "--format", "json",
-    )
-    assert code == 0 and json.loads(out)["name"] == "L6_22(2)"
-    code, _, err = run_cli(
-        capsys, "info", "--name", "L6_22", "--param", "eps=1/2",
-        "--param", "eps=1/3",
-    )
-    assert code == 2 and err.startswith("schurlab: ") and "conflicts" in err
-    code, out, _ = run_cli(
-        capsys, "info", "--name", "L6_22", "--param", "eps=1/2",
-        "--param", "eps=2/4", "--format", "json",
-    )
-    assert code == 0 and json.loads(out)["name"] == "L6_22(1/2)"
-    for argv in (
-        ["--name", "L6_22", "--param", "eps=1", "--param", "foo=2"],
-        ["--name", "L5_7", "--param", "eps=1/2"],
-    ):
-        code, _, err = run_cli(capsys, "info", *argv)
-        assert code == 2 and err.startswith("schurlab: ") and "takes" in err
+    code, out, err = run_cli(capsys, "info", "--name", "L5_7(1/2)")
+    assert code == 2 and out == ""
+    assert err == "schurlab: L5_7 takes no parameter\n"
     binary = tmp_path / "binary.alg"
     binary.write_bytes(b"\xff\xfe\x00")
     code, _, err = run_cli(capsys, "info", "--file", str(binary))
@@ -352,28 +331,44 @@ def test_failed_check_exits_4(monkeypatch, capsys):
     assert err == "schurlab: L4_3: class 3 >= 3 but dim M = 3 exceeds 3 - 1\n"
 
 
-def test_blank_param_name_is_refused(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["info", "--name", "L5_7", "--param", " =1"])
-    assert exc.value.code == 2
-    assert "expected NAME=VALUE" in capsys.readouterr().err
-
-
-def test_param_with_file_is_refused(tmp_path, capsys):
-    # --param names a catalog parameter; a presentation file has none
+def test_param_flag_is_refused(tmp_path, capsys):
+    # there is no --param: a value is written in the name, and a
+    # presentation file has no parameters
     source = tmp_path / "h.alg"
     source.write_text("algebra H dim 3\n[x1, x2] = x3\n")
+    for source_args in (["--name", "L6_22"], ["--file", str(source)]):
+        with pytest.raises(SystemExit) as exc:
+            main(["info", *source_args, "--param", "eps=1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --param eps=1" in captured.err
     for command in ("info", "multiplier"):
-        code, out, err = run_cli(
-            capsys, command, "--file", str(source), "--param", "eps=1",
-            "--format", "json",
-        )
-        assert code == 2 and out == "", command
-        assert err == "schurlab: --param applies only to --name\n", command
         code, out, _ = run_cli(
             capsys, command, "--file", str(source), "--format", "json"
         )
         assert code == 0 and json.loads(out)["n"] == 3, command
+
+
+def test_readme_command_lines_parse():
+    # every command line README shows in a code fence, with any "$ "
+    # prompt dropped, is one the parser accepts
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines, fenced = [], False
+    for line in readme.read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            fenced = not fenced
+        elif fenced:
+            line = line.removeprefix("$ ")
+            if line.startswith("schurlab "):
+                lines.append(line)
+    assert len(lines) >= 8, lines
+    parser = build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README shows a command the parser refuses: {line}")
 
 
 def test_sweep_json(capsys):
@@ -621,7 +616,7 @@ PUBLIC_PARAMETERS = {
     "attains_e2": ["L"],
     "bound_e1": ["n", "m"],
     "bound_e2": ["n", "m", "c"],
-    "catalog_get": ["name", "params"],
+    "catalog_get": ["name"],
     "check_theorem_2_1": ["L", "K"],
     "check_theorem_2_2": ["L"],
     "check_theorem_2_5": ["L"],
@@ -651,7 +646,7 @@ PUBLIC_PARAMETERS = {
     "witt_dim": ["d", "k"],
 }
 
-SOURCE_OPTIONS = ["--file", "--format", "--help", "--name", "--param", "-h"]
+SOURCE_OPTIONS = ["--file", "--format", "--help", "--name", "-h"]
 SUBCOMMAND_OPTIONS = {
     "info": SOURCE_OPTIONS,
     "multiplier": SOURCE_OPTIONS,

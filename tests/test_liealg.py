@@ -196,6 +196,25 @@ def test_quotient_requires_ideal():
         L.quotient(not_ideal)
 
 
+def test_quotient_ideal_check_brackets_noncentral_basis(monkeypatch):
+    # [x1, x2] = x3 in dimension 40: only x1 and x2 have a nonzero
+    # adjoint row, so checking that the central C = <x4, ..., x40> is
+    # an ideal takes 2 * dim C brackets, not 40 * dim C
+    n = 40
+    L = LieAlgebra(n, {(0, 1): {2: 1}})
+    C = Subspace([[int(i == j) for i in range(n)] for j in range(3, n)], n)
+    calls = []
+    real = LieAlgebra._sparse_bracket
+    monkeypatch.setattr(
+        LieAlgebra,
+        "_sparse_bracket",
+        lambda self, a, b: calls.append(1) or real(self, a, b),
+    )
+    quotient = L.quotient(C).algebra
+    assert len(calls) <= 2 * C.dim, len(calls)
+    assert quotient.dim == 3 and quotient.sc == {(0, 1): {2: 1}}
+
+
 @pytest.mark.parametrize("name", REFERENCE_NAMES)
 def test_quotient_bracket_is_projected_bracket(name):
     # the catalog basis, and rational basis changes that give D > 1 and
