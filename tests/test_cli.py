@@ -331,19 +331,29 @@ def test_failed_check_exits_4(monkeypatch, capsys):
     assert err == "schurlab: L4_3: class 3 >= 3 but dim M = 3 exceeds 3 - 1\n"
 
 
-def test_param_flag_is_refused(tmp_path, capsys):
-    # there is no --param: a value is written in the name, and a
-    # presentation file has no parameters
-    source = tmp_path / "h.alg"
-    source.write_text("algebra H dim 3\n[x1, x2] = x3\n")
-    for source_args in (["--name", "L6_22"], ["--file", str(source)]):
+def test_blank_param_name_is_refused(capsys):
+    # there is no --param: a catalog parameter value is written in the
+    # name, so any --param, well formed or not, is refused by the parser
+    for param in (" =1", "eps=1"):
         with pytest.raises(SystemExit) as exc:
-            main(["info", *source_args, "--param", "eps=1"])
+            main(["info", "--name", "L6_22", "--param", param])
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "unrecognized arguments: --param eps=1" in captured.err
+        assert f"unrecognized arguments: --param {param}" in captured.err
+
+
+def test_param_with_file_is_refused(tmp_path, capsys):
+    # a presentation file has no parameters, and there is no --param
+    source = tmp_path / "h.alg"
+    source.write_text("algebra H dim 3\n[x1, x2] = x3\n")
     for command in ("info", "multiplier"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--file", str(source), "--param", "eps=1"])
+        assert exc.value.code == 2, command
+        captured = capsys.readouterr()
+        assert captured.out == "", command
+        assert "unrecognized arguments: --param eps=1" in captured.err
         code, out, _ = run_cli(
             capsys, command, "--file", str(source), "--format", "json"
         )
