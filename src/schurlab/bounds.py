@@ -363,7 +363,8 @@ def _sweep_row(name, n, m, c, dim_m):
         return SweepRow(name, n, m, c, dim_m, None, False)
     bound = bound_e2(n, m, c)
     attains = dim_m == bound
-    if THEOREMS["3.7"][0](n, m, c) and dim_m > bound - 1:
+    applies, (_, _, outcome) = THEOREMS["3.7"]
+    if applies(n, m, c) and outcome(n, m, c, dim_m) == "violations":
         raise InvariantMismatch(
             f"{name}: class {c} >= 3 but dim M = {dim_m} exceeds {bound} - 1"
         )

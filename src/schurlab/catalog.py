@@ -68,15 +68,16 @@ def _entries():
     return {e["name"]: e for e in json.loads(text)["entries"]}
 
 
+# the presentation grammar's p or p/q, q nonzero, with an optional sign
+_VALUE = re.compile(r"-?\d+(?:/\d*[1-9]\d*)?")
+
+
 def _parameter_value(text, part) -> Fraction:
     """The rational ``text`` written inline in ``part``, as "1/2" in
     "L6_22(1/2)"; text that is not one raises UnknownName."""
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise UnknownName(
-            f"invalid parameter value {text!r} in {part!r}"
-        ) from None
+    if not _VALUE.fullmatch(text):
+        raise UnknownName(f"invalid parameter value {text!r} in {part!r}")
+    return Fraction(text)
 
 
 def _build_entry(entry, values) -> LieAlgebra:

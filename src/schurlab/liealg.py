@@ -12,9 +12,7 @@ Instances are treated as immutable; derived data (the sparse adjoint
 table, series, presentation) is cached on the instance.
 """
 
-from bisect import bisect_right
 from fractions import Fraction
-from itertools import chain
 from math import lcm
 
 from .errors import JacobiViolation, NotAnIdeal, NotNilpotent, Record
@@ -155,58 +153,48 @@ class LieAlgebra:
             self._adj = (den, adj)
         return self._adj
 
-    def _jacobi_triples(self):
-        """The triples i < j < k with a nonzero bracket among the pairs
-        (i, j), (j, k), (i, k), generated in lexicographic order.
-
-        For each i, a j beyond the last k with [xi, xk] != 0 yields
-        triples only through its own later brackets, so past that point
-        only the active j (those with some [xj, xk] != 0, k > j) are
-        visited."""
-        _, adj = self._adjoint()
-        n = self.dim
-        later = [sorted(k for k in row if k > i) for i, row in enumerate(adj)]
-        active = [j for j in range(n) if later[j]]
-        for i in range(n):
-            row_i, later_i = adj[i], later[i]
-            last = later_i[-1] if later_i else i
-            rest = active[bisect_right(active, last):]
-            for j in chain(range(i + 1, last + 1), rest):
-                if j in row_i:
-                    ks = range(j + 1, n)
-                else:
-                    ks = later_i[bisect_right(later_i, j):]
-                    if later[j]:
-                        ks = sorted({*ks, *later[j]})
-                for k in ks:
-                    yield i, j, k
-
     def validate(self):
         """Check the Jacobi identity on every basis triple.
 
-        Raises JacobiViolation naming the first failing triple (1-based)
-        and the residual [[xi,xj],xk] + [[xj,xk],xi] + [[xk,xi],xj].
-        Only the triples i < j < k with a nonzero bracket among [xi,xj],
-        [xj,xk] and [xi,xk] are evaluated: when all three vanish, every
-        term of the residual is a bracket of zero.  They are walked
-        lazily in lexicographic order, so the first failure is the one a
-        walk over all triples would find.  Antisymmetry and bilinearity
-        hold by construction, so passing this check makes the structure
+        Raises JacobiViolation naming the first failing triple i < j < k
+        (1-based, in lexicographic order) and the residual
+        [[xi,xj],xk] + [[xj,xk],xi] + [[xk,xi],xj].  For each i in turn,
+        the residuals of the triples starting at i are summed from their
+        nonzero terms alone: [[xi,xj],xk] and [[xk,xi],xj] from i's
+        adjoint row, [[xj,xk],xi] from the brackets [xj,xk] with a
+        column l where [xl,xi] != 0.  Antisymmetry and bilinearity hold
+        by construction, so passing this check makes the structure
         constants a Lie algebra.
         """
         den, adj = self._adjoint()
-        empty = {}
-        for i, j, k in self._jacobi_triples():
-            residual = {}
-            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                for l, w in adj[a].get(b, empty).items():
-                    for t, w2 in adj[l].get(c, empty).items():
-                        residual[t] = residual.get(t, 0) + w * w2
-            if any(residual.values()):
-                vec = [Fraction(0)] * self.dim
-                for t, val in residual.items():
-                    vec[t] = Fraction(val, den * den)
-                raise JacobiViolation((i + 1, j + 1, k + 1), vec)
+        # column l -> the (j, k, D c_jkl) of the brackets [xj, xk] using it
+        pairs = {}
+        for j, k in self.sc:
+            for l, c in adj[j][k].items():
+                pairs.setdefault(l, []).append((j, k, c))
+        for i, row in enumerate(adj):
+            residuals = {}
+            for a, vec in row.items():
+                # [[xj,xk],xi] = -sum_a c_jka [xi,xa]
+                terms = [((j, k), -c, vec) for j, k, c in pairs.get(a, ()) if j > i]
+                if a > i:
+                    # [[xi,xa],xb] of (i, a, b), or for b < a the term
+                    # [[xk,xi],xj] = -[[xi,xa],xb] of (i, b, a)
+                    for l, w in vec.items():
+                        terms += [
+                            ((a, b), w, term) if a < b else ((b, a), -w, term)
+                            for b, term in adj[l].items() if b > i and b != a
+                        ]
+                for key, w, term in terms:
+                    res = residuals.setdefault(key, {})
+                    for t, v in term.items():
+                        res[t] = res.get(t, 0) + w * v
+            for (j, k), res in sorted(residuals.items()):
+                if any(res.values()):
+                    vec = [Fraction(0)] * self.dim
+                    for t, val in res.items():
+                        vec[t] = Fraction(val, den * den)
+                    raise JacobiViolation((i + 1, j + 1, k + 1), vec)
 
     def _sparse_bracket(self, a, b):
         """D * [a, b] for sparse dicts a, b {index: entry}, as a dict
@@ -248,17 +236,18 @@ class LieAlgebra:
 
         [L, gamma_i] is spanned by the brackets of the basis vectors
         outside the center of the adjoint table (the others bracket to
-        zero) with gamma_i: gamma_1 as the basis vectors, each later
-        term as the integer echelon rows of the builder that spanned it.
+        zero) with gamma_i: gamma_1 as those same basis vectors, since
+        [L, L] = [basis, basis], each later term as the integer echelon
+        rows of the builder that spanned it.
         """
         if self._gammas is None:
             _, adj = self._adjoint()
             basis = [{i: 1} for i, row in enumerate(adj) if row]
             gammas = [Subspace.full(self.dim)]
-            rows = [{i: 1} for i in range(self.dim)]
-            while rows:
+            rows = basis
+            while gammas[-1].dim:
                 builder = self._bracket_span(basis, rows)
-                if builder.rank == len(rows):
+                if builder.rank == gammas[-1].dim:
                     raise NotNilpotent(
                         "lower central series stabilises at dimension "
                         f"{builder.rank}"
@@ -288,6 +277,16 @@ class LieAlgebra:
             self._center = Subspace._trusted(kernel_rows(rows, n), n)
         return self._center
 
+    def _central_complement(self) -> Subspace:
+        """A complement C of Z cap L2 in Z, spanned by the echelon rows
+        of Z that raise the rank once L2's echelon rows are in; any
+        subset of a canonical echelon is one."""
+        builder = SpanBuilder(self.dim)
+        for row in self.derived_subspace().echelon.values():
+            builder.add(row)
+        rows = [row for row in self.center().echelon.values() if builder.add(row)]
+        return Subspace._trusted(rows, self.dim)
+
     def series(self) -> SeriesReport:
         if self._series is None:
             gammas = self.lower_central_series()
@@ -299,7 +298,7 @@ class LieAlgebra:
                 nilpotency_class=len(gammas) - 1,
                 center_dim=center.dim,
                 min_generators=self.dim - derived.dim,
-                central_complement_dim=center.dim - (center & derived).dim,
+                central_complement_dim=self._central_complement().dim,
             )
         return self._series
 

@@ -214,19 +214,15 @@ def _split(L: LieAlgebra):
     """The quotient onto L0 in L = L0 + A(k), cached on L, or False when
     nothing splits off: L is abelian, or k = dim Z - dim(Z cap L2) is 0.
 
-    The rows of Z's echelon that are independent modulo L2 span a
-    complement C of Z cap L2 in Z, and any subset of a canonical echelon
-    is one.  C is central, hence an ideal, and L0 = L/C.
+    C is the complement of Z cap L2 in Z that ``series`` counts, spanned
+    by the rows of Z's echelon that are independent modulo L2.  C is
+    central, hence an ideal, and L0 = L/C.
     """
     if L._split is None:
         rep = L.series()
         split = False
         if rep.central_complement_dim and rep.derived_dim:
-            builder = SpanBuilder(L.dim)
-            for row in L.derived_subspace().echelon.values():
-                builder.add(row)
-            rows = [row for row in L.center().echelon.values() if builder.add(row)]
-            split = L.quotient(Subspace._trusted(rows, L.dim))
+            split = L.quotient(L._central_complement())
         L._split = split
     return L._split
 

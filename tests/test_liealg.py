@@ -159,6 +159,36 @@ def test_series_of_one_bracket_in_dimension_2000_is_small():
     assert peak < 8 * 2**20
 
 
+def test_series_of_one_bracket_in_dimension_5000_is_narrow(monkeypatch):
+    # counts, not clocks: gamma_2 is spanned from the two basis vectors
+    # outside the center, not from all n, and k comes from an n-wide
+    # echelon, not a 2n-wide Zassenhaus intersection
+    from schurlab.linalg import SpanBuilder
+
+    n = 5000
+    L = LieAlgebra(n, {(0, 1): {2: 1}})
+    calls = []
+    sparse_bracket = LieAlgebra._sparse_bracket
+
+    def count(self, a, b):
+        calls.append((a, b))
+        return sparse_bracket(self, a, b)
+
+    monkeypatch.setattr(LieAlgebra, "_sparse_bracket", count)
+    assert [g.dim for g in L.lower_central_series()] == [n, 1, 0]
+    assert len(calls) <= 8, len(calls)
+    ambients = []
+    init = SpanBuilder.__init__
+
+    def record(self, ambient):
+        ambients.append(ambient)
+        init(self, ambient)
+
+    monkeypatch.setattr(SpanBuilder, "__init__", record)
+    assert L.series().central_complement_dim == n - 3
+    assert ambients and max(ambients) <= n, max(ambients)
+
+
 def test_not_nilpotent():
     L = LieAlgebra(2, {(0, 1): {1: 1}})
     with pytest.raises(NotNilpotent):
@@ -406,30 +436,37 @@ def test_validate_matches_brute_force(bad):
 
 
 
-def test_jacobi_triples_match_brute_force():
-    # random sparse supports; the walk depends only on which brackets
-    # are nonzero, so the algebras need not satisfy Jacobi
+def test_validate_matches_brute_force_on_random_algebras():
+    # random sparse rational constants, about half of them Lie algebras;
+    # small n is drawn more often, so the passing ones stay cheap to
+    # walk by brute force
     import random
 
     rng = random.Random(10)
-    for _ in range(300):
-        n = rng.randint(1, 12)
+    outcomes = {True: 0, False: 0}
+    for _ in range(2000):
+        n = min(rng.randint(1, 12), rng.randint(1, 12))
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         chosen = rng.sample(pairs, rng.randint(0, min(len(pairs), 2 * n)))
-        L = LieAlgebra(n, {p: {rng.randrange(n): rng.choice((1, -2))} for p in chosen})
-        support = set(L.sc)
-        want = [
-            (i, j, k)
-            for i in range(n)
-            for j in range(i + 1, n)
-            for k in range(j + 1, n)
-            if {(i, j), (j, k), (i, k)} & support
-        ]
-        assert list(L._jacobi_triples()) == want
+        L = LieAlgebra(n, {
+            p: {rng.randrange(n): rng.choice((1, -2, Fraction(1, 2)))
+                for _ in range(rng.randint(1, 2))}
+            for p in chosen
+        })
+        want = first_jacobi_failure(L)
+        outcomes[want is None] += 1
+        if want is None:
+            L.validate()
+            continue
+        with pytest.raises(JacobiViolation) as info:
+            L.validate()
+        assert (info.value.triple, info.value.residual) == want
+    assert min(outcomes.values()) > 800
 
 
 def test_validate_of_one_bracket_in_dimension_20000_is_fast():
-    # the walk visits the triples, not all n^2 pairs
+    # validate walks the nonzero brackets, not the triples or all n^2
+    # pairs
     import time
 
     L = LieAlgebra(20000, {(0, 1): {2: 1}})
