@@ -27,7 +27,7 @@ from itertools import chain, combinations
 from math import comb
 
 from .errors import InvariantMismatch, NotCentral, Record
-from .liealg import LieAlgebra
+from .liealg import LieAlgebra, per_algebra
 from .linalg import SpanBuilder, Subspace
 from .multiplier import (
     bound_e1,
@@ -139,13 +139,12 @@ def _gamma_prime3_rank(L, reps):
     return _tensor_rank(rows, L.dim, len(reps))
 
 
+@per_algebra
 def gamma_images(L: LieAlgebra) -> GammaImages:
     """Image dimensions of gamma on L/L2, and of the primed variants
     on L/(Z(L) + L2) (the degree-4 variant only when the class is at
     least 3).  Each quotient basis is the image of the basis vectors in
-    the ideal's ``nonpivots()``.  Cached on L, like ``series``."""
-    if L._gamma_images is not None:
-        return L._gamma_images
+    the ideal's ``nonpivots()``.  Memoised on L, like ``series``."""
     n = L.dim
     gammas = L.lower_central_series()
     gamma2 = gammas[1] if len(gammas) > 1 else Subspace.zero(n)
@@ -156,12 +155,11 @@ def gamma_images(L: LieAlgebra) -> GammaImages:
     dim_prime3 = None
     if L.series().nilpotency_class >= 3:
         dim_prime3 = _gamma_prime3_rank(L, prime_reps)
-    L._gamma_images = GammaImages(
+    return GammaImages(
         dim_im_gamma_L=_gamma_rank(L, ab_reps, gamma3),
         dim_im_gamma_prime2=_gamma_rank(L, prime_reps, gamma3),
         dim_im_gamma_prime3=dim_prime3,
     )
-    return L._gamma_images
 
 
 def _applicable(L, theorem, message):

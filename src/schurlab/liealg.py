@@ -8,15 +8,30 @@ messages and the presentation DSL use the 1-based x1..xn labels.
 
 Nothing here assumes nilpotency except ``series``, which raises
 ``NotNilpotent`` when the lower central series stabilises above zero.
-Instances are treated as immutable; derived data (the sparse adjoint
-table, series, presentation) is cached on the instance.
+Instances are treated as immutable; what is derived from one and read
+again is memoised on it by ``per_algebra``, here and in other modules.
 """
 
+import functools
 from fractions import Fraction
 from math import lcm
 
 from .errors import JacobiViolation, NotAnIdeal, NotNilpotent, Record
 from .linalg import Subspace, SpanBuilder, frac, invert, kernel_rows
+
+
+def per_algebra(fn):
+    """Memoise ``fn(L)`` in ``L._memo``, the one memo of an algebra
+    instance; a call that raises stores nothing."""
+
+    @functools.wraps(fn)
+    def memo(L):
+        cache = L._memo
+        if fn not in cache:
+            cache[fn] = fn(L)
+        return cache[fn]
+
+    return memo
 
 
 class SeriesReport(Record):
@@ -96,13 +111,7 @@ class LieAlgebra:
                     f"conflicting definitions for [x{i + 1}, x{j + 1}]"
                 )
         self.sc = {key: sc[key] for key in sorted(sc) if sc[key]}
-        self._series = None
-        self._gammas = None
-        self._center = None
-        self._presentation = None
-        self._split = None
-        self._gamma_images = None
-        self._adj = None
+        self._memo = {}
 
     # -- elements ----------------------------------------------------
 
@@ -129,29 +138,25 @@ class LieAlgebra:
 
     # -- structure ---------------------------------------------------
 
+    @per_algebra
     def _adjoint(self):
-        """The sparse adjoint table ``(D, adj)``, built once.
+        """The sparse adjoint table ``(D, adj)``.
 
         ``adj[i][j]`` is D * [x_i, x_j] as an integer dict {k: c}, kept
         for both index orders and only where the bracket is nonzero.  D
         is the lcm of the denominators of the structure constants; the
         scaling changes no span and no zero test.
         """
-        if self._adj is None:
-            den = 1
-            for vec in self.sc.values():
-                for c in vec.values():
-                    den = lcm(den, c.denominator)
-            adj = [{} for _ in range(self.dim)]
-            for (i, j), vec in self.sc.items():
-                row = {
-                    k: c.numerator * (den // c.denominator)
-                    for k, c in vec.items()
-                }
-                adj[i][j] = row
-                adj[j][i] = {k: -c for k, c in row.items()}
-            self._adj = (den, adj)
-        return self._adj
+        den = 1
+        for vec in self.sc.values():
+            for c in vec.values():
+                den = lcm(den, c.denominator)
+        adj = [{} for _ in range(self.dim)]
+        for (i, j), vec in self.sc.items():
+            row = {k: c.numerator * (den // c.denominator) for k, c in vec.items()}
+            adj[i][j] = row
+            adj[j][i] = {k: -c for k, c in row.items()}
+        return den, adj
 
     def validate(self):
         """Check the Jacobi identity on every basis triple.
@@ -231,6 +236,7 @@ class LieAlgebra:
         """The span of [a, b] over a in s, b in t."""
         return self._bracket_span(s.echelon.values(), t.echelon.values()).subspace()
 
+    @per_algebra
     def lower_central_series(self):
         """Subspaces gamma_1 = L, gamma_{i+1} = [L, gamma_i], ending at 0.
 
@@ -240,43 +246,41 @@ class LieAlgebra:
         [L, L] = [basis, basis], each later term as the integer echelon
         rows of the builder that spanned it.
         """
-        if self._gammas is None:
-            _, adj = self._adjoint()
-            basis = [{i: 1} for i, row in enumerate(adj) if row]
-            gammas = [Subspace.full(self.dim)]
-            rows = basis
-            while gammas[-1].dim:
-                builder = self._bracket_span(basis, rows)
-                if builder.rank == gammas[-1].dim:
-                    raise NotNilpotent(
-                        "lower central series stabilises at dimension "
-                        f"{builder.rank}"
-                    )
-                gammas.append(builder.subspace())
-                rows = builder.rows.values()
-            self._gammas = gammas
-        return self._gammas
+        _, adj = self._adjoint()
+        basis = [{i: 1} for i, row in enumerate(adj) if row]
+        gammas = [Subspace.full(self.dim)]
+        rows = basis
+        while gammas[-1].dim:
+            builder = self._bracket_span(basis, rows)
+            if builder.rank == gammas[-1].dim:
+                raise NotNilpotent(
+                    "lower central series stabilises at dimension "
+                    f"{builder.rank}"
+                )
+            gammas.append(builder.subspace())
+            rows = builder.rows.values()
+        return gammas
 
     def derived_subspace(self) -> Subspace:
         gammas = self.lower_central_series()
         return gammas[1] if len(gammas) > 1 else gammas[0]
 
+    @per_algebra
     def center(self) -> Subspace:
         """{z : [z, L] = 0}, the kernel of the adjoint action."""
-        if self._center is None:
-            n = self.dim
-            _, adj = self._adjoint()
-            rows = []
-            for row in adj:
-                # one equation sum_i z_i [x_j, x_i]_k = 0 per used k
-                eqs = {}
-                for i, vec in row.items():
-                    for k, c in vec.items():
-                        eqs.setdefault(k, {})[i] = c
-                rows.extend(eqs.values())
-            self._center = Subspace._trusted(kernel_rows(rows, n), n)
-        return self._center
+        n = self.dim
+        _, adj = self._adjoint()
+        rows = []
+        for row in adj:
+            # one equation sum_i z_i [x_j, x_i]_k = 0 per used k
+            eqs = {}
+            for i, vec in row.items():
+                for k, c in vec.items():
+                    eqs.setdefault(k, {})[i] = c
+            rows.extend(eqs.values())
+        return Subspace._trusted(kernel_rows(rows, n), n)
 
+    @per_algebra
     def _central_complement(self) -> Subspace:
         """A complement C of Z cap L2 in Z, spanned by the echelon rows
         of Z that raise the rank once L2's echelon rows are in; any
@@ -287,20 +291,18 @@ class LieAlgebra:
         rows = [row for row in self.center().echelon.values() if builder.add(row)]
         return Subspace._trusted(rows, self.dim)
 
+    @per_algebra
     def series(self) -> SeriesReport:
-        if self._series is None:
-            gammas = self.lower_central_series()
-            center = self.center()
-            derived = self.derived_subspace()
-            self._series = SeriesReport(
-                gamma_dims=tuple(g.dim for g in gammas),
-                derived_dim=derived.dim,
-                nilpotency_class=len(gammas) - 1,
-                center_dim=center.dim,
-                min_generators=self.dim - derived.dim,
-                central_complement_dim=self._central_complement().dim,
-            )
-        return self._series
+        gammas = self.lower_central_series()
+        derived = self.derived_subspace()
+        return SeriesReport(
+            gamma_dims=tuple(g.dim for g in gammas),
+            derived_dim=derived.dim,
+            nilpotency_class=len(gammas) - 1,
+            center_dim=self.center().dim,
+            min_generators=self.dim - derived.dim,
+            central_complement_dim=self._central_complement().dim,
+        )
 
     # -- constructions -----------------------------------------------
 

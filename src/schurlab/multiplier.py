@@ -57,7 +57,7 @@ from .errors import (
     Record,
 )
 from .hall import free_nilpotent_algebra
-from .liealg import LieAlgebra
+from .liealg import LieAlgebra, per_algebra
 from .linalg import SpanBuilder, Subspace, kernel_rows
 
 
@@ -148,10 +148,9 @@ class MultiplierReport(Record):
     attains_e2: bool | None
 
 
+@per_algebra
 def present_minimal(L: LieAlgebra) -> Presentation:
-    """Build (and cache on L) the minimal truncated free presentation."""
-    if L._presentation is not None:
-        return L._presentation
+    """The minimal truncated free presentation, built once per algebra."""
     if L.dim == 0:
         raise ValueError("the zero algebra has no generators to present")
     rep = L.series()
@@ -205,26 +204,22 @@ def present_minimal(L: LieAlgebra) -> Presentation:
             if vec:
                 fr_builder.add(vec)
 
-    pres = Presentation(free, pi_rows, r_rows, fr_builder)
-    L._presentation = pres
-    return pres
+    return Presentation(free, pi_rows, r_rows, fr_builder)
 
 
+@per_algebra
 def _split(L: LieAlgebra):
-    """The quotient onto L0 in L = L0 + A(k), cached on L, or False when
-    nothing splits off: L is abelian, or k = dim Z - dim(Z cap L2) is 0.
+    """The quotient onto L0 in L = L0 + A(k), or False when nothing
+    splits off: L is abelian, or k = dim Z - dim(Z cap L2) is 0.
 
-    C is the complement of Z cap L2 in Z that ``series`` counts, spanned
-    by the rows of Z's echelon that are independent modulo L2.  C is
-    central, hence an ideal, and L0 = L/C.
+    C is ``L._central_complement()``, the complement that ``series``
+    counts k with: the rows of Z's echelon that are independent modulo
+    L2.  C is central, hence an ideal, and L0 = L/C.
     """
-    if L._split is None:
-        rep = L.series()
-        split = False
-        if rep.central_complement_dim and rep.derived_dim:
-            split = L.quotient(L._central_complement())
-        L._split = split
-    return L._split
+    rep = L.series()
+    if rep.central_complement_dim and rep.derived_dim:
+        return L.quotient(L._central_complement())
+    return False
 
 
 def kunneth_gain(k: int, width: int) -> int:
@@ -292,24 +287,18 @@ def exterior_center(L: LieAlgebra) -> Subspace:
     if split:
         return _split_exterior_center(L, split)
     pres = present_minimal(L)
-    n = L.dim
     free = pres.free
-    words = pres.r.nonpivots()
+    images = {word: {} for word in pres.r.nonpivots()}
     constraints = []
     for j in range(free.generators):
-        # residual / scale of reduced[t] is the residual of [x_j, words[t]]
-        reduced = [pres._fr_builder.reduce(free.product(j, q)) for q in words]
+        # residual / scale of reduced[t] is the residual of [x_j, word t]
+        reduced = [pres._fr_builder.reduce(free.product(j, q)) for q in images]
         constraints.extend(_constraints(reduced))
-    # a kernel row a gives sum_t a_t pi(words[t]), scaled by D^c
-    span = SpanBuilder(n)
-    for row in kernel_rows(constraints, n):
-        span.add(
-            {
-                k: sum(a * pi_k.get(words[t], 0) for t, a in row.items())
-                for k, pi_k in enumerate(pres.pi_rows)
-            }
-        )
-    return span.subspace()
+    # image of word t: pi(word t) scaled by D^c, its column of pi_rows
+    for k, pi_k in enumerate(pres.pi_rows):
+        for word in images.keys() & pi_k.keys():
+            images[word][k] = pi_k[word]
+    return _kernel_span(constraints, list(images.values()), L.dim)
 
 
 def _constraints(reduced):
@@ -323,6 +312,19 @@ def _constraints(reduced):
         for idx, x in residual.items():
             rows.setdefault(idx, {})[t] = x * (common // scale)
     return [rows[idx] for idx in sorted(rows)]
+
+
+def _kernel_span(constraints, vectors, n):
+    """The canonical span in Q^n of sum_t a_t vectors[t] over the kernel
+    rows a of ``constraints``, integer rows over the columns t."""
+    span = SpanBuilder(n)
+    for row in kernel_rows(constraints, len(vectors)):
+        vec = {}
+        for t, a in row.items():
+            for col, x in vectors[t].items():
+                vec[col] = vec.get(col, 0) + a * x
+        span.add(vec)
+    return span.subspace()
 
 
 def _split_exterior_center(L, split):
@@ -340,14 +342,7 @@ def _split_exterior_center(L, split):
         preimage.add({cols[c]: x for c, x in row.items()})
     basis = list(L.derived_subspace().echelon.values())
     reduced = [preimage.reduce(b) for b in basis]
-    span = SpanBuilder(L.dim)
-    for row in kernel_rows(_constraints(reduced), len(basis)):
-        vec = {}
-        for t, a in row.items():
-            for col, x in basis[t].items():
-                vec[col] = vec.get(col, 0) + a * x
-        span.add(vec)
-    return span.subspace()
+    return _kernel_span(_constraints(reduced), basis, L.dim)
 
 
 def is_capable(L: LieAlgebra) -> bool:
@@ -377,12 +372,17 @@ def ganea_dimension_check(L: LieAlgebra, line: Subspace) -> GaneaReport:
     )
 
 
-def bound_e1(n: int, m: int) -> int:
-    """Upper bound for dim M(L) depending on n and m only."""
+def _bound_domain(n, m):
+    """Raise ValueError unless (n, m) is in the domain of both bounds."""
     if m < 1:
         raise ValueError("requires a nonzero derived subalgebra (m >= 1)")
     if n < m + 2:
         raise ValueError("requires n >= m + 2")
+
+
+def bound_e1(n: int, m: int) -> int:
+    """Upper bound for dim M(L) depending on n and m only."""
+    _bound_domain(n, m)
     return (n + m - 2) * (n - m - 1) // 2 + 1
 
 
@@ -397,10 +397,7 @@ def bound_e2(n: int, m: int, c: int) -> int:
     it equals bound_e1(n, m) exactly when c = 2 or n - m <= 3, and is
     strictly smaller otherwise.
     """
-    if m < 1:
-        raise ValueError("requires a nonzero derived subalgebra (m >= 1)")
-    if n < m + 2:
-        raise ValueError("requires n >= m + 2")
+    _bound_domain(n, m)
     if not 2 <= c <= n - 1:
         raise ValueError("requires 2 <= c <= n - 1")
     total = (n - m - 1) * (n + m) // 2

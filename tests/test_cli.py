@@ -708,3 +708,32 @@ def test_no_global_statements():
             if isinstance(node, ast.Global)
         ]
     assert offenders == []
+
+
+def test_no_foreign_attribute_writes():
+    # What is derived from an algebra is memoised by liealg.per_algebra,
+    # so no module sets an attribute on an object other than its own
+    # ``self`` or ``cls``.
+    def targets(node):
+        if isinstance(node, ast.Assign):
+            return node.targets
+        if isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            return [node.target]
+        return []
+
+    offenders = []
+    for path in sorted(Path(schurlab.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            for target in targets(node):
+                offenders += [
+                    f"{path.name}:{node.lineno}"
+                    for leaf in ast.walk(target)
+                    if isinstance(leaf, ast.Attribute)
+                    and isinstance(leaf.ctx, ast.Store)
+                    and not (
+                        isinstance(leaf.value, ast.Name)
+                        and leaf.value.id in ("self", "cls")
+                    )
+                ]
+    assert offenders == []

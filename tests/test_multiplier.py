@@ -9,7 +9,13 @@ from schurlab.catalog import (
     enumerate_catalog,
     heisenberg,
 )
-from schurlab.errors import NotCentral, NotOneDimensional
+from schurlab.bounds import gamma_images
+from schurlab.errors import (
+    NotCentral,
+    NotNilpotent,
+    NotOneDimensional,
+    ResourceCapExceeded,
+)
 from schurlab.liealg import LieAlgebra, direct_sum
 from schurlab.linalg import SpanBuilder, Subspace
 from schurlab.multiplier import (
@@ -19,6 +25,7 @@ from schurlab.multiplier import (
     is_capable,
     multiplier_report,
     present_minimal,
+    _split,
     schur_multiplier,
     schur_multiplier_dim,
 )
@@ -250,7 +257,7 @@ def test_split_matches_unsplit_engine_and_oracles():
             algebra = make(base, rng)
             pres = present_minimal(algebra)
             dim_m = schur_multiplier_dim(algebra)
-            assert algebra._split, name
+            assert _split(algebra), name
             assert dim_m == pres.dim_multiplier == ce_multiplier_dim(algebra), name
             assert exterior_square_dim(algebra) == pres.dim_exterior_square, name
             assert exterior_center(algebra) == _oracle_center(algebra), name
@@ -335,6 +342,30 @@ def test_invariance_under_basis_change_spot():
 def test_presentation_cached():
     L = catalog_get("L5_9")
     assert present_minimal(L) is present_minimal(L)
+
+
+def test_split_reuses_the_memoised_complement():
+    # series() counts k with the central complement and the split
+    # quotients by it: one subspace, built once per algebra
+    L = random_basis_change(catalog_get("L5_7+A(2)"), random.Random(24))
+    assert L.series().central_complement_dim == 2
+    assert _split(L).ideal is L._central_complement()
+    assert L.series() is L.series()
+    assert present_minimal(L) is present_minimal(L)
+    assert gamma_images(L) is gamma_images(L)
+
+
+def test_a_raising_call_is_not_memoised():
+    L = LieAlgebra(2, {(0, 1): {1: 1}})
+    for _ in range(2):
+        with pytest.raises(NotNilpotent):
+            L.lower_central_series()
+        with pytest.raises(NotNilpotent):
+            L.series()
+    wide = abelian(100)
+    for _ in range(2):
+        with pytest.raises(ResourceCapExceeded):
+            present_minimal(wide)
 
 
 def test_fraction_scalars_throughout():
