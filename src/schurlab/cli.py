@@ -87,14 +87,22 @@ def _load_algebra(args):
         algebra = catalog_get(args.name)
         _log_info("loaded catalog algebra %s", algebra.name)
         return algebra, {"name": algebra.name}
-    import hashlib
+    # the interpreter's built-in sha256 gives hashlib's digest without
+    # loading OpenSSL, a few MB and ms per run; random.py takes sha512 so
+    try:
+        from _sha256 import sha256  # Python 3.10, 3.11
+    except ImportError:
+        try:
+            from _sha2 import sha256  # Python 3.12 and later
+        except ImportError:
+            from hashlib import sha256
 
     from .dsl import parse_presentation
 
     with open(args.file, "rb") as handle:
         data = handle.read()
     algebra = parse_presentation(data.decode("utf-8"))
-    digest = hashlib.sha256(data).hexdigest()
+    digest = sha256(data).hexdigest()
     _log_info("parsed %s (sha256 %s)", args.file, digest[:12])
     return algebra, {"file": args.file, "sha256": digest}
 

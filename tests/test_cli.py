@@ -1,9 +1,11 @@
 import argparse
 import ast
 import hashlib
+import importlib.util
 import inspect
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -306,6 +308,41 @@ def test_byte_order_mark_is_ignored(tmp_path, capsys):
     assert docs[0] == docs[1]
 
 
+# CPython's built-in sha256 module: _sha256 up to 3.11, _sha2 from 3.12.
+BUILTIN_SHA256 = any(
+    importlib.util.find_spec(module) for module in ("_sha256", "_sha2")
+)
+
+
+@pytest.mark.parametrize("builtin", [True, False])
+def test_file_digest_on_every_import_path(tmp_path, monkeypatch, capsys, builtin):
+    # --file runs take sha256 from the built-in module and fall back to
+    # hashlib (OpenSSL) only when it does not import; both give one digest
+    if builtin and not BUILTIN_SHA256:
+        pytest.skip("this interpreter has no built-in sha256 module")
+    data = b"algebra H dim 3\n[x1, x2] = x3\n"
+    source = tmp_path / "heis.alg"
+    source.write_bytes(data)
+    want = hashlib.sha256(data).hexdigest()
+    calls = []
+
+    def openssl_sha256(*args, real=hashlib.sha256):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(hashlib, "sha256", openssl_sha256)
+    if not builtin:
+        for module in ("_sha256", "_sha2"):
+            monkeypatch.setitem(sys.modules, module, None)
+    for command in ("info", "multiplier"):
+        code, out, _ = run_cli(
+            capsys, command, "--file", str(source), "--format", "json"
+        )
+        assert code == 0, command
+        assert json.loads(out)["sha256"] == want, command
+    assert len(calls) == (0 if builtin else 2)
+
+
 def test_failed_check_exits_4(monkeypatch, capsys):
     # L4_3 is made to read its bound e2 = 3 (its dim M is 2), which the
     # strict refinement for class >= 3 forbids; every other algebra
@@ -490,7 +527,7 @@ def test_production_paths_stay_integer(monkeypatch, capsys):
     assert got == want
 
 
-def test_log_env_smoke():
+def test_log_env_smoke(tmp_path):
     argv = ["-m", "schurlab", "info", "--name", "H(1)", "--format", "json"]
     logged = _child(argv, log="INFO")
     assert logged.returncode == 0
@@ -504,12 +541,21 @@ def test_log_env_smoke():
     bad = _child(argv, log="LOUD")
     assert bad.returncode == 1
     assert "Unknown level: 'LOUD'" in bad.stderr
+    # a --file run logs the first 12 hex digits of the digest it stamps
+    (tmp_path / "h1.alg").write_text("algebra H1 dim 3\n[x1, x2] = x3\n")
+    argv = ["-m", "schurlab", "info", "--file", "h1.alg", "--format", "json"]
+    logged = _child(argv, log="INFO", cwd=tmp_path)
+    assert logged.returncode == 0, logged.stderr
+    digest = json.loads(logged.stdout)["sha256"]
+    (prefix,) = re.findall(r"^parsed h1\.alg \(sha256 (\w+)\)$", logged.stderr, re.M)
+    assert prefix == digest[:12]
 
 
 # What a fresh process may import.  Start-up dominates a small query,
 # so no subcommand loads dataclasses (and with it inspect), logging or
-# the theorem module, and info on a file loads no Hall basis,
-# multiplier or catalog code.
+# the theorem module, info on a file loads no Hall basis, multiplier or
+# catalog code, and the file's digest loads no OpenSSL (hashlib's
+# _hashlib) where the interpreter has a built-in sha256.
 FOOTPRINT_SCRIPT = (
     "import sys\n"
     "from schurlab.cli import main\n"
@@ -522,6 +568,8 @@ FOOTPRINT_SCRIPT = (
     ("info", "schurlab.liealg",
      ["schurlab.hall", "schurlab.multiplier", "schurlab.catalog"]),
     ("multiplier", "schurlab.multiplier", ["schurlab.catalog"]),
+    ("capable", "schurlab.multiplier", ["schurlab.catalog"]),
+    ("bounds", "schurlab.multiplier", ["schurlab.catalog"]),
 ])
 def test_subcommands_import_only_what_they_run(tmp_path, command, engine, absent):
     (tmp_path / "h1.alg").write_text("algebra H1 dim 3\n[x1, x2] = x3\n")
@@ -530,6 +578,8 @@ def test_subcommands_import_only_what_they_run(tmp_path, command, engine, absent
     assert proc.returncode == 0, proc.stderr
     code, *loaded = proc.stdout.splitlines()[-1].split()
     assert code == "0"
+    if BUILTIN_SHA256:
+        absent = [*absent, "hashlib", "_hashlib"]
     for module in ["dataclasses", "inspect", "logging", "schurlab.bounds", *absent]:
         assert module not in loaded
     assert engine in loaded
