@@ -144,7 +144,8 @@ def gamma_images(L: LieAlgebra) -> GammaImages:
     """Image dimensions of gamma on L/L2, and of the primed variants
     on L/(Z(L) + L2) (the degree-4 variant only when the class is at
     least 3).  Each quotient basis is the image of the basis vectors in
-    the ideal's ``nonpivots()``.  Memoised on L, like ``series``."""
+    the ideal's ``nonpivots()``.  Memoised per algebra value, like
+    ``series``."""
     n = L.dim
     gammas = L.lower_central_series()
     gamma2 = gammas[1] if len(gammas) > 1 else Subspace.zero(n)
@@ -356,7 +357,12 @@ class SweepRow(Record):
 def _sweep_row(name, n, m, c, dim_m):
     """The row of an entry with invariants (n, m, c) and dim M(L) =
     ``dim_m``; raises InvariantMismatch if it contradicts the strict
-    refinement for class >= 3 or the codimension-2 bound."""
+    refinement for class >= 3 or the codimension-2 bound.
+
+    The 2.2 guard cannot fire before the 3.7 guard: with m = n - 2
+    there are two generators, so dim L2/L3 <= 1, and n >= 4 then forces
+    c >= 3, where attaining bound_e2 already exceeds bound_e2 - 1.  It
+    stays only as a consistency check of the two."""
     if m == 0:
         return SweepRow(name, n, m, c, dim_m, None, False)
     bound = bound_e2(n, m, c)

@@ -9,10 +9,13 @@ messages and the presentation DSL use the 1-based x1..xn labels.
 Nothing here assumes nilpotency except ``series``, which raises
 ``NotNilpotent`` when the lower central series stabilises above zero.
 Instances are treated as immutable; what is derived from one and read
-again is memoised on it by ``per_algebra``, here and in other modules.
+again is memoised per algebra value by ``per_algebra``, here and in
+other modules: equal algebras (same dimension and structure constants,
+whatever their names) share one memo.
 """
 
 import functools
+import weakref
 from fractions import Fraction
 from math import lcm
 
@@ -20,9 +23,18 @@ from .errors import JacobiViolation, NotAnIdeal, NotNilpotent, Record
 from .linalg import Subspace, SpanBuilder, frac, invert, kernel_rows
 
 
+# algebra value -> its memo, keyed weakly by the first live algebra of
+# that value: every equal algebra built while it lives shares the dict,
+# and the entry goes when it is collected
+_MEMOS = weakref.WeakKeyDictionary()
+
+
 def per_algebra(fn):
-    """Memoise ``fn(L)`` in ``L._memo``, the one memo of an algebra
-    instance; a call that raises stores nothing."""
+    """Memoise ``fn(L)`` in ``L._memo``, the one memo of the algebra
+    value of L, which L shares with the algebras equal to it (see
+    ``_MEMOS``); a call that raises stores nothing.  ``fn`` must depend
+    on the dimension and the structure constants alone, never on
+    ``L.name``."""
 
     @functools.wraps(fn)
     def memo(L):
@@ -111,7 +123,7 @@ class LieAlgebra:
                     f"conflicting definitions for [x{i + 1}, x{j + 1}]"
                 )
         self.sc = {key: sc[key] for key in sorted(sc) if sc[key]}
-        self._memo = {}
+        self._memo = _MEMOS.setdefault(self, {})
 
     # -- elements ----------------------------------------------------
 
@@ -307,7 +319,9 @@ class LieAlgebra:
     # -- constructions -----------------------------------------------
 
     def quotient(self, ideal: Subspace) -> Quotient:
-        """L/I for an ideal I, with its ``project`` and ``lift``."""
+        """L/I for an ideal I, with its ``project`` and ``lift``.  L/I
+        has no name: it is derived from L's value, and the split that
+        memoises one is shared by every algebra equal to L."""
         if ideal.ambient != self.dim:
             raise ValueError("ideal lives in the wrong ambient space")
         # only the basis vectors outside the center of the adjoint table
@@ -330,8 +344,7 @@ class LieAlgebra:
                         brackets[(s, index[j])] = {
                             index[k]: x / den for k, x in residual.items()
                         }
-        name = f"{self.name}/I" if self.name else None
-        return Quotient(LieAlgebra(len(comp), brackets, name=name), ideal)
+        return Quotient(LieAlgebra(len(comp), brackets), ideal)
 
     def direct_sum(self, other: "LieAlgebra", name=None) -> "LieAlgebra":
         n1 = self.dim

@@ -150,7 +150,8 @@ class MultiplierReport(Record):
 
 @per_algebra
 def present_minimal(L: LieAlgebra) -> Presentation:
-    """The minimal truncated free presentation, built once per algebra."""
+    """The minimal truncated free presentation, built once per algebra
+    value."""
     if L.dim == 0:
         raise ValueError("the zero algebra has no generators to present")
     rep = L.series()

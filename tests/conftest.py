@@ -1,11 +1,12 @@
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from schurlab import enumerate_catalog, multiplier_report
+from schurlab import enumerate_catalog, liealg, multiplier_report
 
 
 @pytest.fixture(scope="session")
@@ -18,3 +19,14 @@ def catalog6():
 def reports6(catalog6):
     """Full multiplier reports for the dimension-6 catalog, by name."""
     return {name: multiplier_report(algebra) for name, algebra in catalog6}
+
+
+@pytest.fixture
+def empty_memos(monkeypatch):
+    """An empty per-value memo registry for one test.  The session
+    fixtures keep algebras alive, and with them the memos of every
+    equal algebra; an algebra built under this fixture shares none of
+    them, so its memoised values are computed again."""
+    registry = weakref.WeakKeyDictionary()
+    monkeypatch.setattr(liealg, "_MEMOS", registry)
+    return registry

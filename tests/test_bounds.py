@@ -273,6 +273,34 @@ def test_sweep_deterministic():
     assert classification_sweep(5) == classification_sweep(5)
 
 
+def test_equal_algebras_are_presented_once(monkeypatch, empty_memos):
+    # counts, not clocks: the memo is per algebra value, so the core L0
+    # of each base+A(k) shares the memo of its base.  The
+    # catalog gates run first and are counted by neither figure; a
+    # fresh ``check --theorem all --max-dim 7`` adds their 3
+    # presentations and 3 series, for 23 and 52 (80 and 112 with one
+    # memo per instance).
+    from schurlab.hall import free_nilpotent_algebra
+    from schurlab.liealg import SeriesReport
+
+    enumerate_catalog(1)
+    presented, series = [], []
+    monkeypatch.setattr(
+        "schurlab.multiplier.free_nilpotent_algebra",
+        lambda d, s: presented.append(d) or free_nilpotent_algebra(d, s),
+    )
+    monkeypatch.setattr(
+        "schurlab.liealg.SeriesReport",
+        lambda **fields: series.append(1) or SeriesReport(**fields),
+    )
+    run_checks(enumerate_catalog(7), "all", "catalog up to dimension 7")
+    assert len(presented) <= 20 and len(series) <= 49, (
+        len(presented), len(series))
+    presented.clear()
+    classification_sweep(8)
+    assert len(presented) == 21
+
+
 def test_sweep_abelian_extension_rows_match_engine():
     """The sweep derives each base+A(k) row from its base; here every
     such entry of the dimension-8 catalog is built as a direct sum and

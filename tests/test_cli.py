@@ -18,6 +18,7 @@ import schurlab
 from schurlab.catalog import catalog_get
 from schurlab.cli import build_parser, main
 from schurlab.dsl import format_presentation, parse_combo, parse_presentation
+from schurlab.hall import free_nilpotent_algebra
 from schurlab.liealg import LieAlgebra, Quotient
 
 
@@ -513,18 +514,46 @@ INTEGER_PATH_COMMANDS = [
 ]
 
 
-def test_production_paths_stay_integer(monkeypatch, capsys):
+def test_production_paths_stay_integer(monkeypatch, capsys, empty_memos):
     want = [run_cli(capsys, *argv) for argv in INTEGER_PATH_COMMANDS]
     assert all(code == 0 for code, _, _ in want)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("dense Fraction route called")
 
+    # nothing from the first run may answer the patched one
+    empty_memos.clear()
+    presented = []
+    monkeypatch.setattr(
+        "schurlab.multiplier.free_nilpotent_algebra",
+        lambda d, s: presented.append(d) or free_nilpotent_algebra(d, s),
+    )
     monkeypatch.setattr(LieAlgebra, "bracket", forbidden)
     monkeypatch.setattr(Quotient, "project", forbidden)
     monkeypatch.setattr(Quotient, "lift", forbidden)
     got = [run_cli(capsys, *argv) for argv in INTEGER_PATH_COMMANDS]
     assert got == want
+    assert presented, "present_minimal's body did not run under the patches"
+
+
+def test_equal_algebras_share_values_not_names(capsys):
+    # The memo is per algebra value, so two names of one algebra share
+    # every memoised value; none of those values names an algebra, and
+    # each answer carries the name it was asked under.
+    from schurlab.bounds import check_theorem_2_5, gamma_images
+    from schurlab.multiplier import _split, multiplier_report, present_minimal
+
+    first, second = catalog_get("L5_7+A(2)"), catalog_get("L5_7+A(1)+A(1)")
+    assert first == second and first.name != second.name
+    for fn in (LieAlgebra.series, present_minimal, gamma_images, _split):
+        assert fn(first) is fn(second)
+    assert _split(first).algebra.name is None
+    assert multiplier_report(first) == multiplier_report(second)
+    assert check_theorem_2_5(first).instance == "L5_7+A(2)"
+    assert check_theorem_2_5(second).instance == "L5_7+A(1)+A(1)"
+    for name in (first.name, second.name):
+        code, out, _ = run_cli(capsys, "multiplier", "--name", name, "--format", "json")
+        assert code == 0 and json.loads(out)["name"] == name
 
 
 def test_log_env_smoke(tmp_path):

@@ -189,6 +189,18 @@ def test_series_of_one_bracket_in_dimension_5000_is_narrow(monkeypatch):
     assert ambients and max(ambients) <= n, max(ambients)
 
 
+def test_memo_registry_drops_a_value_no_algebra_has(empty_memos):
+    import gc
+
+    h, twin = heisenberg(1), heisenberg(1)
+    assert h.series() is twin.series()
+    assert h.center() is twin.center()
+    assert list(empty_memos) == [h]
+    del h, twin
+    gc.collect()
+    assert len(empty_memos) == 0
+
+
 def test_not_nilpotent():
     L = LieAlgebra(2, {(0, 1): {1: 1}})
     with pytest.raises(NotNilpotent):

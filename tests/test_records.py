@@ -65,5 +65,13 @@ def test_records_from_the_engine():
         "SeriesReport(gamma_dims=(3, 1, 0), derived_dim=1, nilpotency_class=2,"
         " center_dim=1, min_generators=2, central_complement_dim=0)"
     )
-    assert rep == heisenberg(1).series() and rep is not heisenberg(1).series()
+    assert rep == heisenberg(1).series()
     assert len({rep, heisenberg(1).series()}) == 1
+    # the memo is per algebra value: two live H(1) share one record, and
+    # H(1) in another basis, a different value, gets an equal record
+    # of its own
+    h, twin = heisenberg(1), heisenberg(1)
+    assert h.series() is twin.series()
+    swapped = h.change_basis([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    assert swapped != h
+    assert swapped.series() == h.series() and swapped.series() is not h.series()
