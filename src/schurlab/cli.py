@@ -7,8 +7,9 @@
     schurlab sweep       --max-dim 6
     schurlab check       --theorem all
 
-Exit codes: 0 success, 2 input error, 3 resource cap exceeded,
-4 a theorem-consistency check failed.
+Exit codes: 0 success, 1 stdout was closed before all output was
+written, 2 input error, 3 resource cap exceeded, 4 a theorem-consistency
+check failed.
 
 JSON output (schema_version "1") is stable-ordered and byte-identical
 across repeated invocations.  Every document carries the algebra
@@ -238,6 +239,13 @@ def main(argv=None):
     try:
         doc = {"schema_version": SCHEMA_VERSION, **args.handler(args)}
         _emit(doc, args.format)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (``schurlab sweep | head -1``): point
+        # it at devnull so that the interpreter's final flush is silent
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except ResourceCapExceeded as exc:
         print(f"schurlab: {exc}", file=sys.stderr)
         return 3

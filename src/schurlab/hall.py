@@ -7,7 +7,11 @@ degree k is the Witt number (1/k)*sum_{j|k} mu(j) d^(k/j).
 Hall words are binary trees.  With words totally ordered by position
 (degree first, then creation order), [u, v] is a Hall word exactly when
 u and v are Hall words, u < v, and v is either a generator or has its
-left subtree <= u.
+left subtree <= u.  One pass builds the words degree by degree, and
+the range of positions each degree fills is the degree block
+(``FreeNilpotentAlgebra.degree_offsets``).  The Witt numbers serve only
+the basis-size cap, checked before any word is built, and one
+cross-check of each block's length.
 
 Brackets of basis words are collected into Hall words by rewriting:
 for a < b = [v1, v2] with a < v1, the Jacobi identity gives
@@ -68,62 +72,45 @@ class HallWord(Record):
 
 
 def _build_words(d, s):
-    words = []
-    by_degree = {1: list(range(d))}
-    for g in range(d):
-        words.append(
-            HallWord(
-                position=g,
-                degree=1,
-                gen=g,
-                left=None,
-                right=None,
-                label=f"x{g + 1}",
-            )
-        )
-    for n in range(2, s + 1):
-        pairs = []
-        for u_pos in range(len(words)):
-            u = words[u_pos]
-            need = n - u.degree
-            if need < 1:
-                continue
-            for v_pos in by_degree.get(need, ()):
-                if v_pos <= u_pos:
-                    continue
-                v = words[v_pos]
-                if v.gen is not None or v.left <= u_pos:
-                    pairs.append((u_pos, v_pos))
-        block = []
-        for u_pos, v_pos in pairs:
-            pos = len(words)
-            words.append(
-                HallWord(
-                    position=pos,
-                    degree=n,
-                    gen=None,
-                    left=u_pos,
-                    right=v_pos,
-                    label=f"[{words[u_pos].label}, {words[v_pos].label}]",
-                )
-            )
-            block.append(pos)
-        by_degree[n] = block
-    return words
+    """The Hall words of degree <= s on d generators in basis order,
+    and the range of positions each degree fills.
 
-
-def hall_basis(d, s):
-    """The Hall words of degree <= s on d generators, in basis order;
-    raises ResourceCapExceeded past ``DEFAULT_BASIS_CAP`` words."""
+    The Witt numbers are summed for the cap before any word is built,
+    then each degree's block is checked against its Witt number.
+    """
     if d < 1 or s < 1:
         raise ValueError("a free nilpotent algebra needs d >= 1 and s >= 1")
-    total = sum(witt_dim(d, k) for k in range(1, s + 1))
+    counts = [witt_dim(d, k) for k in range(1, s + 1)]
+    total = sum(counts)
     if total > DEFAULT_BASIS_CAP:
         raise ResourceCapExceeded(
             f"free nilpotent algebra on {d} generators of class {s} "
             f"needs {total} basis words (cap {DEFAULT_BASIS_CAP})"
         )
-    return _build_words(d, s)
+    words = [HallWord(g, 1, g, None, None, f"x{g + 1}") for g in range(d)]
+    blocks = {1: range(d)}
+    for n in range(2, s + 1):
+        start = len(words)
+        for u in range(start):
+            block = blocks[n - words[u].degree]
+            for v in range(max(u + 1, block.start), block.stop):
+                right = words[v]
+                if right.gen is not None or right.left <= u:
+                    label = f"[{words[u].label}, {right.label}]"
+                    words.append(HallWord(len(words), n, None, u, v, label))
+        blocks[n] = range(start, len(words))
+    for k, count in enumerate(counts, 1):
+        if len(blocks[k]) != count:
+            raise InvariantMismatch(
+                f"Hall count in degree {k} disagrees with the Witt number"
+            )
+    return words, blocks
+
+
+def hall_basis(d, s):
+    """The Hall words of degree <= s on d generators, in basis order;
+    raises ResourceCapExceeded past ``DEFAULT_BASIS_CAP`` words."""
+    return _build_words(d, s)[0]
 
 
 class FreeNilpotentAlgebra:
@@ -139,23 +126,8 @@ class FreeNilpotentAlgebra:
     def __init__(self, d, s):
         self.generators = d
         self.class_bound = s
-        self.basis = hall_basis(d, s)
+        self.basis, self.degree_offsets = _build_words(d, s)
         self.dim = len(self.basis)
-        offsets = {}
-        start = 0
-        for k in range(1, s + 1):
-            count = witt_dim(d, k)
-            block = range(start, start + count)
-            if any(self.basis[p].degree != k for p in block):
-                raise InvariantMismatch(
-                    f"Hall count in degree {k} disagrees with the "
-                    "Witt number"
-                )
-            offsets[k] = block
-            start += count
-        if start != self.dim:
-            raise InvariantMismatch("Hall counts disagree with Witt numbers")
-        self.degree_offsets = offsets
         # the products (a, b), a < b, computed so far; Hall pairs to begin
         self._table = {
             (w.left, w.right): {w.position: 1}

@@ -481,20 +481,64 @@ def test_theorem_choices_are_the_table_ids():
     assert tuple(theorem.choices) == (*THEOREMS, "all")
 
 
-def _child(args, log=None, cwd=None):
-    """Run ``python ARGS`` with schurlab importable and SCHURLAB_LOG set
-    to ``log`` (unset when None).  The child finds the package where
-    this process imported it from, also when only pytest's
-    ``pythonpath`` setting put it on sys.path."""
+def _child_env(log=None):
+    """The environment of a child with schurlab importable and
+    SCHURLAB_LOG set to ``log`` (unset when None).  The child finds the
+    package where this process imported it from, also when only
+    pytest's ``pythonpath`` setting put it on sys.path."""
     src = str(Path(schurlab.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
     env.pop("SCHURLAB_LOG", None)
     if log is not None:
         env["SCHURLAB_LOG"] = log
+    return env
+
+
+def _child(args, log=None, cwd=None):
+    """Run ``python ARGS`` in the environment of ``_child_env(log)``."""
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env, cwd=cwd
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env=_child_env(log),
+        cwd=cwd,
     )
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+@pytest.mark.parametrize(
+    "argv",
+    [["sweep", "--max-dim", "8"], ["info", "--name", "A(1)"]],
+    ids=["sweep", "info"],
+)
+def test_closed_stdout_exits_1_quietly(unbuffered, argv):
+    """A reader that has gone (``schurlab sweep | head -1``) is not an
+    input error: exit 1 and print nothing, whether the write or the
+    final flush meets the closed pipe."""
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "schurlab", *argv, "--format", "json"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")
+
+
+def test_unreadable_file_still_exits_2(tmp_path, capsys):
+    for path in (tmp_path / "missing.alg", tmp_path):
+        code, out, err = run_cli(capsys, "info", "--file", str(path))
+        assert code == 2 and out == "" and err.startswith("schurlab: ")
 
 
 def test_console_script_entry_point():

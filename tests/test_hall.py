@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from schurlab import hall
 from schurlab.catalog import catalog_get
-from schurlab.errors import ResourceCapExceeded
+from schurlab.errors import InvariantMismatch, ResourceCapExceeded
 from schurlab.hall import (
     FreeNilpotentAlgebra,
+    HallWord,
     free_nilpotent_algebra,
     hall_basis,
     witt_dim,
@@ -77,6 +79,43 @@ def test_resource_cap():
     for _ in range(2):
         with pytest.raises(ResourceCapExceeded):
             free_nilpotent_algebra(2, 20)
+
+
+BUILDERS = (hall_basis, FreeNilpotentAlgebra, free_nilpotent_algebra)
+
+
+def test_resource_cap_builds_no_word(monkeypatch):
+    """Past the cap every entry point refuses with the same text before
+    it builds a single Hall word."""
+    built = []
+
+    def spy(*args, **kwargs):
+        built.append(args)
+        return HallWord(*args, **kwargs)
+
+    monkeypatch.setattr(hall, "HallWord", spy)
+    messages = set()
+    for build in BUILDERS:
+        with pytest.raises(ResourceCapExceeded) as info:
+            build(5, 7)
+        messages.add(str(info.value))
+    assert messages == {
+        "free nilpotent algebra on 5 generators of class 7 "
+        "needs 14569 basis words (cap 5000)"
+    }
+    assert built == []
+    assert len(hall_basis(2, 3)) == len(built) == 5  # the spy sees words
+
+
+def test_degree_blocks_tile_the_basis():
+    for d, s in ((1, 4), (2, 5), (3, 4), (5, 3)):
+        free = FreeNilpotentAlgebra(d, s)
+        blocks = free.degree_offsets
+        assert sorted(blocks) == list(range(1, s + 1))
+        tiled = [p for k in range(1, s + 1) for p in blocks[k]]
+        assert tiled == list(range(free.dim)), (d, s)
+        for k, block in blocks.items():
+            assert all(free.basis[p].degree == k for p in block), (d, s, k)
 
 
 def test_free_algebra_satisfies_jacobi():
@@ -242,3 +281,21 @@ def test_deep_product_tables_digest():
     assert _table_digest(cases, skip_past_class=True) == (
         "327c0bbeade6ad906427ea5fdf7985b71beee06083de4eee30fd225c6102a0a5"
     )
+
+
+def test_witt_miscount_is_an_invariant_mismatch(monkeypatch):
+    """A Witt number that disagrees with the words built in its degree
+    is refused by every entry point.  It clears the instance cache, so
+    it stays last here: memoised presentations keep the instances built
+    before, and ``test_instances_cached`` compares those by identity."""
+    witt = hall.witt_dim
+    monkeypatch.setattr(
+        hall, "witt_dim", lambda d, k: witt(d, k) + (k == 3)
+    )
+    free_nilpotent_algebra.cache_clear()
+    try:
+        for build in BUILDERS:
+            with pytest.raises(InvariantMismatch, match="degree 3"):
+                build(2, 4)
+    finally:
+        free_nilpotent_algebra.cache_clear()
