@@ -215,7 +215,8 @@ def check_theorem_2_5(L: LieAlgebra) -> TheoremReport:
     n, m, _ = _applicable(L, "2.5", "applies to non-abelian algebras only")
     wedge = exterior_square_dim(L)
     prime2 = gamma_images(L).dim_im_gamma_prime2
-    prime_width = n - (L.derived_subspace() + L.center()).dim
+    # dim(L2 + Z) = m + k, k = dim Z - dim(Z cap L2)
+    prime_width = n - m - L.series().central_complement_dim
     return _report(
         "exterior square bound via gamma'",
         L,

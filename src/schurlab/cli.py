@@ -8,8 +8,8 @@
     schurlab check       --theorem all
 
 Exit codes: 0 success, 1 stdout was closed before all output was
-written, 2 input error, 3 resource cap exceeded, 4 a theorem-consistency
-check failed.
+written, 2 input error (also an empty or unknown SCHURLAB_LOG level),
+3 resource cap exceeded, 4 a theorem-consistency check failed.
 
 JSON output (schema_version "1") is stable-ordered and byte-identical
 across repeated invocations.  Every document carries the algebra
@@ -231,6 +231,15 @@ def main(argv=None):
     if level is not None:
         import logging
 
+        # checked first: basicConfig installs its handler before it
+        # rejects the level; getLevelName maps a known name to its int
+        if not isinstance(logging.getLevelName(level.upper()), int):
+            print(
+                f"schurlab: unknown SCHURLAB_LOG level {level!r}; "
+                "use DEBUG, INFO, WARNING, ERROR or CRITICAL",
+                file=sys.stderr,
+            )
+            return 2
         logging.basicConfig(
             stream=sys.stderr, level=level.upper(), format="%(message)s"
         )

@@ -175,43 +175,32 @@ class LieAlgebra:
 
         Raises JacobiViolation naming the first failing triple i < j < k
         (1-based, in lexicographic order) and the residual
-        [[xi,xj],xk] + [[xj,xk],xi] + [[xk,xi],xj].  For each i in turn,
-        the residuals of the triples starting at i are summed from their
-        nonzero terms alone: [[xi,xj],xk] and [[xk,xi],xj] from i's
-        adjoint row, [[xj,xk],xi] from the brackets [xj,xk] with a
-        column l where [xl,xi] != 0.  Antisymmetry and bilinearity hold
-        by construction, so passing this check makes the structure
+        [[xi,xj],xk] + [[xj,xk],xi] + [[xk,xi],xj].  The three terms are
+        the cyclic rotations of the triple, so each is [[xa,xb],xc] for
+        one nonzero bracket [xa,xb] with a < b, taken with sign -1 when
+        a < c < b.  One pass over the nonzero brackets adds every such
+        term to the residual of its sorted triple; triples with no
+        nonzero term are never visited.  Antisymmetry and bilinearity
+        hold by construction, so passing this check makes the structure
         constants a Lie algebra.
         """
         den, adj = self._adjoint()
-        # column l -> the (j, k, D c_jkl) of the brackets [xj, xk] using it
-        pairs = {}
-        for j, k in self.sc:
-            for l, c in adj[j][k].items():
-                pairs.setdefault(l, []).append((j, k, c))
-        for i, row in enumerate(adj):
-            residuals = {}
-            for a, vec in row.items():
-                # [[xj,xk],xi] = -sum_a c_jka [xi,xa]
-                terms = [((j, k), -c, vec) for j, k, c in pairs.get(a, ()) if j > i]
-                if a > i:
-                    # [[xi,xa],xb] of (i, a, b), or for b < a the term
-                    # [[xk,xi],xj] = -[[xi,xa],xb] of (i, b, a)
-                    for l, w in vec.items():
-                        terms += [
-                            ((a, b), w, term) if a < b else ((b, a), -w, term)
-                            for b, term in adj[l].items() if b > i and b != a
-                        ]
-                for key, w, term in terms:
-                    res = residuals.setdefault(key, {})
-                    for t, v in term.items():
-                        res[t] = res.get(t, 0) + w * v
-            for (j, k), res in sorted(residuals.items()):
-                if any(res.values()):
-                    vec = [Fraction(0)] * self.dim
-                    for t, val in res.items():
-                        vec[t] = Fraction(val, den * den)
-                    raise JacobiViolation((i + 1, j + 1, k + 1), vec)
+        residuals = {}
+        for a, b in self.sc:
+            # D^2 [[xa,xb],xc] = sum over l of (D c_abl) (D [xl,xc])
+            for l, w in adj[a][b].items():
+                for c, term in adj[l].items():
+                    if c != a and c != b:
+                        s = -w if a < c < b else w
+                        res = residuals.setdefault(tuple(sorted((a, b, c))), {})
+                        for t, v in term.items():
+                            res[t] = res.get(t, 0) + s * v
+        for triple, res in sorted(residuals.items()):
+            if any(res.values()):
+                vec = [Fraction(0)] * self.dim
+                for t, val in res.items():
+                    vec[t] = Fraction(val, den * den)
+                raise JacobiViolation(tuple(i + 1 for i in triple), vec)
 
     def _sparse_bracket(self, a, b):
         """D * [a, b] for sparse dicts a, b {index: entry}, as a dict

@@ -610,10 +610,10 @@ def test_log_env_smoke(tmp_path):
     assert quiet.returncode == 0
     assert quiet.stdout == logged.stdout
     assert quiet.stderr == ""
-    # an invalid level fails in logging's own level check
+    # an invalid level is an input error, checked before logging is set up
     bad = _child(argv, log="LOUD")
-    assert bad.returncode == 1
-    assert "Unknown level: 'LOUD'" in bad.stderr
+    assert bad.returncode == 2
+    assert "unknown SCHURLAB_LOG level 'LOUD'" in bad.stderr
     # a --file run logs the first 12 hex digits of the digest it stamps
     (tmp_path / "h1.alg").write_text("algebra H1 dim 3\n[x1, x2] = x3\n")
     argv = ["-m", "schurlab", "info", "--file", "h1.alg", "--format", "json"]
@@ -622,6 +622,34 @@ def test_log_env_smoke(tmp_path):
     digest = json.loads(logged.stdout)["sha256"]
     (prefix,) = re.findall(r"^parsed h1\.alg \(sha256 (\w+)\)$", logged.stderr, re.M)
     assert prefix == digest[:12]
+
+
+def test_log_env_unknown_level_is_an_input_error():
+    argv = ["-m", "schurlab", "info", "--name", "A(1)", "--format", "json"]
+    for log in ("", "verbose"):
+        bad = _child(argv, log=log)
+        assert bad.returncode == 2
+        assert bad.stdout == ""
+        assert bad.stderr.splitlines() == [
+            f"schurlab: unknown SCHURLAB_LOG level {log!r}; "
+            "use DEBUG, INFO, WARNING, ERROR or CRITICAL"
+        ]
+    # the level name is matched case-insensitively
+    good = _child(argv, log="info")
+    assert good.returncode == 0
+    assert json.loads(good.stdout)["n"] == 1
+    assert "loaded catalog algebra A(1)" in good.stderr
+
+
+def test_log_env_unknown_level_leaves_logging_unconfigured(capsys, monkeypatch):
+    import logging
+
+    handlers = list(logging.getLogger().handlers)
+    monkeypatch.setenv("SCHURLAB_LOG", "verbose")
+    code, out, err = run_cli(capsys, "info", "--name", "A(1)")
+    assert (code, out) == (2, "")
+    assert err.startswith("schurlab: unknown SCHURLAB_LOG level 'verbose'")
+    assert logging.getLogger().handlers == handlers
 
 
 # What a fresh process may import.  Start-up dominates a small query,

@@ -448,6 +448,35 @@ def test_validate_matches_brute_force(bad):
 
 
 
+@pytest.mark.parametrize("name", ["L5_9", "L6_26+A(1)", "F(2,4)"])
+def test_validate_matches_brute_force_on_dense_basis_changes(name):
+    # a random basis change fills the brackets with many target columns,
+    # so every residual is a sum of many terms that must cancel; one
+    # perturbed constant, integer or rational, must then be caught
+    import random
+
+    from schurlab.hall import free_nilpotent_algebra
+
+    rng = random.Random(28)
+    base = (free_nilpotent_algebra(2, 4).algebra if name == "F(2,4)"
+            else catalog_get(name))
+    L = random_basis_change(base, rng)
+    assert max(len(vec) for vec in L.sc.values()) > 2
+    assert first_jacobi_failure(L) is None
+    L.validate()
+    for delta in (rng.choice((-2, 1, 3)), Fraction(rng.choice((-1, 2)), 3)):
+        sc = {key: dict(vec) for key, vec in L.sc.items()}
+        vec = sc[rng.choice(sorted(sc))]
+        k = rng.randrange(L.dim)
+        vec[k] = vec.get(k, 0) + delta
+        bad = LieAlgebra(L.dim, sc)
+        want = first_jacobi_failure(bad)
+        assert want is not None
+        with pytest.raises(JacobiViolation) as info:
+            bad.validate()
+        assert (info.value.triple, info.value.residual) == want
+
+
 def test_validate_matches_brute_force_on_random_algebras():
     # random sparse rational constants, about half of them Lie algebras;
     # small n is drawn more often, so the passing ones stay cheap to
