@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import cache
 from importlib import resources
 
-from .dsl import parse_combo
+from .dsl import check_dim, parse_combo
 from .errors import (
     InvariantMismatch,
     MissingParameter,
@@ -129,6 +129,9 @@ _PART = re.compile(
     r"|(?P<table>L\d+_\d+)(?:\((?P<value>[^()]+)\))?)$"
 )
 
+# a "+" outside parentheses: "L6_22(+1)" is one part, with a bad value
+_SUM = re.compile(r"\+(?![^()]*\))")
+
 
 def _build_part(part: str) -> LieAlgebra:
     """One "+"-part of a catalog name."""
@@ -138,7 +141,9 @@ def _build_part(part: str) -> LieAlgebra:
     if match.group("fam") == "A":
         return abelian(int(match.group("idx")))
     if match.group("fam") == "H":
-        return heisenberg(int(match.group("idx")))
+        m = int(match.group("idx"))
+        check_dim(2 * m + 1)
+        return heisenberg(m)
     table = match.group("table")
     entry = _entries().get(table)
     if entry is None:
@@ -156,13 +161,15 @@ def catalog_get(name: str) -> LieAlgebra:
     """Construct a catalog algebra by name, or a "+"-joined direct sum.
 
     A parameter value is written in the name, as in "L6_22(1/2)"; a
-    parameterised entry named without one raises MissingParameter.
+    parameterised entry named without one raises MissingParameter.  A
+    name of dimension above ``dsl.MAX_DIM`` raises ResourceCapExceeded.
     """
     _run_gates()
-    parts = [part.strip() for part in name.replace(" ", "").split("+")]
+    parts = [part.strip() for part in _SUM.split(name.replace(" ", ""))]
     if not all(parts):
         raise UnknownName(f"unknown algebra name {name!r}")
     algebras = [_build_part(part) for part in parts]
+    check_dim(sum(algebra.dim for algebra in algebras))
     result = algebras[0]
     for other in algebras[1:]:
         result = direct_sum(result, other)

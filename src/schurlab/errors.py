@@ -116,7 +116,8 @@ class NotOneDimensional(SchurlabError):
 
 
 class ResourceCapExceeded(SchurlabError):
-    """A free nilpotent construction would exceed the basis-size cap."""
+    """A construction would exceed a size cap: the Hall basis words, the
+    catalog enumeration dimension or a declared dimension."""
 
 
 class InvariantMismatch(SchurlabError):

@@ -284,11 +284,10 @@ class LieAlgebra:
     @per_algebra
     def _central_complement(self) -> Subspace:
         """A complement C of Z cap L2 in Z, spanned by the echelon rows
-        of Z that raise the rank once L2's echelon rows are in; any
-        subset of a canonical echelon is one."""
+        of Z that raise the rank of a builder seeded with L2's echelon;
+        any subset of a canonical echelon is one."""
         builder = SpanBuilder(self.dim)
-        for row in self.derived_subspace().echelon.values():
-            builder.add(row)
+        builder.rows.update(self.derived_subspace().echelon)
         rows = [row for row in self.center().echelon.values() if builder.add(row)]
         return Subspace._trusted(rows, self.dim)
 

@@ -19,10 +19,15 @@ ambient dimension; ``SpanBuilder`` and ``kernel_rows`` take no other
 format.  Elimination is fraction-free in the Bareiss spirit: rows are
 scaled to primitive integer vectors and combined by integer
 cross-multiplication, dividing out the content when it grows, so
-intermediate entries stay small.  ``SpanBuilder`` holds the package's
-only elimination.  Rational sequences become dict rows only at the API
-edges (``Subspace``, ``kernel_basis``, ``invert``), through one scaling
-helper; ``rows``, ``reduce`` and ``invert`` hand Fractions back.
+intermediate entries stay small.  ``_reduce`` is the one loop that
+reduces a row against an echelon: ``SpanBuilder.reduce``, ``contains``
+and the Jordan phase ``reduced`` all run it; only ``SpanBuilder.add``
+keeps a loop of its own, which stops at the first free column.  A
+builder that starts from a canonical echelon takes its rows as they
+are, without eliminating them again.  Rational sequences become dict
+rows only at the API edges (``Subspace``, ``kernel_basis``,
+``invert``), through one scaling helper; ``rows``, ``reduce`` and
+``invert`` hand Fractions back.
 """
 
 from fractions import Fraction
@@ -124,19 +129,13 @@ def _reduce(rows, vec):
     """
     row = _sparse(vec)
     scale = 1
-    residual = {}
-    while row:
-        c = min(row)
-        prow = rows.get(c)
-        if prow is None:
-            residual[c] = row.pop(c)
-            continue
-        mb = _eliminate(row, prow, c)
-        if mb != 1:
-            scale *= mb
-            for k in residual:
-                residual[k] *= mb
-    return residual, scale
+    # clear the pivots in the row, least first; the entries outside the
+    # pivots stay in the row, scaled with it, and are sorted once at the
+    # end, so no step searches them
+    while hits := row.keys() & rows.keys():
+        c = min(hits)
+        scale *= _eliminate(row, rows[c], c)
+    return dict(sorted(row.items())), scale
 
 
 class SpanBuilder:
@@ -144,12 +143,13 @@ class SpanBuilder:
 
     ``rows`` maps each pivot column to its echelon row, a sparse dict
     {column: entry}: primitive, with a positive entry at the pivot, its
-    least column.  It is the only elimination: every span, kernel, rank
-    and inverse goes through it, and so do the gamma-image ranks.
-    Callers feed it integer rows as sparse dicts {column: entry} (a
-    rational sequence becomes one through ``int_row``) and extract a
-    canonical ``Subspace`` at the end.  Each elimination step clears the
-    least nonzero column of the incoming row.
+    least column.  Every span, kernel, rank and inverse goes through a
+    builder, and so do the gamma-image ranks.  Callers feed it integer
+    rows as sparse dicts {column: entry} (a rational sequence becomes
+    one through ``int_row``), or put the rows of a canonical echelon
+    straight into ``rows``, and extract a canonical ``Subspace`` at the
+    end.  ``add`` clears the least nonzero column of the incoming row at
+    each step; ``reduce``, ``contains`` and ``reduced`` run ``_reduce``.
     """
 
     __slots__ = ("ambient", "rows")
@@ -163,7 +163,15 @@ class SpanBuilder:
         return len(self.rows)
 
     def add(self, vec) -> bool:
-        """Insert an integer dict row; return True if the rank grew."""
+        """Insert an integer dict row; return True if the rank grew.
+
+        Its loop is not ``_reduce``: it stops at the first free column,
+        where the rest of the row is stored as it is, and makes the row
+        primitive after each step.  Run through ``_reduce`` instead,
+        which clears every pivot in the row and makes it primitive only
+        at the end, dense random integer matrices and 100,000
+        unit-vector adds both took about twice as long.
+        """
         row = _sparse(vec)
         rows = self.rows
         while row:
@@ -190,30 +198,24 @@ class SpanBuilder:
     def reduced(self):
         """The integer Jordan phase: ``(pivots, rows)`` in pivot order.
 
-        Each row is a dict that keeps a positive pivot entry and is zero
-        in every other pivot column; rows are not normalised, so entries
-        stay integers.
+        Each row is primitive, positive at its pivot and zero in every
+        other pivot column: the canonical echelon.  Pivots are walked
+        from the right, and ``_reduce`` reduces each row against the
+        later rows, which are already clean; a row that meets no later
+        pivot is clean as it stands.
         """
-        pivots = sorted(self.rows)
-        work = [dict(self.rows[p]) for p in pivots]
-        # walk pivots from the right; each pivot row is already clean of
-        # later pivots by the time it is used to clear earlier rows
-        for t in range(len(pivots) - 1, -1, -1):
-            p = pivots[t]
-            prow = work[t]
-            b = prow[p]
-            for q in range(t):
-                row = work[q]
-                if p in row:
-                    _eliminate(row, prow, p)
-                    if b != 1:
-                        work[q] = _primitive(row)
-        return pivots, work
+        clean = {}
+        for p in sorted(self.rows, reverse=True):
+            row = self.rows[p]
+            if row.keys() & clean.keys():
+                row = _primitive(_reduce(clean, row)[0])
+            clean[p] = row
+        pivots = sorted(clean)
+        return pivots, [clean[p] for p in pivots]
 
     def subspace(self) -> "Subspace":
-        """Canonicalise: the Jordan phase, each row made primitive."""
-        _, work = self.reduced()
-        return Subspace._trusted(map(_primitive, work), self.ambient)
+        """Canonicalise by the Jordan phase."""
+        return Subspace._trusted(self.reduced()[1], self.ambient)
 
 
 class Subspace:
@@ -334,7 +336,8 @@ class Subspace:
         if self.ambient != other.ambient:
             raise ValueError("ambient dimensions differ")
         builder = SpanBuilder(self.ambient)
-        for row in (*self.echelon.values(), *other.echelon.values()):
+        builder.rows.update(self.echelon)
+        for row in other.echelon.values():
             builder.add(row)
         return builder.subspace()
 
@@ -344,8 +347,8 @@ class Subspace:
             raise ValueError("ambient dimensions differ")
         n = self.ambient
         builder = SpanBuilder(2 * n)
-        for row in self.echelon.values():
-            builder.add({**row, **{k + n: x for k, x in row.items()}})
+        for p, row in self.echelon.items():
+            builder.rows[p] = {**row, **{k + n: x for k, x in row.items()}}
         for row in other.echelon.values():
             builder.add(row)
         inner = SpanBuilder(n)

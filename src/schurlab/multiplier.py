@@ -188,18 +188,17 @@ def present_minimal(L: LieAlgebra) -> Presentation:
     top_start = free.degree_offsets[c + 1].start
 
     fr_builder = SpanBuilder(big)
-    low_rows = []
-    for row in r_rows:
+    # Highest-degree rows first: their brackets are supported in few
+    # trailing degree blocks, which keeps the echelon reduction cheap.
+    # The top-degree rows come first of all and are only checked, since
+    # their brackets vanish in the truncated algebra.
+    for row in reversed(r_rows):
         if next(iter(row)) >= top_start:
             if len(row) > 1:
                 raise InvariantMismatch(
                     "top-degree kernel row is not a coordinate vector"
                 )
             continue
-        low_rows.append(row)
-    # Highest-degree rows first: their brackets are supported in few
-    # trailing degree blocks, which keeps the echelon reduction cheap.
-    for row in reversed(low_rows):
         for j in range(d):
             vec = free.ad(j, row)
             if vec:
@@ -337,10 +336,12 @@ def _split_exterior_center(L, split):
     """
     cols = split.ideal.nonpivots()
     preimage = SpanBuilder(L.dim)
-    for row in split.ideal.echelon.values():
-        preimage.add(row)
-    for row in exterior_center(split.algebra).echelon.values():
-        preimage.add({cols[c]: x for c, x in row.items()})
+    preimage.rows.update(split.ideal.echelon)
+    # cols is increasing, so each moved row keeps its least column as its
+    # pivot, a column outside C's pivots: no two pivots collide and the
+    # union is already one echelon
+    for p, row in exterior_center(split.algebra).echelon.items():
+        preimage.rows[cols[p]] = {cols[c]: x for c, x in row.items()}
     basis = list(L.derived_subspace().echelon.values())
     reduced = [preimage.reduce(b) for b in basis]
     return _kernel_span(_constraints(reduced), basis, L.dim)

@@ -53,7 +53,7 @@ def test_unknown_and_missing():
         with pytest.raises(UnknownName):
             catalog_get(unbalanced)
     # a bad inline value raises UnknownName naming the part
-    for bad in ("one", "x", "1/0", "0.5", "1e-1", "1_0"):
+    for bad in ("one", "x", "1/0", "0.5", "1e-1", "1_0", "+1", "1+1"):
         with pytest.raises(UnknownName) as info:
             catalog_get(f"L6_22({bad})")
         assert str(info.value) == (

@@ -289,6 +289,27 @@ def test_exit_codes(tmp_path, capsys):
     assert code == 2 and err.startswith("schurlab: ") and "max_dim" in err
 
 
+def test_declared_dimension_above_the_cap_exits_3(tmp_path, capsys):
+    # one past the cap of 10**6 is refused before anything linear in the
+    # dimension is built, by --file, by a catalog name and by a direct
+    # sum of parts under the cap
+    huge = tmp_path / "huge.alg"
+    huge.write_text("algebra X dim 1000001\n")
+    for source in (
+        ("--file", str(huge)),
+        ("--name", "A(1000001)"),
+        ("--name", "H(1)+H(500000)"),
+        ("--name", "A(999998)+H(1)"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "info", *source)
+        assert time.perf_counter() - start < 1
+        assert code == 3 and out == ""
+        assert err == (
+            "schurlab: dimension 1000001 is above the cap of 1000000\n"
+        )
+
+
 def test_byte_order_mark_is_ignored(tmp_path, capsys):
     text = "algebra H dim 3\r\n[x1, x2] = x3\r\n"
     docs = []

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -315,6 +316,52 @@ def test_spanbuilder_dict_rows_match_sympy(case):
         diff = [scale * x - residual.get(c, 0) for c, x in enumerate(vec)]
         assert _sympy_rank(rows + [diff], n) == rank
         assert not any(p in residual for p in builder.rows)
+
+
+def _jordan_case(rng, kind, n):
+    """Seeded integer rows in Q^n: dense, sparse, or with a non-unit
+    leading entry in every row."""
+    rows = []
+    for _ in range(rng.randint(1, 8)):
+        if kind == "dense":
+            row = {c: rng.randint(-9, 9) for c in range(n)}
+        elif kind == "sparse":
+            cols = rng.sample(range(n), rng.randint(0, min(2, n)))
+            row = {c: rng.choice((-1, 1, 2)) for c in cols}
+        else:
+            lead = rng.randrange(n)
+            row = {lead: rng.choice((-6, -4, -3, -2, 2, 3, 4, 6))}
+            row.update({c: rng.randint(-5, 5) for c in range(lead + 1, n)})
+        rows.append({c: x for c, x in row.items() if x})
+    return rows
+
+
+def test_jordan_phase_gives_the_canonical_echelon():
+    # every row of reduced() is primitive, positive at its pivot and zero
+    # at every other pivot, and the rows span what was added
+    rng = random.Random(29)
+    non_unit = 0
+    for case in range(600):
+        kind = ("dense", "sparse", "non-unit")[case % 3]
+        n = rng.randint(1, 10)
+        rows = _jordan_case(rng, kind, n)
+        builder = SpanBuilder(n)
+        for row in rows:
+            builder.add(row)
+        pivots, reduced = builder.reduced()
+        assert pivots == sorted(builder.rows)
+        for p, row in zip(pivots, reduced):
+            assert min(row) == p and row[p] > 0
+            assert all(row.values()) and gcd(*row.values()) == 1
+            assert not any(q in row for q in pivots if q != p)
+            non_unit += row[p] > 1
+        dense = [[row.get(c, 0) for c in range(n)] for row in rows]
+        assert Subspace(dense, n).echelon == dict(zip(pivots, reduced))
+        rank = _sympy_rank(dense, n)
+        assert len(reduced) == rank
+        clean = [[row.get(c, 0) for c in range(n)] for row in reduced]
+        assert _sympy_rank(dense + clean, n) == rank
+    assert non_unit > 100
 
 
 def test_invert_roundtrip_and_singular():
