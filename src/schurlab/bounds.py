@@ -97,12 +97,11 @@ def _gamma_rank(L, reps, gamma3):
     """Image dimension of gamma on the unit-vector images of the basis
     vectors reps, with D [x, y] standing in for [x, y] in L2/L3.
     gamma is alternating, so a < b < c suffices."""
-    _, adj = L._adjoint()
     rows = (
         (
-            (1, adj[x].get(y, {}), c),
-            (1, adj[z].get(x, {}), b),
-            (1, adj[y].get(z, {}), a),
+            (1, L._sparse_bracket({x: 1}, {y: 1}), c),
+            (1, L._sparse_bracket({z: 1}, {x: 1}), b),
+            (1, L._sparse_bracket({y: 1}, {z: 1}), a),
         )
         for (a, x), (b, y), (c, z) in combinations(enumerate(reps), 3)
     )
@@ -324,23 +323,26 @@ def run_checks(entries, theorem: str, source: str) -> list[TheoremReport]:
     return reports
 
 
+def _scan_catalog(theorem, max_dim):
+    """The report of the scan ``theorem`` over the catalog up to
+    ``max_dim``."""
+    from .catalog import enumerate_catalog
+
+    source = f"catalog up to dimension {max_dim}"
+    return run_checks(enumerate_catalog(max_dim), theorem, source)[0]
+
+
 def scan_theorem_2_9(max_dim: int = 6) -> TheoremReport:
     """Scan the catalog: no algebra of class >= 3 with m = 3 has
     dim M(L) = (n-1)(n-2)/2 - 2.  Class-2 algebras hitting that value
     are recorded for information but are not violations."""
-    from .catalog import enumerate_catalog
-
-    source = f"catalog up to dimension {max_dim}"
-    return run_checks(enumerate_catalog(max_dim), "2.9", source)[0]
+    return _scan_catalog("2.9", max_dim)
 
 
 def check_theorem_3_7(max_dim: int = 6) -> TheoremReport:
     """Scan the catalog: every algebra of class >= 3 satisfies
     dim M(L) <= bound_e2 - 1; the equality witnesses are recorded."""
-    from .catalog import enumerate_catalog
-
-    source = f"catalog up to dimension {max_dim}"
-    return run_checks(enumerate_catalog(max_dim), "3.7", source)[0]
+    return _scan_catalog("3.7", max_dim)
 
 
 class SweepRow(Record):

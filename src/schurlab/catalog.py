@@ -53,7 +53,7 @@ def abelian(n: int) -> LieAlgebra:
 def heisenberg(m: int) -> LieAlgebra:
     """H(m): dimension 2m + 1 with [x_{2i-1}, x_{2i}] = x_{2m+1}."""
     if m < 1:
-        raise ValueError("requires m >= 1")
+        raise ValueError(f"H({m}): requires m >= 1")
     brackets = {(2 * i, 2 * i + 1): {2 * m: 1} for i in range(m)}
     return LieAlgebra(2 * m + 1, brackets, name=f"H({m})")
 

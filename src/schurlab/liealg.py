@@ -155,19 +155,23 @@ class LieAlgebra:
         """The sparse adjoint table ``(D, adj)``.
 
         ``adj[i][j]`` is D * [x_i, x_j] as an integer dict {k: c}, kept
-        for both index orders and only where the bracket is nonzero.  D
-        is the lcm of the denominators of the structure constants; the
-        scaling changes no span and no zero test.
+        for both index orders and only where the bracket is nonzero, so
+        ``adj`` has a row only for each basis vector with a nonzero
+        bracket: a missing row means x_i is central, and ``sorted(adj)``
+        is the noncentral basis.  D is the lcm of the denominators of
+        the structure constants; the scaling changes no span and no zero
+        test.  Only this module reads the rows; elsewhere brackets go
+        through ``_sparse_bracket``.
         """
         den = 1
         for vec in self.sc.values():
             for c in vec.values():
                 den = lcm(den, c.denominator)
-        adj = [{} for _ in range(self.dim)]
+        adj = {}
         for (i, j), vec in self.sc.items():
             row = {k: c.numerator * (den // c.denominator) for k, c in vec.items()}
-            adj[i][j] = row
-            adj[j][i] = {k: -c for k, c in row.items()}
+            adj.setdefault(i, {})[j] = row
+            adj.setdefault(j, {})[i] = {k: -c for k, c in row.items()}
         return den, adj
 
     def validate(self):
@@ -189,7 +193,7 @@ class LieAlgebra:
         for a, b in self.sc:
             # D^2 [[xa,xb],xc] = sum over l of (D c_abl) (D [xl,xc])
             for l, w in adj[a][b].items():
-                for c, term in adj[l].items():
+                for c, term in adj.get(l, {}).items():
                     if c != a and c != b:
                         s = -w if a < c < b else w
                         res = residuals.setdefault(tuple(sorted((a, b, c))), {})
@@ -209,7 +213,9 @@ class LieAlgebra:
         _, adj = self._adjoint()
         out = {}
         for i, x in a.items():
-            row = adj[i]
+            row = adj.get(i)
+            if row is None:
+                continue
             for j, y in b.items():
                 vec = row.get(j)
                 if vec:
@@ -241,14 +247,13 @@ class LieAlgebra:
     def lower_central_series(self):
         """Subspaces gamma_1 = L, gamma_{i+1} = [L, gamma_i], ending at 0.
 
-        [L, gamma_i] is spanned by the brackets of the basis vectors
-        outside the center of the adjoint table (the others bracket to
-        zero) with gamma_i: gamma_1 as those same basis vectors, since
+        [L, gamma_i] is spanned by the brackets of the noncentral basis
+        vectors, the keys of the adjoint table (the others bracket to
+        zero), with gamma_i: gamma_1 as those same basis vectors, since
         [L, L] = [basis, basis], each later term as the integer echelon
         rows of the builder that spanned it.
         """
-        _, adj = self._adjoint()
-        basis = [{i: 1} for i, row in enumerate(adj) if row]
+        basis = [{i: 1} for i in sorted(self._adjoint()[1])]
         gammas = [Subspace.full(self.dim)]
         rows = basis
         while gammas[-1].dim:
@@ -272,7 +277,7 @@ class LieAlgebra:
         n = self.dim
         _, adj = self._adjoint()
         rows = []
-        for row in adj:
+        for row in adj.values():
             # one equation sum_i z_i [x_j, x_i]_k = 0 per used k
             eqs = {}
             for i, vec in row.items():
@@ -312,10 +317,10 @@ class LieAlgebra:
         memoises one is shared by every algebra equal to L."""
         if ideal.ambient != self.dim:
             raise ValueError("ideal lives in the wrong ambient space")
-        # only the basis vectors outside the center of the adjoint table
-        # can bracket I out of itself
+        # only the noncentral basis vectors, the keys of the adjoint
+        # table, can bracket I out of itself
         den, adj = self._adjoint()
-        basis = [{i: 1} for i, row in enumerate(adj) if row]
+        basis = [{i: 1} for i in sorted(adj)]
         spanned = self._bracket_span(basis, ideal.echelon.values())
         if not spanned.subspace() <= ideal:
             raise NotAnIdeal("subspace is not closed under bracketing with L")
@@ -325,7 +330,7 @@ class LieAlgebra:
         index = {c: t for t, c in enumerate(comp)}
         brackets = {}
         for s, i in enumerate(comp):
-            for j, w in adj[i].items():
+            for j, w in adj.get(i, {}).items():
                 if index.get(j, -1) > s:
                     residual = ideal.reduce(w)
                     if residual:

@@ -279,6 +279,8 @@ def test_exit_codes(tmp_path, capsys):
     code, out, err = run_cli(capsys, "info", "--name", "L5_7(1/2)")
     assert code == 2 and out == ""
     assert err == "schurlab: L5_7 takes no parameter\n"
+    code, out, err = run_cli(capsys, "info", "--name", "H(0)")
+    assert (code, out, err) == (2, "", "schurlab: H(0): requires m >= 1\n")
     binary = tmp_path / "binary.alg"
     binary.write_bytes(b"\xff\xfe\x00")
     code, _, err = run_cli(capsys, "info", "--file", str(binary))
@@ -908,4 +910,46 @@ def test_no_foreign_attribute_writes():
                         and leaf.value.id in ("self", "cls")
                     )
                 ]
+    assert offenders == []
+
+
+def test_adjoint_rows_are_read_only_in_liealg():
+    # the layout of the adjoint table is liealg's: elsewhere the result
+    # of ``._adjoint()`` is only subscripted with [0] or unpacked as
+    # ``den, _``, and brackets go through ``_sparse_bracket``
+    def is_adjoint_call(node):
+        return (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "_adjoint"
+        )
+
+    offenders = []
+    for path in sorted(Path(schurlab.__file__).parent.rglob("*.py")):
+        if path.name == "liealg.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = set()
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Subscript)
+                and is_adjoint_call(node.value)
+                and isinstance(node.slice, ast.Constant)
+                and node.slice.value == 0
+            ):
+                allowed.add(id(node.value))
+            if (
+                isinstance(node, ast.Assign)
+                and is_adjoint_call(node.value)
+                and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Tuple)
+                and [type(t) for t in node.targets[0].elts] == [ast.Name] * 2
+                and node.targets[0].elts[1].id == "_"
+            ):
+                allowed.add(id(node.value))
+        offenders += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if is_adjoint_call(node) and id(node) not in allowed
+        ]
     assert offenders == []

@@ -177,6 +177,8 @@ def test_series_of_one_bracket_in_dimension_5000_is_narrow(monkeypatch):
     monkeypatch.setattr(LieAlgebra, "_sparse_bracket", count)
     assert [g.dim for g in L.lower_central_series()] == [n, 1, 0]
     assert len(calls) <= 8, len(calls)
+    # the adjoint table has rows for x1 and x2 only, not one per vector
+    assert sorted(L._adjoint()[1]) == [0, 1]
     ambients = []
     init = SpanBuilder.__init__
 
