@@ -386,10 +386,10 @@ def classification_sweep(max_dim: int = 6):
     """Multiplier data for every catalog entry up to ``max_dim``,
     in deterministic catalog order (that of ``enumerate_catalog``).
 
-    Each abelian algebra and each non-abelian base gets one Hopf
-    computation.  A row base+A(k) is derived from its base with no
-    presentation and no direct sum: L + A(k) has invariants
-    (n + k, m, c), and by the Kunneth formula
+    Each non-abelian base gets one Hopf computation, and A(n) none:
+    ``schur_multiplier_dim`` splits it whole.  A row base+A(k) is
+    derived from its base with no presentation and no direct sum:
+    L + A(k) has invariants (n + k, m, c), and by the Kunneth formula
     M(A + B) = M(A) + M(B) + (A/A2 (x) B/B2) (Batten, Moneyhun and
     Stitzinger, Comm. Algebra 24 (1996))
 

@@ -318,11 +318,13 @@ class LieAlgebra:
         if ideal.ambient != self.dim:
             raise ValueError("ideal lives in the wrong ambient space")
         # only the noncentral basis vectors, the keys of the adjoint
-        # table, can bracket I out of itself
+        # table, bracket to anything, and only with an ideal row whose
+        # support meets them; I is closed when each such bracket
+        # reduces to zero modulo I
         den, adj = self._adjoint()
-        basis = [{i: 1} for i in sorted(adj)]
-        spanned = self._bracket_span(basis, ideal.echelon.values())
-        if not spanned.subspace() <= ideal:
+        rows = [r for r in ideal.echelon.values() if not adj.keys().isdisjoint(r)]
+        brackets = (self._sparse_bracket({i: 1}, r) for r in rows for i in adj)
+        if any(map(ideal.reduce, brackets)):
             raise NotAnIdeal("subspace is not closed under bracketing with L")
         comp = ideal.nonpivots()
         # D [x_i, x_j] modulo I over D is its projection, read in the

@@ -21,27 +21,30 @@ eliminated once.
 
 An abelian direct factor is split off before any presentation.  With
 k = dim Z - dim(Z cap L2), any complement C of Z cap L2 in Z is a
-central ideal and L = L0 + A(k) with L0 = L/C, so for k >= 1 and a
-nonabelian L, by the Kunneth formula (Batten, Moneyhun and Stitzinger,
-Comm. Algebra 24 (1996))
+central ideal and L = L0 + A(k) with L0 = L/C, so for k >= 1, by the
+Kunneth formula (Batten, Moneyhun and Stitzinger, Comm. Algebra 24
+(1996))
 
     dim M(L)  = dim M(L0) + C(k,2) + k(n - k - m)
     Z^(L)     = {x in L2 : pi(x) in Z^(L0)},   pi: L -> L0
 
 The second holds because L wedge L = (L0 wedge L0) + (A wedge A) +
-(L0/L0^2 (x) A).  Write z = z0 + a with z0 in L0 and a in A(k).  The
-cross term of z wedge L0 is the image of a in L0/L0^2 (x) A, nonzero
-for some element of L0 unless a = 0, since L0/L0^2 != 0; that of
-z wedge A is the image of z0, nonzero unless z0 lies in L0^2 = L2,
-since k >= 1.  For z in L2, z wedge L = 0 exactly when pi(z) wedge
-L0 = 0 in L0 wedge L0.  The results do not depend on the choice of C,
-and Z^ comes out as a canonical Subspace of L.
+(L0/L0^2 (x) A).  Write z = z0 + a with z0 in L0 and a in A(k).  For
+a nonabelian L, the cross term of z wedge L0 is the image of a in
+L0/L0^2 (x) A, nonzero for some element of L0 unless a = 0, since
+L0/L0^2 != 0; that of z wedge A is the image of z0, nonzero unless z0
+lies in L0^2 = L2, since k >= 1.  For z in L2, z wedge L = 0 exactly
+when pi(z) wedge L0 = 0 in L0 wedge L0.  An abelian L of dimension n
+splits whole: C = Z = L and L0 is the zero algebra, so dim M(L) =
+C(n,2), and Z^(L) = L2 = 0 for n >= 2, since a nonzero a has a nonzero
+a wedge b in A wedge A.  For n <= 1, L wedge L = 0 and Z^(L) = L, the
+base case of ``exterior_center``.  The results do not depend on the
+choice of C, and Z^ comes out as a canonical Subspace of L.
 
 ``schur_multiplier_dim``, ``exterior_square_dim`` and
 ``exterior_center``, and with them capability, the report and the Ganea
-check, take the split.  Abelian algebras stay unsplit (Z^(A(1)) =
-A(1), which the formula does not give), and so do the witnesses
-``present_minimal`` and ``schur_multiplier``, which present L whole.
+check, take the split.  Only the witnesses ``present_minimal`` and
+``schur_multiplier`` present L whole, abelian or not.
 
 The closed forms bound_e1 and bound_e2 that multiplier_report quotes
 are defined here; bounds.py, which holds the paper's inequalities,
@@ -210,14 +213,14 @@ def present_minimal(L: LieAlgebra) -> Presentation:
 @per_algebra
 def _split(L: LieAlgebra):
     """The quotient onto L0 in L = L0 + A(k), or False when nothing
-    splits off: L is abelian, or k = dim Z - dim(Z cap L2) is 0.
+    splits off: k = dim Z - dim(Z cap L2) is 0.
 
     C is ``L._central_complement()``, the complement that ``series``
     counts k with: the rows of Z's echelon that are independent modulo
-    L2.  C is central, hence an ideal, and L0 = L/C.
+    L2.  C is central, hence an ideal, and L0 = L/C.  An abelian L
+    splits whole: C = L, and L0 is the zero algebra.
     """
-    rep = L.series()
-    if rep.central_complement_dim and rep.derived_dim:
+    if L.series().central_complement_dim:
         return L.quotient(L._central_complement())
     return False
 
@@ -263,8 +266,10 @@ def exterior_square_dim(L: LieAlgebra) -> int:
 def exterior_center(L: LieAlgebra) -> Subspace:
     """Z^(L): the z with z wedge L = 0 in L wedge L.
 
-    An abelian direct factor of a nonabelian L is split off first (see
-    the module docstring); otherwise Z^ is read off L's own presentation.
+    In dimension <= 1, L wedge L = 0 and Z^ = L.  Otherwise an abelian
+    direct factor is split off first, all of L when L is abelian (see
+    the module docstring), and what has none to split off has Z^ read
+    off its own presentation.
 
     A lift of z is bracketed with each free generator and reduced
     modulo [F,R]; the simultaneous kernel of those residuals is Z^.
@@ -281,8 +286,8 @@ def exterior_center(L: LieAlgebra) -> Subspace:
     mapped through their columns of ``pi_rows`` (all scaled by D^c,
     which changes no span).
     """
-    if L.dim == 0:
-        return Subspace.zero(0)
+    if L.dim <= 1:
+        return Subspace.full(L.dim)
     split = _split(L)
     if split:
         return _split_exterior_center(L, split)

@@ -242,8 +242,8 @@ def test_quotient_requires_ideal():
 
 def test_quotient_ideal_check_brackets_noncentral_basis(monkeypatch):
     # [x1, x2] = x3 in dimension 40: only x1 and x2 have a nonzero
-    # adjoint row, so checking that the central C = <x4, ..., x40> is
-    # an ideal takes 2 * dim C brackets, not 40 * dim C
+    # adjoint row, and no row of the central C = <x4, ..., x40> meets
+    # them, so checking that C is an ideal takes no bracket at all
     n = 40
     L = LieAlgebra(n, {(0, 1): {2: 1}})
     C = Subspace([[int(i == j) for i in range(n)] for j in range(3, n)], n)
@@ -255,8 +255,22 @@ def test_quotient_ideal_check_brackets_noncentral_basis(monkeypatch):
         lambda self, a, b: calls.append(1) or real(self, a, b),
     )
     quotient = L.quotient(C).algebra
-    assert len(calls) <= 2 * C.dim, len(calls)
+    assert len(calls) == 0, len(calls)
     assert quotient.dim == 3 and quotient.sc == {(0, 1): {2: 1}}
+
+
+def test_quotient_ideal_check_keeps_rows_that_meet_the_noncentral_basis():
+    # a row that mixes a noncentral and a central coordinate is still
+    # bracketed, and a row on central coordinates alone needs no bracket
+    n = 40
+    L = LieAlgebra(n, {(0, 1): {2: 1}})
+
+    def unit_sum(i, j):
+        return [int(t in (i, j)) for t in range(n)]
+
+    with pytest.raises(NotAnIdeal):
+        L.quotient(Subspace([unit_sum(0, 3)], n))
+    assert L.quotient(Subspace([unit_sum(2, 3)], n)).algebra.dim == n - 1
 
 
 @pytest.mark.parametrize("name", REFERENCE_NAMES)

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from schurlab.catalog import (
     heisenberg,
 )
 from schurlab.bounds import gamma_images
+from schurlab.cli import main
 from schurlab.errors import (
     NotCentral,
     NotNilpotent,
@@ -241,6 +243,28 @@ def test_kunneth_direct_sums():
     assert present_minimal(catalog_get("L5_8+A(1)")).dim_multiplier == 9
 
 
+def test_abelian_algebras_split_without_a_presentation(monkeypatch, capsys):
+    # A(n) splits as the zero algebra plus A(n): C(n,2) by the Kunneth
+    # formula and Z^ from the dimension <= 1 base case, with no free
+    # algebra built, so A(100) answers under the 5000-word Hall cap
+    def refuse(d, s):
+        raise AssertionError(f"presented a free algebra on {d} generators")
+
+    enumerate_catalog(1)  # the catalog gates present their witnesses
+    monkeypatch.setattr("schurlab.multiplier.free_nilpotent_algebra", refuse)
+    for n in [*range(9), 100]:
+        algebra = abelian(n)
+        want = n * (n - 1) // 2
+        assert schur_multiplier_dim(algebra) == want, n
+        assert exterior_square_dim(algebra) == want, n
+        zext = Subspace.full(1) if n == 1 else Subspace.zero(n)
+        assert exterior_center(algebra) == zext, n
+        assert is_capable(algebra) == (n != 1), n
+    code = main(["multiplier", "--name", "A(100)", "--format", "json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert (code, doc["dim_M"], doc["capable"]) == (0, 4950, True)
+
+
 def test_split_matches_unsplit_engine_and_oracles():
     # every base+A(k) entry up to dimension 7 in two random bases and a
     # dense one: the split route (the Kunneth formula for dim M, Z^
@@ -248,11 +272,12 @@ def test_split_matches_unsplit_engine_and_oracles():
     # the unsplit engine, the Chevalley-Eilenberg multiplier and the
     # Lambda^2 exterior center.  In the dense basis L2 meets the pivot
     # columns of the split-off complement, so a Z^ lifted from the core
-    # without the pull-back to L2 would differ.
+    # without the pull-back to L2 would differ.  A(1)..A(7) split too,
+    # with the zero algebra as the core.
     rng = random.Random(20261019)
     sums = [(name, L) for name, L in enumerate_catalog(7) if "+A(" in name]
     assert len(sums) == 22
-    for name, base in sums:
+    for name, base in sums + [(f"A({k})", abelian(k)) for k in range(1, 8)]:
         for make in (random_basis_change, random_basis_change, _unitriangular):
             algebra = make(base, rng)
             pres = present_minimal(algebra)
