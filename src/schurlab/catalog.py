@@ -112,7 +112,11 @@ def _build_entry(entry, values) -> LieAlgebra:
 
 @cache
 def _run_gates():
-    """Check asserted multiplier dimensions; only a pass is cached."""
+    """Check asserted multiplier dimensions; only a pass is cached.
+    The cached result is the gated algebras, which so stay alive for
+    the process and keep the memo of their values, presentations
+    included, for every equal algebra built later."""
+    gated = []
     for entry in _entries().values():
         if "dim_M" in entry:
             algebra = _build_entry(entry, {})
@@ -122,6 +126,8 @@ def _run_gates():
                     f"{entry['name']}: computed dim M = {got}, "
                     f"asserted {entry['dim_M']}"
                 )
+            gated.append(algebra)
+    return tuple(gated)
 
 
 _PART = re.compile(

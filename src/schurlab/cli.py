@@ -7,6 +7,27 @@
     schurlab sweep       --max-dim 6
     schurlab check       --theorem all
 
+The command line is ``schurlab [-h] COMMAND [OPTION ...]``.  One table,
+``COMMANDS``, gives each command its handler, help line and options,
+and each option its choices or type and its default; the help text and
+the usage errors are written from it.  Words are read as argparse reads
+them:
+
+- an option is ``--opt value`` or ``--opt=value``, and a long option
+  may be cut to any unique prefix (``--na``, ``--max``);
+- a word that starts with "-" is an option, unless it looks like a
+  negative number or holds a space: ``--max-dim -1`` is the value -1,
+  which the library refuses with exit 2;
+- a repeated option keeps its last value; ``info``, ``multiplier``,
+  ``capable`` and ``bounds`` take exactly one of ``--name`` and
+  ``--file``; the defaults are ``--format table``, ``--max-dim 6`` and
+  ``--theorem all``;
+- ``-h`` or ``--help`` prints help and exits 0 where it is read; "--"
+  ends the options, and a word left over is an error.
+
+A usage error writes ``usage: ...`` and ``schurlab COMMAND: error:
+MESSAGE`` to stderr and raises SystemExit(2).
+
 Exit codes: 0 success, 1 stdout was closed before all output was
 written, 2 input error (also an empty or unknown SCHURLAB_LOG level),
 3 resource cap exceeded, 4 a theorem-consistency check failed.
@@ -20,11 +41,12 @@ stability surface.  Set SCHURLAB_LOG=INFO (or DEBUG) for progress
 logging on stderr.
 """
 
-import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .errors import InvariantMismatch, ResourceCapExceeded, SchurlabError
 from .linalg import Subspace
@@ -182,48 +204,194 @@ def cmd_check(args):
     }
 
 
-def _add_source_args(parser):
-    source = parser.add_mutually_exclusive_group(required=True)
-    source.add_argument("--name", help="catalog name, e.g. L6_22(1/2) or H(1)+A(2)")
-    source.add_argument("--file", help="path to a presentation file")
+_SOURCE = {
+    "--name": (str, None, "catalog name, e.g. L6_22(1/2) or H(1)+A(2)"),
+    "--file": (str, None, "path to a presentation file"),
+}
+_FORMAT = {"--format": (("json", "table"), "table", "output format")}
+_MAX_DIM = {"--max-dim": (int, 6, "largest catalog dimension")}
+
+# command -> (handler, help line, {option: (type or choices, default,
+# help)}); the source commands take exactly one of --name and --file
+COMMANDS = {
+    "info": (cmd_info, "dimension, series and generator data",
+             {**_SOURCE, **_FORMAT}),
+    "multiplier": (cmd_multiplier,
+                   "multiplier, exterior square, capability and bounds",
+                   {**_SOURCE, **_FORMAT}),
+    "capable": (cmd_capable, "capability test via the exterior center",
+                {**_SOURCE, **_FORMAT}),
+    "bounds": (cmd_bounds, "the two dimension bounds and attainment",
+               {**_SOURCE, **_FORMAT}),
+    "sweep": (cmd_sweep, "multiplier data for the whole catalog",
+              {**_MAX_DIM, **_FORMAT}),
+    "check": (cmd_check, "verify theorem inequalities on the catalog", {
+        # the ids of bounds.THEOREMS, spelled out so that reading the
+        # command line does not load the theorem module
+        "--theorem": (("2.1", "2.2", "2.5", "2.6", "2.9", "3.7", "all"),
+                      "all", "theorem id, or all"),
+        **_MAX_DIM,
+        **_FORMAT,
+    }),
+}
+
+_HELP = ("-h", "--help")
+
+# a word that looks like a negative number is a value, not an option
+_NUMBER = re.compile(r"-\d+$|-\d*\.\d+$")
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="schurlab",
-        description="Exact multiplier and capability computations "
-        "for nilpotent Lie algebras over the rationals.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _metavar(flag, kind):
+    if isinstance(kind, tuple):
+        return "{" + ",".join(kind) + "}"
+    return flag[2:].replace("-", "_").upper()
 
-    for name, handler, blurb in (
-        ("info", cmd_info, "dimension, series and generator data"),
-        ("multiplier", cmd_multiplier, "multiplier, exterior square, capability and bounds"),
-        ("capable", cmd_capable, "capability test via the exterior center"),
-        ("bounds", cmd_bounds, "the two dimension bounds and attainment"),
-    ):
-        p = sub.add_parser(name, help=blurb)
-        _add_source_args(p)
-        p.add_argument("--format", choices=("json", "table"), default="table")
-        p.set_defaults(handler=handler)
 
-    p = sub.add_parser("sweep", help="multiplier data for the whole catalog")
-    p.add_argument("--max-dim", type=int, default=6)
-    p.add_argument("--format", choices=("json", "table"), default="table")
-    p.set_defaults(handler=cmd_sweep)
+def _usage(command):
+    if command is None:
+        return f"usage: schurlab [-h] {{{','.join(COMMANDS)}}} ..."
+    words = ["usage: schurlab", command, "[-h]"]
+    options = COMMANDS[command][2]
+    if "--name" in options:
+        words.append("(--name NAME | --file FILE)")
+    words += [
+        f"[{flag} {_metavar(flag, kind)}]"
+        for flag, (kind, _, _) in options.items()
+        if flag not in _SOURCE
+    ]
+    return " ".join(words)
 
-    p = sub.add_parser("check", help="verify theorem inequalities on the catalog")
-    # the ids of bounds.THEOREMS, spelled out so that building the
-    # parser does not load the theorem module
-    p.add_argument(
-        "--theorem",
-        choices=("2.1", "2.2", "2.5", "2.6", "2.9", "3.7", "all"),
-        default="all",
-    )
-    p.add_argument("--max-dim", type=int, default=6)
-    p.add_argument("--format", choices=("json", "table"), default="table")
-    p.set_defaults(handler=cmd_check)
-    return parser
+
+def _refuse(command, message):
+    """A usage error, written and raised as argparse does."""
+    prog = "schurlab" if command is None else f"schurlab {command}"
+    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _help(command, inline):
+    if inline is not None:
+        _refuse(command, "argument -h/--help: ignored explicit argument "
+                         f"{inline!r}")
+    options = [("-h, --help", "show this help message and exit")]
+    if command is None:
+        title = ("Exact multiplier and capability computations for nilpotent "
+                 "Lie algebras over the rationals.")
+        commands = [(name, blurb) for name, (_, blurb, _) in COMMANDS.items()]
+        sections = {"commands:": commands, "options:": options}
+    else:
+        _, title, table = COMMANDS[command]
+        options += [
+            (f"{flag} {_metavar(flag, kind)}",
+             text if default is None else f"{text} (default: {default})")
+            for flag, (kind, default, text) in table.items()
+        ]
+        sections = {"options:": options}
+    width = max(len(left) for rows in sections.values() for left, _ in rows) + 2
+    lines = [_usage(command), "", title]
+    for heading, rows in sections.items():
+        lines += ["", heading, *(f"  {left:<{width}}{right}" for left, right in rows)]
+    sys.stdout.write("\n".join(lines) + "\n")
+    raise SystemExit(0)
+
+
+def _option(command, word, flags):
+    """How argparse reads one word: None for a value, else
+    ``(flag, inline)``.  ``flag`` is the one of ``flags`` the word names
+    in full or by a unique prefix, or None for an unknown option;
+    ``inline`` is the text after "=", or None without one."""
+    if not word.startswith("-") or word in ("-", "--"):
+        return None
+    key, eq, inline = word.partition("=")
+    inline = inline if eq else None
+    if word in flags:
+        return word, None
+    if key in flags:
+        return key, inline
+    if word.startswith("--"):
+        hits = [flag for flag in flags if flag.startswith(key)]
+        if len(hits) > 1:
+            _refuse(command, f"ambiguous option: {word} could match "
+                             f"{', '.join(hits)}")
+        if hits:
+            return hits[0], inline
+    elif word[:2] in flags:
+        return word[:2], word[2:]
+    if _NUMBER.match(word) or " " in word:
+        return None
+    return None, None
+
+
+def _parse(argv):
+    """Read the command line by ``COMMANDS``, as the module docstring
+    states; return the fields the handlers read, or raise SystemExit:
+    0 after help, 2 after a usage error."""
+    words = sys.argv[1:] if argv is None else list(argv)
+    extras = []
+    for at, word in enumerate(words):
+        hit = _option(None, word, _HELP)
+        if hit is None:
+            break
+        if hit[0] is None:
+            extras.append(word)
+        else:
+            _help(None, hit[1])
+    else:
+        _refuse(None, "the following arguments are required: command")
+    command = words[at]
+    if command not in COMMANDS:
+        choices = ", ".join(map(repr, COMMANDS))
+        _refuse(None, f"argument command: invalid choice: {command!r} "
+                      f"(choose from {choices})")
+    handler, _, options = COMMANDS[command]
+    rest = words[at + 1:]
+    # "--" ends the options; every word from it on is left over
+    tail = rest[rest.index("--"):] if "--" in rest else []
+    rest = rest[:len(rest) - len(tail)]
+    flags = (*_HELP, *options)
+    read = [_option(command, word, flags) for word in rest]
+    values = {flag: default for flag, (_, default, _) in options.items()}
+    source = None
+    at = 0
+    while at < len(rest):
+        word, hit = rest[at], read[at]
+        at += 1
+        if hit is None or hit[0] is None:
+            extras.append(word)
+            continue
+        flag, value = hit
+        if flag in _HELP:
+            _help(command, value)
+        if value is None:
+            if at == len(rest) or read[at] is not None:
+                _refuse(command, f"argument {flag}: expected one argument")
+            value = rest[at]
+            at += 1
+        kind = options[flag][0]
+        if isinstance(kind, tuple):
+            if value not in kind:
+                choices = ", ".join(map(repr, kind))
+                _refuse(command, f"argument {flag}: invalid choice: "
+                                 f"{value!r} (choose from {choices})")
+        else:
+            try:
+                value = kind(value)
+            except ValueError:
+                _refuse(command, f"argument {flag}: invalid "
+                                 f"{kind.__name__} value: {value!r}")
+        if flag in _SOURCE:
+            if source not in (None, flag):
+                _refuse(command, f"argument {flag}: not allowed with "
+                                 f"argument {source}")
+            source = flag
+        values[flag] = value
+    if "--name" in options and source is None:
+        _refuse(command, "one of the arguments --name --file is required")
+    extras += tail
+    if extras:
+        _refuse(command, "unrecognized arguments: " + " ".join(extras))
+    fields = {flag[2:].replace("-", "_"): value for flag, value in values.items()}
+    return SimpleNamespace(command=command, handler=handler, **fields)
 
 
 def main(argv=None):
@@ -243,8 +411,7 @@ def main(argv=None):
         logging.basicConfig(
             stream=sys.stderr, level=level.upper(), format="%(message)s"
         )
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(argv)
     try:
         doc = {"schema_version": SCHEMA_VERSION, **args.handler(args)}
         _emit(doc, args.format)

@@ -247,17 +247,34 @@ class LieAlgebra:
     def lower_central_series(self):
         """Subspaces gamma_1 = L, gamma_{i+1} = [L, gamma_i], ending at 0.
 
-        [L, gamma_i] is spanned by the brackets of the noncentral basis
-        vectors, the keys of the adjoint table (the others bracket to
-        zero), with gamma_i: gamma_1 as those same basis vectors, since
-        [L, L] = [basis, basis], each later term as the integer echelon
-        rows of the builder that spanned it.
+        [L, gamma_i] is spanned by the brackets [x_l, r] of the
+        noncentral basis vectors x_l, the keys of the adjoint table (the
+        others bracket to zero), with the rows r of gamma_i: gamma_1 as
+        those same basis vectors, since [L, L] = [basis, basis], each
+        later term as the integer echelon rows of the builder that
+        spanned it.  One pass over the adjoint rows of supp(r) builds
+        every [x_l, r] = -sum_j r_j [x_j, x_l] at once, so the cost is
+        the nonzero brackets met, not (noncentral vectors) x (rows).
         """
-        basis = [{i: 1} for i in sorted(self._adjoint()[1])]
+        _, adj = self._adjoint()
         gammas = [Subspace.full(self.dim)]
-        rows = basis
+        rows = [{i: 1} for i in sorted(adj)]
         while gammas[-1].dim:
-            builder = self._bracket_span(basis, rows)
+            builder = SpanBuilder(self.dim)
+            for r in rows:
+                images = {}
+                for j, x in r.items():
+                    for l, vec in adj.get(j, {}).items():
+                        out = images.setdefault(l, {})
+                        for k, w in vec.items():
+                            v = out.get(k, 0) - x * w
+                            if v:
+                                out[k] = v
+                            else:
+                                del out[k]
+                for out in images.values():
+                    if out:
+                        builder.add(out)
             if builder.rank == gammas[-1].dim:
                 raise NotNilpotent(
                     "lower central series stabilises at dimension "

@@ -275,15 +275,18 @@ def test_sweep_deterministic():
 
 def test_equal_algebras_are_presented_once(monkeypatch, empty_memos):
     # counts, not clocks: the memo is per algebra value, so the core L0
-    # of each base+A(k) shares the memo of its base.  The
-    # catalog gates run first and are counted by neither figure; a
-    # fresh ``check --theorem all --max-dim 7`` adds their 3
-    # presentations and 3 series, for 16 and 52.  Abelian algebras
-    # split off whole and are never presented.
+    # of each base+A(k) shares the memo of its base.  The catalog gates
+    # run first, here under this test's registry: their three algebras
+    # stay alive in the gates' cache and are equal to three bases, so
+    # their presentations answer those bases in both figures below, as
+    # in a fresh process (see the next test).  Abelian algebras split
+    # off whole and are never presented.
+    import functools
+
+    from schurlab import catalog
     from schurlab.hall import free_nilpotent_algebra
     from schurlab.liealg import SeriesReport
 
-    enumerate_catalog(1)
     presented, series = [], []
     monkeypatch.setattr(
         "schurlab.multiplier.free_nilpotent_algebra",
@@ -293,12 +296,44 @@ def test_equal_algebras_are_presented_once(monkeypatch, empty_memos):
         "schurlab.liealg.SeriesReport",
         lambda **fields: series.append(1) or SeriesReport(**fields),
     )
+    monkeypatch.setattr(
+        catalog, "_run_gates", functools.cache(catalog._run_gates.__wrapped__)
+    )
+    enumerate_catalog(1)
+    assert len(presented) == 3
     run_checks(enumerate_catalog(7), "all", "catalog up to dimension 7")
-    assert len(presented) <= 13 and len(series) <= 49, (
-        len(presented), len(series))
+    assert (len(presented), len(series)) == (13, 49)
     presented.clear()
     classification_sweep(8)
-    assert len(presented) == 13
+    assert len(presented) == 10
+
+
+# Counts the presentations one command computes in a fresh process.
+FRESH_COUNT_SCRIPT = (
+    "import io, sys\n"
+    "import schurlab.multiplier as multiplier\n"
+    "from schurlab.cli import main\n"
+    "free, presented = multiplier.free_nilpotent_algebra, []\n"
+    "multiplier.free_nilpotent_algebra = (\n"
+    "    lambda d, s: presented.append(d) or free(d, s))\n"
+    "sys.stdout = io.StringIO()\n"
+    "code = main(sys.argv[1:])\n"
+    "sys.stdout = sys.__stdout__\n"
+    "print(code, len(presented))\n"
+)
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--max-dim", "8"],
+    ["check", "--theorem", "all", "--max-dim", "7"],
+], ids=["sweep", "check"])
+def test_fresh_process_presents_each_value_once(argv):
+    # the cached gates keep L4_3, L5_8 and L6_26 alive, so their
+    # presentations answer the equal bases: 13, not 16 with the gates
+    from test_cli import _child
+
+    proc = _child(["-c", FRESH_COUNT_SCRIPT, *argv, "--format", "json"])
+    assert proc.stdout.split() == ["0", "13"], proc.stderr
 
 
 def test_sweep_abelian_extension_rows_match_engine():

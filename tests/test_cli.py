@@ -1,4 +1,3 @@
-import argparse
 import ast
 import hashlib
 import importlib.util
@@ -16,7 +15,7 @@ import pytest
 
 import schurlab
 from schurlab.catalog import catalog_get
-from schurlab.cli import build_parser, main
+from schurlab.cli import COMMANDS, _parse, main
 from schurlab.dsl import format_presentation, parse_combo, parse_presentation
 from schurlab.hall import free_nilpotent_algebra
 from schurlab.liealg import LieAlgebra, Quotient
@@ -421,6 +420,123 @@ def test_param_with_file_is_refused(tmp_path, capsys):
         assert code == 0 and json.loads(out)["n"] == 3, command
 
 
+# How the command line is read.  Each accepted form runs through main
+# and is read back from the emitted document and format; its canonical
+# spelling names every field, defaults included.
+ACCEPTED_ARGV = [
+    ("info --name H(1)", "info --name H(1) --format table"),
+    ("info --name=H(1) --format=json", "info --name H(1) --format json"),
+    ("info --na H(1) --fo json", "info --name H(1) --format json"),
+    ("info --na=H(1) --form=json", "info --name H(1) --format json"),
+    ("info --name A(1) --name H(1)", "info --name H(1) --format table"),
+    ("info --format json --name H(1) --format table",
+     "info --name H(1) --format table"),
+    ("multiplier --name H(1) --format json",
+     "multiplier --name H(1) --format json"),
+    ("info --fi=h.alg", "info --file h.alg --format table"),
+    ("multiplier --format=json --file h.alg",
+     "multiplier --file h.alg --format json"),
+    ("capable --name=A(1)", "capable --name A(1) --format table"),
+    ("bounds --nam L5_8 --format json", "bounds --name L5_8 --format json"),
+    ("sweep", "sweep --max-dim 6 --format table"),
+    ("sweep --max-dim=4 --fo json", "sweep --max-dim 4 --format json"),
+    ("sweep --max 4", "sweep --max-dim 4 --format table"),
+    ("check --max-dim 4", "check --theorem all --max-dim 4 --format table"),
+    ("check --theorem 2.1", "check --theorem 2.1 --max-dim 6 --format table"),
+    ("check --t=2.9 --m 5 --format json",
+     "check --theorem 2.9 --max-dim 5 --format json"),
+]
+
+# Refused forms: a usage error exits 2 with the message on stderr.
+REFUSED_ARGV = [
+    ("", "the following arguments are required: command"),
+    ("bogus --name H(1)", "argument command: invalid choice: 'bogus'"),
+    ("info --name H(1) --param eps=1",
+     "unrecognized arguments: --param eps=1"),
+    ("info --name H(1) extra", "unrecognized arguments: extra"),
+    ("info", "one of the arguments --name --file is required"),
+    ("info --format json", "one of the arguments --name --file is required"),
+    ("info --name H(1) --file h.alg",
+     "argument --file: not allowed with argument --name"),
+    ("bounds --file=h.alg --na H(1)",
+     "argument --name: not allowed with argument --file"),
+    ("info --name H(1) --format xml",
+     "argument --format: invalid choice: 'xml'"),
+    ("info --name H(1) --format", "argument --format: expected one argument"),
+    ("info --name -x", "argument --name: expected one argument"),
+    ("info --name H(1) --f json", "ambiguous option: --f"),
+    ("sweep --max-dim x", "argument --max-dim: invalid int value: 'x'"),
+    ("sweep --max-dim 6.0", "argument --max-dim: invalid int value: '6.0'"),
+    ("check --theorem 2.10", "argument --theorem: invalid choice: '2.10'"),
+    ("sweep --name H(1)", "unrecognized arguments: --name H(1)"),
+]
+
+
+def _parsed(monkeypatch, line):
+    """main's reading of one command line: the emitted format and
+    document, with main's exit code."""
+    emitted = []
+    monkeypatch.setattr(
+        "schurlab.cli._emit", lambda doc, fmt: emitted.append((fmt, doc))
+    )
+    code = main(shlex.split(line))
+    (seen,) = emitted
+    return code, seen
+
+
+@pytest.mark.parametrize("line, canonical", ACCEPTED_ARGV)
+def test_accepted_command_lines(tmp_path, monkeypatch, line, canonical):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "h.alg").write_text("algebra H dim 3\n[x1, x2] = x3\n")
+    got = _parsed(monkeypatch, line)
+    assert got == _parsed(monkeypatch, canonical)
+    code, (fmt, doc) = got
+    assert code == 0
+    words = shlex.split(canonical)
+    fields = dict(zip(words[1::2], words[2::2]))
+    assert fmt == fields.pop("--format")
+    for flag, value in fields.items():
+        assert str(doc[flag[2:].replace("-", "_")]) == value, flag
+
+
+@pytest.mark.parametrize("line, message", REFUSED_ARGV)
+def test_refused_command_lines(capsys, line, message):
+    with pytest.raises(SystemExit) as exc:
+        main(shlex.split(line))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: schurlab")
+    assert "error: " + message in captured.err
+
+
+def test_negative_max_dim_is_a_value_the_library_refuses(capsys):
+    for line in ("sweep --max-dim -1", "check --max-dim=-1"):
+        code, out, err = run_cli(capsys, *shlex.split(line))
+        assert (code, out) == (2, "")
+        assert err.startswith("schurlab: ") and "max_dim" in err
+
+
+def test_help_names_every_command_and_flag(capsys):
+    for argv in (["-h"], ["--help"], ["--he"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: schurlab")
+        for command in SUBCOMMAND_OPTIONS:
+            assert command in out, command
+    for command, flags in SUBCOMMAND_OPTIONS.items():
+        # help is read before the missing --name is noticed
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: schurlab {command}")
+        for flag in flags:
+            assert flag in out, (command, flag)
+
+
 def test_readme_command_lines_parse():
     # every command line README shows in a code fence, with any "$ "
     # prompt dropped, is one the parser accepts
@@ -434,10 +550,9 @@ def test_readme_command_lines_parse():
             if line.startswith("schurlab "):
                 lines.append(line)
     assert len(lines) >= 8, lines
-    parser = build_parser()
     for line in lines:
         try:
-            parser.parse_args(shlex.split(line)[1:])
+            _parse(shlex.split(line)[1:])
         except SystemExit:
             pytest.fail(f"README shows a command the parser refuses: {line}")
 
@@ -490,18 +605,12 @@ def test_check_each_theorem_adds_up_to_all(capsys):
 
 
 def test_theorem_choices_are_the_table_ids():
-    # The parser spells the ids out: reading them from the table would
-    # load the theorem module for every subcommand.
+    # The option table spells the ids out: reading them from
+    # bounds.THEOREMS would load the theorem module for every subcommand.
     from schurlab.bounds import THEOREMS
 
-    (sub,) = [
-        a for a in build_parser()._actions
-        if isinstance(a, argparse._SubParsersAction)
-    ]
-    (theorem,) = [
-        a for a in sub.choices["check"]._actions if a.dest == "theorem"
-    ]
-    assert tuple(theorem.choices) == (*THEOREMS, "all")
+    choices = COMMANDS["check"][2]["--theorem"][0]
+    assert choices == (*THEOREMS, "all")
 
 
 def _child_env(log=None):
@@ -676,9 +785,10 @@ def test_log_env_unknown_level_leaves_logging_unconfigured(capsys, monkeypatch):
 
 
 # What a fresh process may import.  Start-up dominates a small query,
-# so no subcommand loads dataclasses (and with it inspect), logging or
-# the theorem module, info on a file loads no Hall basis, multiplier or
-# catalog code, and the file's digest loads no OpenSSL (hashlib's
+# so no subcommand loads dataclasses (and with it inspect), logging,
+# or argparse with the gettext and locale it brings; only sweep and
+# check load the theorem module; info on a file loads no Hall basis,
+# multiplier or catalog code; and no digest loads OpenSSL (hashlib's
 # _hashlib) where the interpreter has a built-in sha256.
 FOOTPRINT_SCRIPT = (
     "import sys\n"
@@ -686,26 +796,36 @@ FOOTPRINT_SCRIPT = (
     "code = main(sys.argv[1:])\n"
     "print(code, *sorted(sys.modules))\n"
 )
+# what each command runs on: the file below, or the catalog
+CATALOG_ARGS = {
+    "sweep": ["--max-dim", "4"],
+    "check": ["--theorem", "all", "--max-dim", "4"],
+}
 
 
 @pytest.mark.parametrize("command, engine, absent", [
     ("info", "schurlab.liealg",
-     ["schurlab.hall", "schurlab.multiplier", "schurlab.catalog"]),
-    ("multiplier", "schurlab.multiplier", ["schurlab.catalog"]),
-    ("capable", "schurlab.multiplier", ["schurlab.catalog"]),
-    ("bounds", "schurlab.multiplier", ["schurlab.catalog"]),
+     ["schurlab.hall", "schurlab.multiplier", "schurlab.catalog",
+      "schurlab.bounds"]),
+    ("multiplier", "schurlab.multiplier", ["schurlab.catalog", "schurlab.bounds"]),
+    ("capable", "schurlab.multiplier", ["schurlab.catalog", "schurlab.bounds"]),
+    ("bounds", "schurlab.multiplier", ["schurlab.catalog", "schurlab.bounds"]),
+    ("sweep", "schurlab.bounds", []),
+    ("check", "schurlab.bounds", []),
 ])
 def test_subcommands_import_only_what_they_run(tmp_path, command, engine, absent):
+    argv = [command, *CATALOG_ARGS.get(command, ["--file", "h1.alg"])]
     (tmp_path / "h1.alg").write_text("algebra H1 dim 3\n[x1, x2] = x3\n")
-    proc = _child(["-c", FOOTPRINT_SCRIPT, command, "--file", "h1.alg",
-                   "--format", "json"], cwd=tmp_path)
+    proc = _child(["-c", FOOTPRINT_SCRIPT, *argv, "--format", "json"],
+                  cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     code, *loaded = proc.stdout.splitlines()[-1].split()
     assert code == "0"
     if BUILTIN_SHA256:
         absent = [*absent, "hashlib", "_hashlib"]
-    for module in ["dataclasses", "inspect", "logging", "schurlab.bounds", *absent]:
-        assert module not in loaded
+    for module in ["dataclasses", "inspect", "logging", "argparse", "gettext",
+                   "locale", *absent]:
+        assert module not in loaded, module
     assert engine in loaded
 
 
@@ -843,13 +963,9 @@ SUBCOMMAND_OPTIONS = {
 
 def test_public_surface_pinned():
     assert schurlab.__all__ == PUBLIC_NAMES
-    parser = build_parser()
-    (sub,) = [
-        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
-    ]
     options = {
-        name: sorted(o for a in p._actions for o in a.option_strings)
-        for name, p in sub.choices.items()
+        name: sorted(["-h", "--help", *flags])
+        for name, (_, _, flags) in COMMANDS.items()
     }
     assert options == SUBCOMMAND_OPTIONS
 

@@ -416,6 +416,31 @@ def test_series_and_center_match_literal_definitions():
     assert max(denominators) > 1
 
 
+def test_series_terms_are_brackets_with_the_previous_term(catalog6):
+    # the series builds every [x_l, r] of a row r in one pass over the
+    # adjoint rows of supp(r); bracket_subspaces brackets pair by pair
+    import random
+
+    rng = random.Random(7)
+    algebras = [random_basis_change(L, rng) for _, L in catalog6]
+    for _ in range(6):
+        wide = LieAlgebra(0, {})
+        for _, part in rng.sample(catalog6, 3):
+            wide = wide.direct_sum(part)
+        perm = list(range(wide.dim))
+        rng.shuffle(perm)
+        algebras.append(LieAlgebra(wide.dim, {
+            (perm[i], perm[j]): {perm[k]: c for k, c in vec.items()}
+            for (i, j), vec in wide.sc.items()
+        }))
+    for L in algebras:
+        full = Subspace.full(L.dim)
+        gammas = L.lower_central_series()
+        assert gammas[0] == full and gammas[-1].dim == 0
+        for previous, term in zip(gammas, gammas[1:]):
+            assert term == L.bracket_subspaces(full, previous), L
+
+
 def first_jacobi_failure(L):
     """The first failing basis triple over all i < j < k, 1-based, and
     its residual; None when the Jacobi identity holds."""
