@@ -8,10 +8,14 @@ most 6 over fields of characteristic not 2 (de Graaf); see the data
 file for the exact citation and layout.
 
 Every constructed algebra passes the Jacobi check, and each data-file
-entry is gated against its asserted (n, m, c) triple; the entries that
+entry is gated against its asserted (n, m, c) triple.  The entries that
 also assert a multiplier dimension (L4_3, L5_8, L6_26) are verified
-before every lookup until they pass, once per process, so a wrong
-structure constant fails loudly rather than producing quiet nonsense.
+before the first lookup that reads the data file, and before each later
+one until they pass, once per process, so a wrong structure constant
+fails loudly rather than producing quiet nonsense.  A name made of
+families only, such as "H(1)+A(2)", reads no data file and runs no
+gate, so it loads none of the data file's reader, the presentation
+parser, the Hall basis and the multiplier engine.
 
 Names accepted by catalog_get: "A(4)" or "A4", "H(2)" or "H2",
 "L5_7", "L6_22(1/2)", and direct sums joined with "+", for example
@@ -22,17 +26,14 @@ import json
 import re
 from fractions import Fraction
 from functools import cache
-from importlib import resources
 
-from .dsl import check_dim, parse_combo
 from .errors import (
     InvariantMismatch,
     MissingParameter,
     ResourceCapExceeded,
     UnknownName,
 )
-from .liealg import LieAlgebra, direct_sum
-from .multiplier import schur_multiplier_dim
+from .liealg import LieAlgebra, check_dim, direct_sum
 
 MAX_ENUMERATION_DIM = 8
 DEFAULT_EPS_SAMPLES = (
@@ -60,6 +61,8 @@ def heisenberg(m: int) -> LieAlgebra:
 
 @cache
 def _entries():
+    from importlib import resources
+
     text = (
         resources.files("schurlab")
         .joinpath("data/catalog.json")
@@ -83,6 +86,8 @@ def _parameter_value(text, part) -> Fraction:
 def _build_entry(entry, values) -> LieAlgebra:
     """The algebra of a data-file entry, its parameters given exact
     ``values``; one with no value raises MissingParameter."""
+    from .dsl import parse_combo
+
     dim = entry["dim"]
     for parameter in entry["parameters"]:
         if parameter not in values:
@@ -113,14 +118,19 @@ def _build_entry(entry, values) -> LieAlgebra:
 @cache
 def _run_gates():
     """Check asserted multiplier dimensions; only a pass is cached.
-    The cached result is the gated algebras, which so stay alive for
-    the process and keep the memo of their values, presentations
-    included, for every equal algebra built later."""
+    Run before every lookup that reads the data file and every walk of
+    the catalog; a family name reads no data file and runs none, so it
+    loads no multiplier engine.  The cached result
+    is the gated algebras, which so stay alive for the process and keep
+    the memo of their values, presentations included, for every equal
+    algebra built later."""
+    from . import multiplier
+
     gated = []
     for entry in _entries().values():
         if "dim_M" in entry:
             algebra = _build_entry(entry, {})
-            got = schur_multiplier_dim(algebra)
+            got = multiplier.schur_multiplier_dim(algebra)
             if got != entry["dim_M"]:
                 raise InvariantMismatch(
                     f"{entry['name']}: computed dim M = {got}, "
@@ -151,6 +161,7 @@ def _build_part(part: str) -> LieAlgebra:
         check_dim(2 * m + 1)
         return heisenberg(m)
     table = match.group("table")
+    _run_gates()
     entry = _entries().get(table)
     if entry is None:
         raise UnknownName(f"unknown algebra name {part!r}")
@@ -168,9 +179,11 @@ def catalog_get(name: str) -> LieAlgebra:
 
     A parameter value is written in the name, as in "L6_22(1/2)"; a
     parameterised entry named without one raises MissingParameter.  A
-    name of dimension above ``dsl.MAX_DIM`` raises ResourceCapExceeded.
+    name of dimension above ``liealg.MAX_DIM`` raises
+    ResourceCapExceeded.  The multiplier gates run before the first
+    part that reads the data file ("L5_7" in "A(1)+L5_7"), so a failed
+    gate fails every such name; a name of families alone runs none.
     """
-    _run_gates()
     parts = [part.strip() for part in _SUM.split(name.replace(" ", ""))]
     if not all(parts):
         raise UnknownName(f"unknown algebra name {name!r}")

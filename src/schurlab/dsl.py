@@ -28,14 +28,9 @@ from .errors import (
     DslSyntaxError,
     DuplicateInconsistentBracket,
     MissingParameter,
-    ResourceCapExceeded,
     UnknownGenerator,
 )
-from .liealg import LieAlgebra
-
-# the largest dimension answered: a one-bracket algebra of this
-# dimension already takes about 1 GB and 9-12 s
-MAX_DIM = 10**6
+from .liealg import LieAlgebra, check_dim
 
 _HEADER = re.compile(r"algebra\s+(\S+)\s+dim\s+(\d+)\s*$")
 _LINE = re.compile(r"\[\s*x(\d+)\s*,\s*x(\d+)\s*\]\s*=\s*(.*?)\s*$")
@@ -45,16 +40,6 @@ _TERM = re.compile(
     r"(?:(?:(?P<rat>\d+(?:/\d+)?)|(?P<name>(?!x\d)[A-Za-z_]\w*))\s*\*\s*)?"
     r"x(?P<gen>\d+)"
 )
-
-
-def check_dim(dim):
-    """A declared dimension, checked before anything linear in it is
-    built: above ``MAX_DIM`` it raises ResourceCapExceeded."""
-    if dim > MAX_DIM:
-        raise ResourceCapExceeded(
-            f"dimension {dim} is above the cap of {MAX_DIM}"
-        )
-    return dim
 
 
 def _generator(digits, dim, line):

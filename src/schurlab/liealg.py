@@ -19,7 +19,13 @@ import weakref
 from fractions import Fraction
 from math import lcm
 
-from .errors import JacobiViolation, NotAnIdeal, NotNilpotent, Record
+from .errors import (
+    JacobiViolation,
+    NotAnIdeal,
+    NotNilpotent,
+    Record,
+    ResourceCapExceeded,
+)
 from .linalg import Subspace, SpanBuilder, frac, invert, kernel_rows
 
 
@@ -89,6 +95,21 @@ class Quotient(Record):
         for j, x in zip(columns, vec):
             out[j] = frac(x)
         return tuple(out)
+
+
+# the largest dimension answered: a one-bracket algebra of this
+# dimension already takes about 1 GB and 9-12 s
+MAX_DIM = 10**6
+
+
+def check_dim(dim):
+    """A declared dimension, checked before anything linear in it is
+    built: above ``MAX_DIM`` it raises ResourceCapExceeded."""
+    if dim > MAX_DIM:
+        raise ResourceCapExceeded(
+            f"dimension {dim} is above the cap of {MAX_DIM}"
+        )
+    return dim
 
 
 class LieAlgebra:

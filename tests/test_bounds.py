@@ -323,17 +323,21 @@ FRESH_COUNT_SCRIPT = (
 )
 
 
-@pytest.mark.parametrize("argv", [
-    ["sweep", "--max-dim", "8"],
-    ["check", "--theorem", "all", "--max-dim", "7"],
-], ids=["sweep", "check"])
-def test_fresh_process_presents_each_value_once(argv):
+@pytest.mark.parametrize("argv, presented", [
+    (["sweep", "--max-dim", "8"], 13),
+    (["check", "--theorem", "all", "--max-dim", "7"], 13),
+    (["info", "--name", "A(1)"], 0),
+    (["info", "--name", "L5_7"], 3),
+], ids=["sweep", "check", "info-family", "info-table"])
+def test_fresh_process_presents_each_value_once(argv, presented):
     # the cached gates keep L4_3, L5_8 and L6_26 alive, so their
-    # presentations answer the equal bases: 13, not 16 with the gates
+    # presentations answer the equal bases: 13, not 16 with the gates.
+    # The gates run before a data-file lookup only: a family name
+    # presents nothing, L5_7 the three gated entries
     from test_cli import _child
 
     proc = _child(["-c", FRESH_COUNT_SCRIPT, *argv, "--format", "json"])
-    assert proc.stdout.split() == ["0", "13"], proc.stderr
+    assert proc.stdout.split() == ["0", str(presented)], proc.stderr
 
 
 def test_sweep_abelian_extension_rows_match_engine():

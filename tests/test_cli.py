@@ -788,8 +788,10 @@ def test_log_env_unknown_level_leaves_logging_unconfigured(capsys, monkeypatch):
 # so no subcommand loads dataclasses (and with it inspect), logging,
 # or argparse with the gettext and locale it brings; only sweep and
 # check load the theorem module; info on a file loads no Hall basis,
-# multiplier or catalog code; and no digest loads OpenSSL (hashlib's
-# _hashlib) where the interpreter has a built-in sha256.
+# multiplier or catalog code; info on a name of families alone reads
+# no data file, so it runs no gate and loads no Hall basis, multiplier
+# or parser; and no digest loads OpenSSL (hashlib's _hashlib) where the
+# interpreter has a built-in sha256.
 FOOTPRINT_SCRIPT = (
     "import sys\n"
     "from schurlab.cli import main\n"
@@ -800,6 +802,7 @@ FOOTPRINT_SCRIPT = (
 CATALOG_ARGS = {
     "sweep": ["--max-dim", "4"],
     "check": ["--theorem", "all", "--max-dim", "4"],
+    "info --name": ["H(2)+A(1)"],
 }
 
 
@@ -812,9 +815,12 @@ CATALOG_ARGS = {
     ("bounds", "schurlab.multiplier", ["schurlab.catalog", "schurlab.bounds"]),
     ("sweep", "schurlab.bounds", []),
     ("check", "schurlab.bounds", []),
+    ("info --name", "schurlab.catalog",
+     ["schurlab.hall", "schurlab.multiplier", "schurlab.dsl",
+      "schurlab.bounds"]),
 ])
 def test_subcommands_import_only_what_they_run(tmp_path, command, engine, absent):
-    argv = [command, *CATALOG_ARGS.get(command, ["--file", "h1.alg"])]
+    argv = [*command.split(), *CATALOG_ARGS.get(command, ["--file", "h1.alg"])]
     (tmp_path / "h1.alg").write_text("algebra H1 dim 3\n[x1, x2] = x3\n")
     proc = _child(["-c", FOOTPRINT_SCRIPT, *argv, "--format", "json"],
                   cwd=tmp_path)
@@ -826,7 +832,7 @@ def test_subcommands_import_only_what_they_run(tmp_path, command, engine, absent
     for module in ["dataclasses", "inspect", "logging", "argparse", "gettext",
                    "locale", *absent]:
         assert module not in loaded, module
-    assert engine in loaded
+    assert "schurlab.liealg" in loaded and engine in loaded
 
 
 # The public surface.  Removing or renaming a name or a flag must update
