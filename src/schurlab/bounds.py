@@ -23,7 +23,7 @@ and ``run_checks`` runs them and the paper's scans, each from one
 entry of the table THEOREMS, over any source of (name, algebra) pairs.
 """
 
-from itertools import chain, combinations
+from itertools import combinations
 from math import comb
 
 from .errors import InvariantMismatch, NotCentral, Record
@@ -75,22 +75,25 @@ class TheoremReport(Record):
     witnesses: dict
 
 
-def _tensor_rank(rows, n, width, modulo=None):
+def _tensor_rank(rows, n, width, modulo):
     """Dimension of the span of the tensors sum(coeff * left (x) e_col),
     one per row of (coeff, left, col) terms with left a sparse integer
     dict over Q^n, modulo ``modulo`` (x) Q^width for a Subspace
-    ``modulo`` of Q^n: its rows g (x) e_col are added first, uncounted."""
-    kept = modulo.echelon.values() if modulo is not None else ()
-    seeds = [((1, g, col),) for g in kept for col in range(width)]
+    ``modulo`` of Q^n.  The tensors g (x) e_col of its canonical
+    echelon rows g, pivot p, are one canonical echelon with pivots
+    p * width + col, so they seed the builder as they are, uncounted."""
     builder = SpanBuilder(n * width)
-    for terms in chain(seeds, rows):
+    for p, g in modulo.echelon.items():
+        for col in range(width):
+            builder.rows[p * width + col] = {k * width + col: x for k, x in g.items()}
+    for terms in rows:
         vec = {}
         for coeff, left, col in terms:
             for k, c in left.items():
                 key = k * width + col
                 vec[key] = vec.get(key, 0) + coeff * c
         builder.add(vec)
-    return builder.rank - len(seeds)
+    return builder.rank - modulo.dim * width
 
 
 def _gamma_rank(L, reps, gamma3):
@@ -105,7 +108,7 @@ def _gamma_rank(L, reps, gamma3):
         )
         for (a, x), (b, y), (c, z) in combinations(enumerate(reps), 3)
     )
-    return _tensor_rank(rows, L.dim, len(reps), modulo=gamma3)
+    return _tensor_rank(rows, L.dim, len(reps), gamma3)
 
 
 def _gamma_prime3_rank(L, reps):
@@ -135,7 +138,7 @@ def _gamma_prime3_rank(L, reps):
         for a, b in pairs
         for c, d in pairs
     )
-    return _tensor_rank(rows, L.dim, len(reps))
+    return _tensor_rank(rows, L.dim, len(reps), Subspace.zero(L.dim))
 
 
 @per_algebra
@@ -147,7 +150,7 @@ def gamma_images(L: LieAlgebra) -> GammaImages:
     ``series``."""
     n = L.dim
     gammas = L.lower_central_series()
-    gamma2 = gammas[1] if len(gammas) > 1 else Subspace.zero(n)
+    gamma2 = L.derived_subspace()
     gamma3 = gammas[2] if len(gammas) > 2 else Subspace.zero(n)
     ab_reps = gamma2.nonpivots()
     prime_reps = (gamma2 + L.center()).nonpivots()

@@ -25,6 +25,7 @@ from functools import cache
 
 from .errors import InvariantMismatch, Record, ResourceCapExceeded
 from .liealg import LieAlgebra
+from .linalg import axpy
 
 DEFAULT_BASIS_CAP = 5000
 
@@ -158,17 +159,13 @@ class FreeNilpotentAlgebra:
 
     def ad(self, j, vec, out=None):
         """Add [basis_j, vec] into ``out`` and return it, for a sparse
-        integer dict vec of Hall word coordinates; ``out`` is a new dict
-        by default and holds only nonzero entries."""
+        integer dict vec of Hall word coordinates: one ``axpy`` of each
+        product [basis_j, basis_pos] scaled by vec[pos].  ``out`` is a
+        new dict by default and holds only nonzero entries."""
         if out is None:
             out = {}
         for pos, coeff in vec.items():
-            for t, v in self.product(j, pos).items():
-                x = out.get(t, 0) + coeff * v
-                if x:
-                    out[t] = x
-                else:
-                    del out[t]
+            axpy(out, coeff, self.product(j, pos))
         return out
 
     @property

@@ -26,7 +26,7 @@ from .errors import (
     Record,
     ResourceCapExceeded,
 )
-from .linalg import Subspace, SpanBuilder, frac, invert, kernel_rows
+from .linalg import Subspace, SpanBuilder, axpy, frac, invert, kernel_rows
 
 
 # algebra value -> its memo, keyed weakly by the first live algebra of
@@ -110,6 +110,25 @@ def check_dim(dim):
             f"dimension {dim} is above the cap of {MAX_DIM}"
         )
     return dim
+
+
+def _ad_images(adj, r):
+    """{l: D [x_l, r]} for a sparse dict row r, read off the adjoint
+    table ``adj`` of ``LieAlgebra._adjoint``.
+
+    One pass over the adjoint rows of supp(r) builds every
+    [x_l, r] = -sum_j r_j [x_j, x_l] at once, so the cost is the
+    nonzero brackets met, not one bracket per noncentral x_l.  The keys
+    are the l with a nonzero [x_j, x_l] for some j in supp(r); an image
+    whose terms all cancel is an empty dict.  The series,
+    ``bracket_subspaces``, ``validate`` and the closure check of
+    ``quotient`` read this one pass.
+    """
+    images = {}
+    for j, x in r.items():
+        for l, vec in adj.get(j, {}).items():
+            axpy(images.setdefault(l, {}), -x, vec)
+    return images
 
 
 class LieAlgebra:
@@ -203,25 +222,23 @@ class LieAlgebra:
         [[xi,xj],xk] + [[xj,xk],xi] + [[xk,xi],xj].  The three terms are
         the cyclic rotations of the triple, so each is [[xa,xb],xc] for
         one nonzero bracket [xa,xb] with a < b, taken with sign -1 when
-        a < c < b.  One pass over the nonzero brackets adds every such
-        term to the residual of its sorted triple; triples with no
-        nonzero term are never visited.  Antisymmetry and bilinearity
-        hold by construction, so passing this check makes the structure
+        a < c < b.  For each nonzero bracket, ``_ad_images`` of its
+        adjoint row D [xa,xb] gives image c = D^2 [xc,[xa,xb]] =
+        -D^2 [[xa,xb],xc] for every c at once, and each is added to the
+        residual of its sorted triple; triples with no nonzero term are
+        never visited.  Antisymmetry and bilinearity hold by
+        construction, so passing this check makes the structure
         constants a Lie algebra.
         """
         den, adj = self._adjoint()
         residuals = {}
         for a, b in self.sc:
-            # D^2 [[xa,xb],xc] = sum over l of (D c_abl) (D [xl,xc])
-            for l, w in adj[a][b].items():
-                for c, term in adj.get(l, {}).items():
-                    if c != a and c != b:
-                        s = -w if a < c < b else w
-                        res = residuals.setdefault(tuple(sorted((a, b, c))), {})
-                        for t, v in term.items():
-                            res[t] = res.get(t, 0) + s * v
+            for c, image in _ad_images(adj, adj[a][b]).items():
+                if c != a and c != b:
+                    res = residuals.setdefault(tuple(sorted((a, b, c))), {})
+                    axpy(res, 1 if a < c < b else -1, image)
         for triple, res in sorted(residuals.items()):
-            if any(res.values()):
+            if res:
                 vec = [Fraction(0)] * self.dim
                 for t, val in res.items():
                     vec[t] = Fraction(val, den * den)
@@ -240,29 +257,29 @@ class LieAlgebra:
             for j, y in b.items():
                 vec = row.get(j)
                 if vec:
-                    c = x * y
-                    for k, w in vec.items():
-                        v = out.get(k, 0) + c * w
-                        if v:
-                            out[k] = v
-                        else:
-                            del out[k]
+                    axpy(out, x * y, vec)
         return out
 
-    def _bracket_span(self, left, right):
-        """A SpanBuilder holding D * [a, b] for a in left, b in right,
-        sparse integer dicts; only nonzero brackets reach the builder."""
+    def bracket_subspaces(self, s: Subspace, t: Subspace) -> Subspace:
+        """The span of [a, b] over a in s, b in t.
+
+        For each echelon row b of t, ``_ad_images`` gives every
+        D [x_l, b] in one pass, and D [a, b] = sum_l a_l D [x_l, b] for
+        each echelon row a of s; only nonzero brackets reach the
+        builder.
+        """
+        _, adj = self._adjoint()
         builder = SpanBuilder(self.dim)
-        for a in left:
-            for b in right:
-                out = self._sparse_bracket(a, b)
+        for b in t.echelon.values():
+            images = _ad_images(adj, b)
+            for a in s.echelon.values():
+                out = {}
+                for l, x in a.items():
+                    if l in images:
+                        axpy(out, x, images[l])
                 if out:
                     builder.add(out)
-        return builder
-
-    def bracket_subspaces(self, s: Subspace, t: Subspace) -> Subspace:
-        """The span of [a, b] over a in s, b in t."""
-        return self._bracket_span(s.echelon.values(), t.echelon.values()).subspace()
+        return builder.subspace()
 
     @per_algebra
     def lower_central_series(self):
@@ -273,9 +290,10 @@ class LieAlgebra:
         others bracket to zero), with the rows r of gamma_i: gamma_1 as
         those same basis vectors, since [L, L] = [basis, basis], each
         later term as the integer echelon rows of the builder that
-        spanned it.  One pass over the adjoint rows of supp(r) builds
-        every [x_l, r] = -sum_j r_j [x_j, x_l] at once, so the cost is
-        the nonzero brackets met, not (noncentral vectors) x (rows).
+        spanned it.  ``_ad_images`` builds every [x_l, r] of a row r in
+        one pass, so the cost is the nonzero brackets met, not
+        (noncentral vectors) x (rows); empty images are skipped, so no
+        empty row reaches the builder.
         """
         _, adj = self._adjoint()
         gammas = [Subspace.full(self.dim)]
@@ -283,19 +301,9 @@ class LieAlgebra:
         while gammas[-1].dim:
             builder = SpanBuilder(self.dim)
             for r in rows:
-                images = {}
-                for j, x in r.items():
-                    for l, vec in adj.get(j, {}).items():
-                        out = images.setdefault(l, {})
-                        for k, w in vec.items():
-                            v = out.get(k, 0) - x * w
-                            if v:
-                                out[k] = v
-                            else:
-                                del out[k]
-                for out in images.values():
-                    if out:
-                        builder.add(out)
+                for image in _ad_images(adj, r).values():
+                    if image:
+                        builder.add(image)
             if builder.rank == gammas[-1].dim:
                 raise NotNilpotent(
                     "lower central series stabilises at dimension "
@@ -357,11 +365,11 @@ class LieAlgebra:
             raise ValueError("ideal lives in the wrong ambient space")
         # only the noncentral basis vectors, the keys of the adjoint
         # table, bracket to anything, and only with an ideal row whose
-        # support meets them; I is closed when each such bracket
-        # reduces to zero modulo I
+        # support meets them; I is closed when each such bracket, an
+        # image of ``_ad_images``, reduces to zero modulo I
         den, adj = self._adjoint()
         rows = [r for r in ideal.echelon.values() if not adj.keys().isdisjoint(r)]
-        brackets = (self._sparse_bracket({i: 1}, r) for r in rows for i in adj)
+        brackets = (image for r in rows for image in _ad_images(adj, r).values())
         if any(map(ideal.reduce, brackets)):
             raise NotAnIdeal("subspace is not closed under bracketing with L")
         comp = ideal.nonpivots()
@@ -410,9 +418,8 @@ class LieAlgebra:
             for t in range(s + 1, n):
                 img = {}
                 for k, x in self._sparse_bracket(cols[s], cols[t]).items():
-                    for i, y in inv_cols[k].items():
-                        img[i] = img.get(i, 0) + x * y
-                entry = {i: img[i] / den for i in sorted(img) if img[i]}
+                    axpy(img, x, inv_cols[k])
+                entry = {i: img[i] / den for i in sorted(img)}
                 if entry:
                     brackets[(s, t)] = entry
         return LieAlgebra(n, brackets, name=name)

@@ -16,15 +16,18 @@ Conventions used throughout schurlab:
 Below the API edges every row is a sparse integer dict {column: entry}
 of its nonzero entries, so a row costs time in its nonzeros, not in the
 ambient dimension; ``SpanBuilder`` and ``kernel_rows`` take no other
-format.  Elimination is fraction-free in the Bareiss spirit: rows are
-scaled to primitive integer vectors and combined by integer
-cross-multiplication, dividing out the content when it grows, so
-intermediate entries stay small.  ``_reduce`` is the one loop that
-reduces a row against an echelon: ``SpanBuilder.reduce``, ``contains``
-and the Jordan phase ``reduced`` all run it; only ``SpanBuilder.add``
-keeps a loop of its own, which stops at the first free column.  A
-builder that starts from a canonical echelon takes its rows as they
-are, without eliminating them again.  Rational sequences become dict
+format.  ``axpy`` is the one combination of dict rows: it adds a
+multiple of one row into another and deletes each entry that cancels,
+here and wherever a bracket or an image is accumulated.  Elimination
+is fraction-free in the Bareiss spirit: rows are scaled to primitive
+integer vectors and combined by integer cross-multiplication, dividing
+out the content when it grows, so intermediate entries stay small.
+``_reduce`` is the one loop that reduces a row against an echelon:
+``SpanBuilder.reduce``, ``contains`` and the Jordan phase ``reduced``
+all run it; only ``SpanBuilder.add`` keeps a loop of its own, which
+stops at the first free column.  A builder that starts from a
+canonical echelon takes its rows as they are, without eliminating them
+again.  Rational sequences become dict
 rows only at the API edges (``Subspace``, ``kernel_basis``,
 ``invert``), through one scaling helper; ``rows``, ``reduce`` and
 ``invert`` hand Fractions back.
@@ -88,6 +91,23 @@ def _sparse(row):
     return {c: x for c, x in row.items() if x}
 
 
+def axpy(out, c, row):
+    """Add c * row into the dict row ``out`` in place and return it.
+
+    Each entry that cancels is deleted, so a row of nonzero entries
+    stays one; c = 0 leaves ``out`` unchanged, and ``row`` is only
+    read.
+    """
+    if c:
+        for k, y in row.items():
+            x = out.get(k, 0) + c * y
+            if x:
+                out[k] = x
+            else:
+                del out[k]
+    return out
+
+
 def _eliminate(row, prow, c):
     """Clear column c of ``row`` in place with ``prow``, whose pivot is c.
 
@@ -106,12 +126,7 @@ def _eliminate(row, prow, c):
         if mb != 1:
             for k in row:
                 row[k] *= mb
-    for k, y in prow.items():
-        x = row.get(k, 0) - a * y
-        if x:
-            row[k] = x
-        else:
-            del row[k]
+    axpy(row, -a, prow)
     return mb
 
 

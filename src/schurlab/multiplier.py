@@ -61,7 +61,7 @@ from .errors import (
 )
 from .hall import free_nilpotent_algebra
 from .liealg import LieAlgebra, per_algebra
-from .linalg import SpanBuilder, Subspace, kernel_rows
+from .linalg import SpanBuilder, Subspace, axpy, kernel_rows
 
 
 class Presentation:
@@ -326,8 +326,7 @@ def _kernel_span(constraints, vectors, n):
     for row in kernel_rows(constraints, len(vectors)):
         vec = {}
         for t, a in row.items():
-            for col, x in vectors[t].items():
-                vec[col] = vec.get(col, 0) + a * x
+            axpy(vec, a, vectors[t])
         span.add(vec)
     return span.subspace()
 

@@ -1035,6 +1035,23 @@ def test_no_foreign_attribute_writes():
     assert offenders == []
 
 
+def test_only_linalg_deletes_row_entries():
+    # a dict row stores only its nonzero entries, and linalg.axpy is the
+    # one loop that combines rows and deletes the entries that cancel
+    offenders = []
+    for path in sorted(Path(schurlab.__file__).parent.rglob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        offenders += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Delete)
+            and any(isinstance(t, ast.Subscript) for t in node.targets)
+        ]
+    assert offenders == []
+
+
 def test_adjoint_rows_are_read_only_in_liealg():
     # the layout of the adjoint table is liealg's: elsewhere the result
     # of ``._adjoint()`` is only subscripted with [0] or unpacked as

@@ -418,7 +418,8 @@ def test_series_and_center_match_literal_definitions():
 
 def test_series_terms_are_brackets_with_the_previous_term(catalog6):
     # the series builds every [x_l, r] of a row r in one pass over the
-    # adjoint rows of supp(r); bracket_subspaces brackets pair by pair
+    # adjoint rows of supp(r), as bracket_subspaces does, so each term
+    # is held to the dense Fraction bracket of the literal definition
     import random
 
     rng = random.Random(7)
@@ -438,7 +439,7 @@ def test_series_terms_are_brackets_with_the_previous_term(catalog6):
         gammas = L.lower_central_series()
         assert gammas[0] == full and gammas[-1].dim == 0
         for previous, term in zip(gammas, gammas[1:]):
-            assert term == L.bracket_subspaces(full, previous), L
+            assert term == literal_bracket_span(L, full, previous), L
 
 
 def first_jacobi_failure(L):
@@ -461,6 +462,21 @@ def first_jacobi_failure(L):
                 if any(jac):
                     return (i + 1, j + 1, k + 1), tuple(jac)
     return None
+
+
+def test_validate_sums_images_that_cancel_across_a_bracket():
+    # [[x1, x2], x5] = [x3 + x4, x5] is the sum of the images of x3 and
+    # x4, which cancel exactly when [x4, x5] = -[x3, x5]
+    sc = {(0, 1): {2: 1, 3: 1}, (2, 4): {5: 1}, (3, 4): {5: -1}}
+    L = LieAlgebra(6, sc)
+    L.validate()
+    assert L.series().nilpotency_class == 2
+    bad = LieAlgebra(6, {**sc, (3, 4): {5: -2}})
+    with pytest.raises(JacobiViolation) as info:
+        bad.validate()
+    assert info.value.triple == (1, 2, 5)
+    assert info.value.residual == (0, 0, 0, 0, 0, -1)
+    assert first_jacobi_failure(bad) == ((1, 2, 5), (0, 0, 0, 0, 0, -1))
 
 
 @pytest.mark.parametrize(

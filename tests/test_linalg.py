@@ -11,6 +11,7 @@ from schurlab.errors import SingularMatrix
 from schurlab.linalg import (
     SpanBuilder,
     Subspace,
+    axpy,
     frac,
     int_row,
     invert,
@@ -43,6 +44,26 @@ def test_int_row_primitive():
     assert int_row(row) == {0: 2, 1: -3}
     assert int_row([Fraction(0)] * 3) == {}
     assert int_row([4, "6", 0, -2]) == {0: 2, 1: 3, 3: -1}
+
+
+sparse_rows = st.dictionaries(
+    st.integers(0, 7), st.integers(-3, 3).filter(bool), max_size=6
+)
+
+
+@given(sparse_rows, st.integers(-3, 3), sparse_rows, st.data())
+@settings(max_examples=200, deadline=None)
+def test_axpy_matches_dense_arithmetic(out, c, row, data):
+    # some entries of out are set to cancel c * row exactly
+    if c and row:
+        for k in data.draw(st.sets(st.sampled_from(sorted(row)))):
+            out[k] = -c * row[k]
+    dense = [out.get(k, 0) + c * row.get(k, 0) for k in range(8)]
+    before = dict(row)
+    result = axpy(out, c, row)
+    assert result is out
+    assert result == {k: x for k, x in enumerate(dense) if x}
+    assert row == before
 
 
 def test_subspace_canonical_equality():
