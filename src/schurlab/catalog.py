@@ -22,9 +22,7 @@ Names accepted by catalog_get: "A(4)" or "A4", "H(2)" or "H2",
 "H(1)+A(2)".
 """
 
-import json
 import re
-from fractions import Fraction
 from functools import cache
 
 from .errors import (
@@ -34,14 +32,11 @@ from .errors import (
     UnknownName,
 )
 from .liealg import LieAlgebra, check_dim, direct_sum
+from .linalg import ratio_text
 
 MAX_ENUMERATION_DIM = 8
-DEFAULT_EPS_SAMPLES = (
-    Fraction(0),
-    Fraction(1),
-    Fraction(-1),
-    Fraction(1, 2),
-)
+# the parameter values p/q enumerated, as (p, q)
+DEFAULT_EPS_SAMPLES = ((0, 1), (1, 1), (-1, 1), (1, 2))
 
 
 def abelian(n: int) -> LieAlgebra:
@@ -55,12 +50,13 @@ def heisenberg(m: int) -> LieAlgebra:
     """H(m): dimension 2m + 1 with [x_{2i-1}, x_{2i}] = x_{2m+1}."""
     if m < 1:
         raise ValueError(f"H({m}): requires m >= 1")
-    brackets = {(2 * i, 2 * i + 1): {2 * m: 1} for i in range(m)}
-    return LieAlgebra(2 * m + 1, brackets, name=f"H({m})")
+    rows = {(2 * i, 2 * i + 1): (1, {2 * m: 1}) for i in range(m)}
+    return LieAlgebra._integral(2 * m + 1, rows, name=f"H({m})")
 
 
 @cache
 def _entries():
+    import json
     from importlib import resources
 
     text = (
@@ -75,17 +71,19 @@ def _entries():
 _VALUE = re.compile(r"-?\d+(?:/\d*[1-9]\d*)?")
 
 
-def _parameter_value(text, part) -> Fraction:
+def _parameter_value(text, part):
     """The rational ``text`` written inline in ``part``, as "1/2" in
-    "L6_22(1/2)"; text that is not one raises UnknownName."""
+    "L6_22(1/2)", as an integer pair (p, q); text that is not one
+    raises UnknownName."""
     if not _VALUE.fullmatch(text):
         raise UnknownName(f"invalid parameter value {text!r} in {part!r}")
-    return Fraction(text)
+    p, _, q = text.partition("/")
+    return int(p), int(q or 1)
 
 
 def _build_entry(entry, values) -> LieAlgebra:
-    """The algebra of a data-file entry, its parameters given exact
-    ``values``; one with no value raises MissingParameter."""
+    """The algebra of a data-file entry, its parameters given as integer
+    pairs (p, q); one with no value raises MissingParameter."""
     from .dsl import parse_combo
 
     dim = entry["dim"]
@@ -99,11 +97,11 @@ def _build_entry(entry, values) -> LieAlgebra:
     for i, j, combo in entry["brackets"]:
         brackets[(i - 1, j - 1)] = parse_combo(combo, dim, params=values)
     if entry["parameters"]:
-        args = ",".join(str(values[p]) for p in entry["parameters"])
+        args = ",".join(ratio_text(*values[p]) for p in entry["parameters"])
         name = f"{entry['name']}({args})"
     else:
         name = entry["name"]
-    algebra = LieAlgebra(dim, brackets, name=name)
+    algebra = LieAlgebra._integral(dim, brackets, name=name)
     algebra.validate()
     rep = algebra.series()
     want = entry["invariants"]

@@ -41,15 +41,18 @@ stability surface.  Set SCHURLAB_LOG=INFO (or DEBUG) for progress
 logging on stderr.
 """
 
-import json
 import os
 import re
 import sys
-from fractions import Fraction
 from types import SimpleNamespace
 
+try:
+    from _json import encode_basestring_ascii as _quote
+except ImportError:
+    from json.encoder import encode_basestring_ascii as _quote
+
 from .errors import InvariantMismatch, ResourceCapExceeded, SchurlabError
-from .linalg import Subspace
+from .linalg import Subspace, basis_text
 
 SCHEMA_VERSION = "1"
 
@@ -65,13 +68,9 @@ def _log_info(message, *args):
 
 
 def _jsonable(value):
-    if isinstance(value, Fraction):
-        return str(value) if value.denominator != 1 else str(value.numerator)
     if isinstance(value, Subspace):
-        return {
-            "dim": value.dim,
-            "basis": [[_jsonable(x) for x in row] for row in value.rows],
-        }
+        # exact rational strings, written from the integer echelon
+        return {"dim": value.dim, "basis": basis_text(value)}
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -79,9 +78,28 @@ def _jsonable(value):
     return value
 
 
+def _json_text(value):
+    """``json.dumps(value, separators=(",", ":"))`` for what ``_jsonable``
+    returns: dicts with str keys, lists, str, int, bool and None.  The
+    strings are quoted by json's own function, and the json package,
+    which a run would import only for this, stays out of start-up."""
+    if isinstance(value, str):
+        return _quote(value)
+    if isinstance(value, dict):
+        items = (f"{_quote(k)}:{_json_text(v)}" for k, v in value.items())
+        return "{" + ",".join(items) + "}"
+    if isinstance(value, list):
+        return "[" + ",".join(map(_json_text, value)) + "]"
+    if value is None:
+        return "null"
+    if value is True or value is False:
+        return "true" if value else "false"
+    return int.__repr__(value)
+
+
 def _emit(doc, fmt):
     if fmt == "json":
-        sys.stdout.write(json.dumps(_jsonable(doc), separators=(",", ":")))
+        sys.stdout.write(_json_text(_jsonable(doc)))
         sys.stdout.write("\n")
         return
     _emit_table(doc, indent="")

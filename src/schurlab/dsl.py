@@ -19,10 +19,11 @@ inside a GEN or a RATIONAL.  A combination may not start with a sign
 are zero, and statements given as [xj, xi] with j > i are normalized
 by antisymmetry.  Parsing validates the Jacobi identity and
 nilpotency, so the result is always a nilpotent Lie algebra.
+Coefficients are read as integers, with no Fraction.
 """
 
 import re
-from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import (
     DslSyntaxError,
@@ -31,6 +32,7 @@ from .errors import (
     UnknownGenerator,
 )
 from .liealg import LieAlgebra, check_dim
+from .linalg import ratio_text
 
 _HEADER = re.compile(r"algebra\s+(\S+)\s+dim\s+(\d+)\s*$")
 _LINE = re.compile(r"\[\s*x(\d+)\s*,\s*x(\d+)\s*\]\s*=\s*(.*?)\s*$")
@@ -58,20 +60,24 @@ def _coefficient(rat, name, line, params):
             raise DslSyntaxError(f"unexpected name {name!r}", line)
         if name not in params:
             raise MissingParameter(f"no value supplied for parameter {name!r}")
-        return Fraction(params[name])
-    try:
-        return Fraction(rat or 1)
-    except ZeroDivisionError:
-        raise DslSyntaxError(f"zero denominator in {rat!r}", line) from None
+        return params[name]
+    if rat is None:
+        return 1, 1
+    p, _, q = rat.partition("/")
+    q = int(q or 1)
+    if not q:
+        raise DslSyntaxError(f"zero denominator in {rat!r}", line)
+    return int(p), q
 
 
 def parse_combo(text, dim, line=None, params=None):
-    """Parse a right-hand side into a sparse {index: Fraction} dict.
+    """Parse a right-hand side into ``(den, row)``: the combination is
+    row / den, row a sparse integer dict {index: entry}, in lowest terms.
 
     The text is split at its signs and each term matched whole.
     ``params`` maps symbolic coefficient names (catalog parameters) to
-    Fractions; plain presentation text passes None and any name is a
-    syntax error.
+    integer pairs (p, q) for p/q, q > 0; plain presentation text passes
+    None and any name is a syntax error.
     """
     pieces = _SIGN.split(text)
     if not pieces[0].strip():
@@ -79,8 +85,8 @@ def parse_combo(text, dim, line=None, params=None):
             raise DslSyntaxError("empty right-hand side", line)
         raise DslSyntaxError("a combination may not start with a sign", line)
     if text.strip() == "0":
-        return {}
-    out = {}
+        return 1, {}
+    terms = []
     for sign, term in zip(["+", *pieces[1::2]], pieces[::2]):
         term = term.strip()
         match = _TERM.fullmatch(term)
@@ -91,14 +97,22 @@ def parse_combo(text, dim, line=None, params=None):
                 else f"expected a term after {sign!r}",
                 line,
             )
-        coeff = _coefficient(*match.group("rat", "name"), line, params)
+        p, q = _coefficient(*match.group("rat", "name"), line, params)
         key = _generator(match.group("gen"), dim, line)
-        total = out.get(key, 0) + (coeff if sign == "+" else -coeff)
+        terms.append((key, p if sign == "+" else -p, q))
+    den = lcm(*(q for _, _, q in terms))
+    out = {}
+    for key, p, q in terms:
+        total = out.get(key, 0) + p * (den // q)
         if total:
             out[key] = total
         else:
             out.pop(key, None)
-    return out
+    g = gcd(den, *out.values())
+    if g > 1:
+        den //= g
+        out = {k: x // g for k, x in out.items()}
+    return den, out
 
 
 def _significant_lines(text):
@@ -128,7 +142,7 @@ def parse_presentation(text: str) -> LieAlgebra:
         if match is None:
             raise DslSyntaxError("expected '[xi, xj] = combination'", number)
         i, j = (_generator(g, dim, number) for g in match.group(1, 2))
-        combo = parse_combo(match.group(3), dim, line=number)
+        den, combo = parse_combo(match.group(3), dim, line=number)
         if i == j:
             if combo:
                 raise DslSyntaxError(
@@ -136,23 +150,24 @@ def parse_presentation(text: str) -> LieAlgebra:
                     number,
                 )
             continue
-        sign = 1
         if i > j:
-            i, j, sign = j, i, -1
-        entry = {k: sign * c for k, c in combo.items()}
-        if brackets.setdefault((i, j), entry) != entry:
+            i, j = j, i
+            combo = {k: -c for k, c in combo.items()}
+        if brackets.setdefault((i, j), (den, combo)) != (den, combo):
             raise DuplicateInconsistentBracket(
                 f"conflicting definitions for [x{i + 1}, x{j + 1}]", number
             )
 
-    algebra = LieAlgebra(dim, brackets, name=name)
+    algebra = LieAlgebra._integral(dim, brackets, name=name)
     algebra.validate()
     algebra.lower_central_series()
     return algebra
 
 
-def _format_term(coeff, gen):
-    return f"x{gen + 1}" if coeff == 1 else f"{coeff}*x{gen + 1}"
+def _format_term(coeff, den, gen):
+    if coeff == den:
+        return f"x{gen + 1}"
+    return f"{ratio_text(coeff, den)}*x{gen + 1}"
 
 
 def format_presentation(L: LieAlgebra, name=None) -> str:
@@ -166,13 +181,14 @@ def format_presentation(L: LieAlgebra, name=None) -> str:
     # whitespace would split the header and "#" would start a comment
     label = "".join(label.replace("#", " ").split()) or "L"
     lines = [f"algebra {label} dim {L.dim}"]
-    for (i, j), vec in L.sc.items():
+    den = L._den
+    for (i, j), vec in L._table.items():
         if not any(c > 0 for c in vec.values()):
             i, j, vec = j, i, {k: -c for k, c in vec.items()}
         terms = sorted(vec.items(), key=lambda t: (t[1] < 0, t[0]))
         # each term with its sign; the first is positive and drops "+ "
         rhs = " ".join(
-            f"{'+' if c > 0 else '-'} {_format_term(abs(c), k)}"
+            f"{'+' if c > 0 else '-'} {_format_term(abs(c), den, k)}"
             for k, c in terms
         )
         lines.append(f"[x{i + 1}, x{j + 1}] = {rhs[2:]}")

@@ -2,9 +2,11 @@
 
 A ``LieAlgebra`` of dimension n fixes a basis x1..xn and stores the
 brackets [x_i, x_j] = sum_k c_ijk x_k for i < j; the bracket extends
-antisymmetrically and bilinearly.  Elements are coordinate vectors
-(tuples of Fractions).  Coordinates are 0-based in code; only error
-messages and the presentation DSL use the 1-based x1..xn labels.
+antisymmetrically and bilinearly.  The constants are held as D, their
+least common denominator, and the integers D c_ijk; ``sc`` is their
+Fraction view.  Elements are coordinate vectors (tuples of Fractions).
+Coordinates are 0-based in code; only error messages and the
+presentation DSL use the 1-based x1..xn labels.
 
 Nothing here assumes nilpotency except ``series``, which raises
 ``NotNilpotent`` when the lower central series stabilises above zero.
@@ -16,8 +18,7 @@ whatever their names) share one memo.
 
 import functools
 import weakref
-from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import (
     JacobiViolation,
@@ -26,7 +27,17 @@ from .errors import (
     Record,
     ResourceCapExceeded,
 )
-from .linalg import Subspace, SpanBuilder, axpy, frac, invert, kernel_rows
+from .linalg import (
+    Subspace,
+    SpanBuilder,
+    axpy,
+    exact,
+    frac,
+    frac_dict,
+    frac_tuple,
+    invert,
+    kernel_rows,
+)
 
 
 # algebra value -> its memo, keyed weakly by the first live algebra of
@@ -91,7 +102,7 @@ class Quotient(Record):
         columns = self.ideal.nonpivots()
         if len(vec) != len(columns):
             raise ValueError("vector/quotient dimension mismatch")
-        out = [Fraction(0)] * self.ideal.ambient
+        out = list(frac_tuple({}, self.ideal.ambient))
         for j, x in zip(columns, vec):
             out[j] = frac(x)
         return tuple(out)
@@ -132,19 +143,20 @@ def _ad_images(adj, r):
 
 
 class LieAlgebra:
-    """A Lie algebra presented by rational structure constants."""
+    """A Lie algebra presented by rational structure constants: ints,
+    Fractions or strings such as "1/2".  Its value is its dimension and
+    the constants' values, whatever their form."""
 
     def __init__(self, dim, brackets, name=None):
         if dim < 0:
             raise ValueError(f"dimension must be non-negative, got {dim}")
-        self.dim = dim
-        self.name = name
-        sc = {}
+        table = {}
+        den = 1
         for (i, j), vec in brackets.items():
             if not (0 <= i < dim and 0 <= j < dim):
                 raise ValueError(f"bracket index out of range: ({i}, {j})")
             if i == j:
-                if any(frac(c) for c in dict(vec).values()):
+                if any(map(exact, dict(vec).values())):
                     raise ValueError(f"[x{i + 1}, x{i + 1}] must vanish")
                 continue
             sign = 1
@@ -154,33 +166,74 @@ class LieAlgebra:
             for k, c in dict(vec).items():
                 if not 0 <= k < dim:
                     raise ValueError(f"target index out of range: {k}")
-                c = frac(c) * sign
+                if type(c) is not int:
+                    c = exact(c)
+                    den = lcm(den, c.denominator)
                 if c:
-                    entry[k] = c
+                    entry[k] = c * sign
             # kept even when zero: zero and nonzero conflict in either order
-            if sc.setdefault((i, j), entry) != entry:
+            if table.setdefault((i, j), entry) != entry:
                 raise ValueError(
                     f"conflicting definitions for [x{i + 1}, x{j + 1}]"
                 )
-        self.sc = {key: sc[key] for key in sorted(sc) if sc[key]}
+        if den > 1:
+            table = {
+                key: {k: int(c * den) for k, c in e.items()}
+                for key, e in table.items()
+            }
+        self._set(dim, den, table, name)
+
+    @classmethod
+    def _integral(cls, dim, rows, name=None):
+        """The algebra with [x_i, x_j] = row / d for each (i, j): (d, row)
+        of ``rows``, i < j, each row an integer dict of nonzero entries
+        over a positive integer d; a row is kept, not copied, when d is
+        the common denominator."""
+        self = object.__new__(cls)
+        den = lcm(*(d for d, _ in rows.values()))
+        table = {
+            key: row if d == den else {k: x * (den // d) for k, x in row.items()}
+            for key, (d, row) in rows.items()
+        }
+        self._set(dim, den, table, name)
+        return self
+
+    def _set(self, dim, den, table, name):
+        """Store ``table``/``den`` canonically: empty rows dropped, pairs
+        sorted, gcd(den, entries) divided out."""
+        self.dim = dim
+        self.name = name
+        table = {key: table[key] for key in sorted(table) if table[key]}
+        if den > 1:
+            g = gcd(den, *(x for row in table.values() for x in row.values()))
+            den //= g
+            table = {
+                key: {k: x // g for k, x in row.items()}
+                for key, row in table.items()
+            }
+        self._den = den
+        self._table = table
         self._memo = _MEMOS.setdefault(self, {})
+
+    @property
+    def sc(self):
+        """{(i, j): {k: c_ijk}} for i < j as Fractions, built when read."""
+        return _fraction_view(self)
 
     # -- elements ----------------------------------------------------
 
     def zero(self):
-        return (Fraction(0),) * self.dim
+        return frac_tuple({}, self.dim)
 
     def basis_vector(self, i):
-        return tuple(
-            Fraction(1) if j == i else Fraction(0) for j in range(self.dim)
-        )
+        return frac_tuple({i: 1}, self.dim)
 
     def bracket(self, u, v):
         """[u, v] for coordinate vectors u, v, by the literal loop over
         the structure constants.  It is the reference the tests hold the
         sparse adjoint table to; no computation in the package calls
         it."""
-        out = [Fraction(0)] * self.dim
+        out = list(self.zero())
         for (i, j), vec in self.sc.items():
             c = u[i] * v[j] - u[j] * v[i]
             if c:
@@ -203,16 +256,11 @@ class LieAlgebra:
         test.  Only this module reads the rows; elsewhere brackets go
         through ``_sparse_bracket``.
         """
-        den = 1
-        for vec in self.sc.values():
-            for c in vec.values():
-                den = lcm(den, c.denominator)
         adj = {}
-        for (i, j), vec in self.sc.items():
-            row = {k: c.numerator * (den // c.denominator) for k, c in vec.items()}
+        for (i, j), row in self._table.items():
             adj.setdefault(i, {})[j] = row
             adj.setdefault(j, {})[i] = {k: -c for k, c in row.items()}
-        return den, adj
+        return self._den, adj
 
     def validate(self):
         """Check the Jacobi identity on every basis triple.
@@ -232,16 +280,14 @@ class LieAlgebra:
         """
         den, adj = self._adjoint()
         residuals = {}
-        for a, b in self.sc:
+        for a, b in self._table:
             for c, image in _ad_images(adj, adj[a][b]).items():
                 if c != a and c != b:
                     res = residuals.setdefault(tuple(sorted((a, b, c))), {})
                     axpy(res, 1 if a < c < b else -1, image)
         for triple, res in sorted(residuals.items()):
             if res:
-                vec = [Fraction(0)] * self.dim
-                for t, val in res.items():
-                    vec[t] = Fraction(val, den * den)
+                vec = frac_tuple(res, self.dim, den * den)
                 raise JacobiViolation(tuple(i + 1 for i in triple), vec)
 
     def _sparse_bracket(self, a, b):
@@ -368,33 +414,35 @@ class LieAlgebra:
         # support meets them; I is closed when each such bracket, an
         # image of ``_ad_images``, reduces to zero modulo I
         den, adj = self._adjoint()
+        modulo = SpanBuilder(self.dim)
+        modulo.rows.update(ideal.echelon)
         rows = [r for r in ideal.echelon.values() if not adj.keys().isdisjoint(r)]
         brackets = (image for r in rows for image in _ad_images(adj, r).values())
-        if any(map(ideal.reduce, brackets)):
+        if not all(map(modulo.contains, brackets)):
             raise NotAnIdeal("subspace is not closed under bracketing with L")
         comp = ideal.nonpivots()
-        # D [x_i, x_j] modulo I over D is its projection, read in the
-        # non-pivot columns
+        # D [x_i, x_j] modulo I is residual / scale, so the quotient's
+        # bracket is residual / (scale D), read in the non-pivot columns
         index = {c: t for t, c in enumerate(comp)}
         brackets = {}
         for s, i in enumerate(comp):
             for j, w in adj.get(i, {}).items():
                 if index.get(j, -1) > s:
-                    residual = ideal.reduce(w)
+                    residual, scale = modulo.reduce(w)
                     if residual:
-                        brackets[(s, index[j])] = {
-                            index[k]: x / den for k, x in residual.items()
+                        brackets[(s, index[j])] = scale * den, {
+                            index[k]: x for k, x in residual.items()
                         }
-        return Quotient(LieAlgebra(len(comp), brackets), ideal)
+        return Quotient(LieAlgebra._integral(len(comp), brackets), ideal)
 
     def direct_sum(self, other: "LieAlgebra", name=None) -> "LieAlgebra":
         n1 = self.dim
-        brackets = {key: dict(vec) for key, vec in self.sc.items()}
-        for (i, j), vec in other.sc.items():
-            brackets[(i + n1, j + n1)] = {k + n1: c for k, c in vec.items()}
+        rows = {key: (self._den, row) for key, row in self._table.items()}
+        for (i, j), row in other._table.items():
+            rows[(i + n1, j + n1)] = other._den, {k + n1: x for k, x in row.items()}
         if name is None and self.name and other.name:
             name = f"{self.name}+{other.name}"
-        return LieAlgebra(n1 + other.dim, brackets, name=name)
+        return LieAlgebra._integral(n1 + other.dim, rows, name=name)
 
     def change_basis(self, p_rows, name=None) -> "LieAlgebra":
         """The same algebra in the basis given by the columns of P.
@@ -430,24 +478,24 @@ class LieAlgebra:
         return (
             isinstance(other, LieAlgebra)
             and self.dim == other.dim
-            and self.sc == other.sc
+            and self._den == other._den
+            and self._table == other._table
         )
 
     def __hash__(self):
-        return hash(
-            (
-                self.dim,
-                tuple(
-                    (key, tuple(sorted(vec.items())))
-                    for key, vec in self.sc.items()
-                ),
-            )
-        )
+        # equal values have equal tables, so their keys suffice
+        return hash((self.dim, self._den, tuple(self._table)))
 
     def __repr__(self):
-        label = self.name or f"{len(self.sc)} brackets"
+        label = self.name or f"{len(self._table)} brackets"
         return f"LieAlgebra(dim={self.dim}, {label})"
 
 
 def direct_sum(a: LieAlgebra, b: LieAlgebra, name=None) -> LieAlgebra:
     return a.direct_sum(b, name=name)
+
+
+@per_algebra
+def _fraction_view(L):
+    """``L.sc``: the integer table over D as Fractions."""
+    return {key: frac_dict(row, L._den) for key, row in L._table.items()}

@@ -2,7 +2,8 @@
 
 Conventions used throughout schurlab:
 
-* scalars are ``fractions.Fraction`` (no floats anywhere),
+* scalars are exact: ints, Fractions or strings such as "2/3" come
+  in, never floats, and rationals go out as Fractions,
 * a vector handed across the API is a sequence of scalars, returned as
   a tuple,
 * a matrix is a sequence of rows,
@@ -11,7 +12,8 @@ Conventions used throughout schurlab:
   primitive, positive at its pivot (its least column) and zero at every
   other pivot.  That form is unique, so subspace equality is a
   structural comparison.  ``Subspace.rows`` materialises the canonical
-  reduced row echelon basis (pivot entries 1) as tuples of Fractions.
+  reduced row echelon basis (pivot entries 1) as tuples of Fractions,
+  ``basis_text`` as strings written from the integers.
 
 Below the API edges every row is a sparse integer dict {column: entry}
 of its nonzero entries, so a row costs time in its nonzeros, not in the
@@ -31,26 +33,69 @@ again.  Rational sequences become dict
 rows only at the API edges (``Subspace``, ``kernel_basis``,
 ``invert``), through one scaling helper; ``rows``, ``reduce`` and
 ``invert`` hand Fractions back.
+Only the edge helpers below build Fractions, importing ``fractions``
+on first use, so a run on integers never loads it.
 """
 
-from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import SingularMatrix
 
-# shared by every materialised basis, so mostly-zero rows hold one object
-_ZERO = Fraction(0)
+
+def _fraction():
+    """The class ``fractions.Fraction``, imported on first use."""
+    from fractions import Fraction
+
+    return Fraction
 
 
-def frac(x) -> Fraction:
+def frac(x):
     """Coerce ints, strings like '2/3' and Fractions to Fraction."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
     if isinstance(x, float):
         raise TypeError(f"floats are not exact: {x!r}")
-    return Fraction(x)
+    return _fraction()(x)
+
+
+def exact(x):
+    """An integral value as an int (bools too), any other as ``frac(x)``."""
+    if not isinstance(x, int):
+        x = frac(x)
+        if x.denominator > 1:
+            return x
+    return int(x)
+
+
+def frac_dict(row, den=1):
+    """{k: row[k] / den} as Fractions, for an integer dict row."""
+    Fraction = _fraction()
+    return {k: Fraction(x, den) for k, x in row.items()}
+
+
+def frac_tuple(row, n, den=1):
+    """The dense tuple of Fractions row[k] / den, zero off the keys."""
+    Fraction = _fraction()
+    vec = [Fraction(0)] * n
+    for k, x in row.items():
+        vec[k] = Fraction(x, den)
+    return tuple(vec)
+
+
+def ratio_text(x, den=1):
+    """``str(Fraction(x, den))`` for integers, den > 0, without one."""
+    g = gcd(x, den)
+    return str(x // g) if g == den else f"{x // g}/{den // g}"
+
+
+def basis_text(space):
+    """``space.rows`` as lists of ``str`` of its entries."""
+    rows = []
+    for p, row in space.echelon.items():
+        lead = row[p]
+        vec = ["0"] * space.ambient
+        for col, x in row.items():
+            vec[col] = ratio_text(x, lead)
+        rows.append(vec)
+    return rows
 
 
 def _content(values):
@@ -74,7 +119,7 @@ def _primitive(row):
 def _scaled(vec):
     """``(row, den)`` for a rational sequence: ``den`` is the lcm of its
     denominators and ``row`` the sparse integer dict of ``den * vec``."""
-    fs = [frac(x) for x in vec]
+    fs = [exact(x) for x in vec]
     den = lcm(*(f.denominator for f in fs))
     row = {c: f.numerator * (den // f.denominator) for c, f in enumerate(fs) if f}
     return row, den
@@ -144,13 +189,19 @@ def _reduce(rows, vec):
     """
     row = _sparse(vec)
     scale = 1
-    # clear the pivots in the row, least first; the entries outside the
-    # pivots stay in the row, scaled with it, and are sorted once at the
-    # end, so no step searches them
-    while hits := row.keys() & rows.keys():
+    # clear the pivots in the row, least first; one set of them serves
+    # the call, as clearing c adds only the columns of rows[c].  The
+    # other entries stay in the row and are sorted once at the end.
+    pivot = rows.__contains__
+    hits = set(filter(pivot, row))
+    while hits:
         c = min(hits)
-        scale *= _eliminate(row, rows[c], c)
-    return dict(sorted(row.items())), scale
+        prow = rows[c]
+        hits.update(filter(pivot, prow))
+        hits.discard(c)
+        if c in row:
+            scale *= _eliminate(row, prow, c)
+    return (dict(sorted(row.items())) if len(row) > 1 else row), scale
 
 
 class SpanBuilder:
@@ -222,7 +273,7 @@ class SpanBuilder:
         clean = {}
         for p in sorted(self.rows, reverse=True):
             row = self.rows[p]
-            if row.keys() & clean.keys():
+            if not clean.keys().isdisjoint(row):
                 row = _primitive(_reduce(clean, row)[0])
             clean[p] = row
         pivots = sorted(clean)
@@ -280,14 +331,10 @@ class Subspace:
 
     @property
     def rows(self):
-        rows = []
-        for p, row in self.echelon.items():
-            lead = row[p]
-            vec = [_ZERO] * self.ambient
-            for col, x in row.items():
-                vec[col] = Fraction(x, lead)
-            rows.append(tuple(vec))
-        return tuple(rows)
+        return tuple(
+            frac_tuple(row, self.ambient, row[p])
+            for p, row in self.echelon.items()
+        )
 
     @property
     def pivots(self):
@@ -310,12 +357,12 @@ class Subspace:
         nonzero Fraction entries; for a rational sequence, a tuple."""
         if isinstance(vec, dict):
             residual, scale = _reduce(self.echelon, vec)
-            return {k: Fraction(x, scale) for k, x in residual.items()}
+            return frac_dict(residual, scale)
         if len(vec) != self.ambient:
             raise ValueError("vector/ambient mismatch")
         row, den = _scaled(vec)
-        residual = self.reduce(row)
-        return tuple(residual.get(k, _ZERO) / den for k in range(self.ambient))
+        residual, scale = _reduce(self.echelon, row)
+        return frac_tuple(residual, self.ambient, scale * den)
 
     def contains(self, vec) -> bool:
         if len(vec) != self.ambient:
@@ -451,6 +498,6 @@ def invert(matrix):
         rank = sum(p < n for p in pivots)
         raise SingularMatrix(f"{n} x {n} matrix of rank {rank}")
     return tuple(
-        tuple(Fraction(row.get(k, 0), row[t]) for k in range(n, 2 * n))
+        frac_tuple({k - n: x for k, x in row.items() if k >= n}, n, row[t])
         for t, row in enumerate(rows)
     )

@@ -9,9 +9,12 @@ import shlex
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import schurlab
 from schurlab.catalog import catalog_get
@@ -189,6 +192,72 @@ def test_info_file_json_golden_digest(tmp_path, monkeypatch, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "d67c1fa82b8591ae3a2f257171445c84d2dd3e19378cfc66316cd480d6afc443"
     )
+
+
+# H(2) in a basis with rational entries: its exterior center is one row
+# with negative entries and denominators above 1, written from integers.
+ZHAT_FILE = """algebra Z dim 5
+[x1, x2] = 13/12*x1 + x5 - 3/4*x2 - 1/6*x3 - 1/2*x4
+[x1, x5] = 13/16*x1 + 3/4*x5 - 9/16*x2 - 1/8*x3 - 3/8*x4
+[x2, x3] = 15/8*x2 + 5/12*x3 + 5/4*x4 - 65/24*x1 - 5/2*x5
+[x2, x5] = 13/18*x1 + 2/3*x5 - 1/2*x2 - 1/9*x3 - 1/3*x4
+[x3, x4] = 13/12*x1 + x5 - 3/4*x2 - 1/6*x3 - 1/2*x4
+[x3, x5] = 247/96*x1 + 19/8*x5 - 57/32*x2 - 19/48*x3 - 19/16*x4
+[x4, x5] = 1/8*x2 + 1/36*x3 + 1/12*x4 - 13/72*x1 - 1/6*x5
+"""
+
+
+@pytest.mark.parametrize("fmt, digest", [
+    ("json", "01fee44a41be86794d31752063de78448723974bc19478021df88a0c52e249e1"),
+    ("table", "f28b01cc26df89cf483527f043811b7fbae3babdc8dc8b94e8191efa55176696"),
+])
+def test_rational_exterior_center_golden_digest(tmp_path, monkeypatch, capsys,
+                                                fmt, digest):
+    assert parse_presentation(ZHAT_FILE) == catalog_get("H(2)").change_basis(
+        [[1, 0, Fraction(5, 2), 0, Fraction(-2, 3)],
+         [0, 1, 0, 0, Fraction(3, 4)],
+         [0, 0, 1, Fraction(-1, 3), 0],
+         [0, 0, 0, 1, Fraction(1, 2)],
+         [0, 0, 0, 0, 1]]
+    )
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "zhat.alg").write_text(ZHAT_FILE)
+    code, out, _ = run_cli(capsys, "multiplier", "--file", "zhat.alg",
+                           "--format", fmt)
+    assert code == 0
+    row = "['1', '-9/13', '-2/13', '-6/13', '12/13']"
+    if fmt == "json":
+        assert json.loads(out)["exterior_center"]["basis"] == [eval(row)]
+    else:
+        assert f"  basis: [{row}]\n" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_inline_values_are_named_in_lowest_terms(capsys):
+    for written, named in (("2/4", "1/2"), ("-0", "0"), ("007", "7"),
+                           ("-3/6", "-1/2")):
+        code, out, err = run_cli(capsys, "info", "--name", f"L6_22({written})",
+                                 "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["name"] == f"L6_22({named})"
+
+
+json_scalars = st.none() | st.booleans() | st.integers() | st.text()
+json_documents = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(json_documents)
+@settings(max_examples=300, deadline=None)
+def test_json_writer_matches_json_dumps(doc):
+    # what the CLI writes in place of json.dumps, which it does not import
+    from schurlab.cli import _json_text
+
+    assert _json_text(doc) == json.dumps(doc, separators=(",", ":"))
 
 
 def test_table_output(capsys):
@@ -786,12 +855,15 @@ def test_log_env_unknown_level_leaves_logging_unconfigured(capsys, monkeypatch):
 
 # What a fresh process may import.  Start-up dominates a small query,
 # so no subcommand loads dataclasses (and with it inspect), logging,
-# or argparse with the gettext and locale it brings; only sweep and
+# or argparse with the gettext and locale it brings, or fractions with
+# the decimal and numbers it brings, since the constants are integers
+# from the parser to the JSON writer; only sweep and
 # check load the theorem module; info on a file loads no Hall basis,
 # multiplier or catalog code; info on a name of families alone reads
 # no data file, so it runs no gate and loads no Hall basis, multiplier
-# or parser; and no digest loads OpenSSL (hashlib's _hashlib) where the
-# interpreter has a built-in sha256.
+# or parser; only a run that reads the catalog's data file loads json,
+# since the CLI writes its documents itself; and no digest loads OpenSSL
+# (hashlib's _hashlib) where the interpreter has a built-in sha256.
 FOOTPRINT_SCRIPT = (
     "import sys\n"
     "from schurlab.cli import main\n"
@@ -803,25 +875,54 @@ CATALOG_ARGS = {
     "sweep": ["--max-dim", "4"],
     "check": ["--theorem", "all", "--max-dim", "4"],
     "info --name": ["H(2)+A(1)"],
+    "multiplier --file": ["sheared.alg"],
 }
+# T + A(2), T the algebra [x1, x2] = 1/2 x3, [x1, x3] = 5/4 x4, in a
+# basis with rational entries: its split quotient L/C has constants
+# with denominators 12 and 24
+SHEARED_FILE = """algebra S dim 6
+[x1, x2] = 1/2*x3
+[x1, x3] = 5/8*x2 + 5/4*x4
+[x4, x1] = 1/4*x3
+[x6, x1] = 1/4*x2 + 1/2*x4
+[x5, x2] = 1/6*x3
+[x5, x3] = 5/24*x2 + 5/12*x4
+[x4, x5] = 1/12*x3
+[x6, x5] = 1/12*x2 + 1/6*x4
+"""
+
+
+def test_sheared_file_splits_off_a_non_integral_quotient():
+    from schurlab.multiplier import _split
+
+    split = _split(parse_presentation(SHEARED_FILE))
+    constants = [c for vec in split.algebra.sc.values() for c in vec.values()]
+    assert split.ideal.dim == 2
+    assert max(c.denominator for c in constants) == 24
 
 
 @pytest.mark.parametrize("command, engine, absent", [
     ("info", "schurlab.liealg",
      ["schurlab.hall", "schurlab.multiplier", "schurlab.catalog",
-      "schurlab.bounds"]),
-    ("multiplier", "schurlab.multiplier", ["schurlab.catalog", "schurlab.bounds"]),
-    ("capable", "schurlab.multiplier", ["schurlab.catalog", "schurlab.bounds"]),
-    ("bounds", "schurlab.multiplier", ["schurlab.catalog", "schurlab.bounds"]),
+      "schurlab.bounds", "json"]),
+    ("multiplier", "schurlab.multiplier",
+     ["schurlab.catalog", "schurlab.bounds", "json"]),
+    ("capable", "schurlab.multiplier",
+     ["schurlab.catalog", "schurlab.bounds", "json"]),
+    ("bounds", "schurlab.multiplier",
+     ["schurlab.catalog", "schurlab.bounds", "json"]),
     ("sweep", "schurlab.bounds", []),
     ("check", "schurlab.bounds", []),
     ("info --name", "schurlab.catalog",
      ["schurlab.hall", "schurlab.multiplier", "schurlab.dsl",
-      "schurlab.bounds"]),
+      "schurlab.bounds", "json"]),
+    ("multiplier --file", "schurlab.multiplier",
+     ["schurlab.catalog", "schurlab.bounds", "json"]),
 ])
 def test_subcommands_import_only_what_they_run(tmp_path, command, engine, absent):
     argv = [*command.split(), *CATALOG_ARGS.get(command, ["--file", "h1.alg"])]
     (tmp_path / "h1.alg").write_text("algebra H1 dim 3\n[x1, x2] = x3\n")
+    (tmp_path / "sheared.alg").write_text(SHEARED_FILE)
     proc = _child(["-c", FOOTPRINT_SCRIPT, *argv, "--format", "json"],
                   cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
@@ -830,7 +931,7 @@ def test_subcommands_import_only_what_they_run(tmp_path, command, engine, absent
     if BUILTIN_SHA256:
         absent = [*absent, "hashlib", "_hashlib"]
     for module in ["dataclasses", "inspect", "logging", "argparse", "gettext",
-                   "locale", *absent]:
+                   "locale", "fractions", "decimal", "numbers", *absent]:
         assert module not in loaded, module
     assert "schurlab.liealg" in loaded and engine in loaded
 
@@ -1050,6 +1151,37 @@ def test_only_linalg_deletes_row_entries():
             and any(isinstance(t, ast.Subscript) for t in node.targets)
         ]
     assert offenders == []
+
+
+def test_fractions_is_imported_only_inside_linalg_edge_helpers():
+    # integers inside: linalg's edge helpers build every Fraction a
+    # caller receives and import fractions when first called, so no
+    # module loads it at import time
+    def imports_fractions(node):
+        if isinstance(node, ast.Import):
+            return any(a.name.split(".")[0] in FRACTION_MODULES for a in node.names)
+        return (
+            isinstance(node, ast.ImportFrom)
+            and (node.module or "").split(".")[0] in FRACTION_MODULES
+        )
+
+    offenders = []
+    for path in sorted(Path(schurlab.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        inside = set()
+        if path.name == "linalg.py":
+            for node in tree.body:
+                if isinstance(node, ast.FunctionDef):
+                    inside.update(id(n) for n in ast.walk(node))
+        offenders += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if imports_fractions(node) and id(node) not in inside
+        ]
+    assert offenders == []
+
+
+FRACTION_MODULES = ("fractions", "decimal", "numbers")
 
 
 def test_adjoint_rows_are_read_only_in_liealg():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -35,17 +36,19 @@ def test_parse_known_presentation():
 
 
 def test_parse_combos():
-    assert parse_combo("0", 4) == {}
-    assert parse_combo("x3", 4) == {2: Fraction(1)}
-    assert parse_combo("2*x1 - x2", 4) == {0: Fraction(2), 1: Fraction(-1)}
-    assert parse_combo("1/2*x1 + 3/4*x2 - x1", 4) == {
-        0: Fraction(-1, 2),
-        1: Fraction(3, 4),
-    }
-    assert parse_combo("x1 - x1", 4) == {}
-    assert parse_combo("eps*x2", 4, params={"eps": Fraction(5)}) == {
-        1: Fraction(5)
-    }
+    # (den, row): the combination row / den in lowest terms
+    assert parse_combo("0", 4) == (1, {})
+    assert parse_combo("x3", 4) == (1, {2: 1})
+    assert parse_combo("2*x1 - x2", 4) == (1, {0: 2, 1: -1})
+    assert parse_combo("1/2*x1 + 3/4*x2 - x1", 4) == (4, {0: -2, 1: 3})
+    assert parse_combo("x1 - x1", 4) == (1, {})
+    assert parse_combo("2/4*x1 + 6/4*x2", 4) == (2, {0: 1, 1: 3})
+    assert parse_combo("1/2*x1 + 1/2*x1", 4) == (1, {0: 1})
+    assert parse_combo("eps*x2", 4, params={"eps": (5, 1)}) == (1, {1: 5})
+    assert parse_combo("eps*x2 + x3", 4, params={"eps": (-1, 2)}) == (
+        2,
+        {1: -1, 2: 2},
+    )
 
 
 def test_combo_errors():
@@ -116,9 +119,9 @@ def test_fuzz_combos():
     accepted = 0
     for _ in range(20000):
         text = "".join(rng.choices(pieces, k=rng.randint(0, 7)))
-        for params in (None, {"eps": 2}):
+        for params in (None, {"eps": (2, 1)}):
             try:
-                combo = parse_combo(text, 4, line=7, params=params)
+                den, combo = parse_combo(text, 4, line=7, params=params)
             except DslError as exc:
                 assert exc.line == 7, text
                 assert "''" not in str(exc), text
@@ -127,7 +130,8 @@ def test_fuzz_combos():
                 continue
             accepted += 1
             assert all(0 <= k < 4 and c for k, c in combo.items()), text
-            assert all(type(c) is Fraction for c in combo.values()), text
+            assert all(type(c) is int for c in (den, *combo.values())), text
+            assert den > 0 and gcd(den, *combo.values()) == 1, text
     assert accepted > 0
 
 
@@ -194,6 +198,26 @@ def test_parse_rejects_non_jacobi_and_non_nilpotent():
         parse_presentation(bad)
     with pytest.raises(NotNilpotent):
         parse_presentation("algebra S dim 2\n[x1, x2] = x2\n")
+
+
+def test_jacobi_violation_of_rational_text_names_its_residual():
+    # the residual is read off the integer table over D^2 and handed
+    # back as Fractions
+    bad = (
+        "algebra J dim 5\n"
+        "[x1, x2] = 1/2*x3\n"
+        "[x1, x3] = 2/3*x4 - 1/4*x5\n"
+        "[x2, x3] = 3/4*x4\n"
+        "[x2, x4] = 1/3*x3 - 2/7*x5\n"
+    )
+    with pytest.raises(JacobiViolation) as info:
+        parse_presentation(bad)
+    assert str(info.value) == (
+        "Jacobi identity fails on (x1, x2, x3); residual 2/9*x3, -4/21*x5"
+    )
+    assert info.value.triple == (1, 2, 3)
+    assert info.value.residual == (0, 0, Fraction(2, 9), 0, Fraction(-4, 21))
+    assert all(type(c) is Fraction for c in info.value.residual)
 
 
 def test_roundtrip_catalog(catalog6):

@@ -12,7 +12,7 @@ from schurlab.errors import (
 )
 from schurlab.catalog import abelian, catalog_get, heisenberg
 from schurlab.liealg import LieAlgebra, direct_sum
-from schurlab.linalg import Subspace
+from schurlab.linalg import Subspace, invert
 
 from oracles import literal_change_basis, random_basis_change
 
@@ -34,6 +34,66 @@ def test_constructor_normalizes_and_rejects():
         LieAlgebra(3, {(0, 1): {2: 1}, (1, 0): {2: 1}})
     # consistent duplicate is fine
     LieAlgebra(3, {(0, 1): {2: 1}, (1, 0): {2: -1}})
+
+
+# [x1, x2] = 1/2 x3, [x1, x3] = 5/4 x4: its constants have denominator 4
+QUARTERS = {(0, 1): {2: Fraction(1, 2)}, (0, 2): {3: Fraction(5, 4)}}
+
+
+def test_value_is_the_rational_constants_whatever_their_form(empty_memos):
+    from schurlab.dsl import parse_presentation
+
+    target = LieAlgebra(4, QUARTERS)
+    # the same constants through every route that builds an algebra
+    mod_ideal = LieAlgebra(
+        5, {(0, 1): {2: Fraction(1, 2)}, (0, 2): {3: -1, 4: Fraction(-1, 4)}}
+    )
+    # modulo the central 2 x4 + 3 x5, x4 = -3/2 x5, so [x1, x3] = 5/4 x5
+    ideal = Subspace([[0, 0, 0, 2, 3]], 5)
+    p = [[1, Fraction(1, 3), 0, 2], [0, 1, Fraction(-2, 5), 0],
+         [0, 0, 1, Fraction(3, 2)], [0, 0, 0, 1]]
+    p_inv = invert(p)
+    forms = {
+        "ints and Fractions": LieAlgebra(
+            4, {(0, 1): {2: Fraction(1, 2), 3: 0}, (0, 2): {3: Fraction(5, 4)},
+                (1, 2): {3: 0}}
+        ),
+        "strings, one pair reversed": LieAlgebra(
+            4, {(1, 0): {2: "-1/2"}, (0, 2): {3: "10/8"}}
+        ),
+        "parsed text": parse_presentation(
+            "algebra T dim 4\n[x1, x2] = 2/4*x3\n[x3, x1] = 5/4*x4 - 10/4*x4\n"
+        ),
+        "quotient": mod_ideal.quotient(ideal).algebra,
+        "direct sum": direct_sum(abelian(0), target),
+        "change_basis round trip": target.change_basis(p).change_basis(p_inv),
+    }
+    assert dict(target.sc) == QUARTERS
+    for label, algebra in forms.items():
+        assert algebra == target, label
+        assert hash(algebra) == hash(target), label
+        assert algebra._memo is target._memo, label
+        assert algebra.sc == QUARTERS, label
+        assert all(
+            type(c) is Fraction for vec in algebra.sc.values() for c in vec.values()
+        ), label
+    assert target.change_basis(p) != target
+    assert LieAlgebra(4, {**QUARTERS, (0, 2): {3: Fraction(5, 3)}}) != target
+    # a sum with integer constants is brought to the common denominator
+    wide = direct_sum(target, heisenberg(1))
+    assert wide == LieAlgebra(7, {**QUARTERS, (4, 5): {6: 1}})
+    assert wide.sc[(4, 5)] == {6: Fraction(1)}
+    # ``sc`` keeps each row in the order given, zeros dropped
+    mixed = LieAlgebra(5, {(0, 1): {4: "1/3", 2: 0, 3: Fraction(-2)}})
+    assert list(mixed.sc[(0, 1)].items()) == [(4, Fraction(1, 3)), (3, Fraction(-2))]
+    assert LieAlgebra(5, {(0, 1): {3: -2, 4: Fraction(2, 6)}}) == mixed
+    # bools count as 0 and 1, and floats are refused, as for Fraction inputs
+    assert LieAlgebra(3, {(0, 1): {2: True, 1: False}}) == heisenberg(1)
+    assert LieAlgebra(3, {(0, 1): {2: True}}).sc == {(0, 1): {2: Fraction(1)}}
+    assert LieAlgebra(3, {(0, 0): {1: False}}) == abelian(3)
+    for brackets in ({(0, 1): {2: 0.5}}, {(0, 1): {2: 1.0}}, {(1, 1): {2: 0.0}}):
+        with pytest.raises(TypeError, match="floats are not exact"):
+            LieAlgebra(3, brackets)
 
 
 def test_zero_statement_conflicts_in_either_order():
