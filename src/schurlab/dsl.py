@@ -32,7 +32,7 @@ from .errors import (
     UnknownGenerator,
 )
 from .liealg import LieAlgebra, check_dim
-from .linalg import ratio_text
+from .linalg import axpy, ratio_text
 
 _HEADER = re.compile(r"algebra\s+(\S+)\s+dim\s+(\d+)\s*$")
 _LINE = re.compile(r"\[\s*x(\d+)\s*,\s*x(\d+)\s*\]\s*=\s*(.*?)\s*$")
@@ -103,11 +103,7 @@ def parse_combo(text, dim, line=None, params=None):
     den = lcm(*(q for _, _, q in terms))
     out = {}
     for key, p, q in terms:
-        total = out.get(key, 0) + p * (den // q)
-        if total:
-            out[key] = total
-        else:
-            out.pop(key, None)
+        axpy(out, p * (den // q), {key: 1})
     g = gcd(den, *out.values())
     if g > 1:
         den //= g

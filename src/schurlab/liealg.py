@@ -30,6 +30,7 @@ from .errors import (
 from .linalg import (
     Subspace,
     SpanBuilder,
+    _scaled,
     axpy,
     exact,
     frac,
@@ -125,85 +126,79 @@ def check_dim(dim):
 
 def _ad_images(adj, r):
     """{l: D [x_l, r]} for a sparse dict row r, read off the adjoint
-    table ``adj`` of ``LieAlgebra._adjoint``.
+    index ``adj`` of ``LieAlgebra._adjoint``.
 
     One pass over the adjoint rows of supp(r) builds every
     [x_l, r] = -sum_j r_j [x_j, x_l] at once, so the cost is the
-    nonzero brackets met, not one bracket per noncentral x_l.  The keys
-    are the l with a nonzero [x_j, x_l] for some j in supp(r); an image
-    whose terms all cancel is an empty dict.  The series,
+    nonzero brackets met, not one bracket per noncentral x_l; the row
+    under (j, l) is D [x_j, x_l] for j < l and its negative otherwise.
+    The keys are the l with a nonzero [x_j, x_l] for some j in supp(r);
+    an image whose terms all cancel is an empty dict.  The series,
     ``bracket_subspaces``, ``validate`` and the closure check of
     ``quotient`` read this one pass.
     """
     images = {}
     for j, x in r.items():
         for l, vec in adj.get(j, {}).items():
-            axpy(images.setdefault(l, {}), -x, vec)
+            axpy(images.setdefault(l, {}), -x if j < l else x, vec)
     return images
 
 
 class LieAlgebra:
     """A Lie algebra presented by rational structure constants: ints,
     Fractions or strings such as "1/2".  Its value is its dimension and
-    the constants' values, whatever their form."""
+    the constants' values, whatever their form: each bracket is checked
+    and scaled to an integer row by ``linalg._scaled``, and ``_set``
+    stores them as ``_integral`` does."""
 
     def __init__(self, dim, brackets, name=None):
         if dim < 0:
             raise ValueError(f"dimension must be non-negative, got {dim}")
-        table = {}
-        den = 1
+        rows = {}
         for (i, j), vec in brackets.items():
             if not (0 <= i < dim and 0 <= j < dim):
                 raise ValueError(f"bracket index out of range: ({i}, {j})")
+            vec = dict(vec)
             if i == j:
-                if any(map(exact, dict(vec).values())):
+                if any(map(exact, vec.values())):
                     raise ValueError(f"[x{i + 1}, x{i + 1}] must vanish")
                 continue
-            sign = 1
-            if i > j:
-                i, j, sign = j, i, -1
-            entry = {}
-            for k, c in dict(vec).items():
+            for k in vec:
                 if not 0 <= k < dim:
                     raise ValueError(f"target index out of range: {k}")
-                if type(c) is not int:
-                    c = exact(c)
-                    den = lcm(den, c.denominator)
-                if c:
-                    entry[k] = c * sign
+            row, d = _scaled(vec)
+            if i > j:
+                i, j = j, i
+                row = {k: -x for k, x in row.items()}
             # kept even when zero: zero and nonzero conflict in either order
-            if table.setdefault((i, j), entry) != entry:
+            if rows.setdefault((i, j), (d, row)) != (d, row):
                 raise ValueError(
                     f"conflicting definitions for [x{i + 1}, x{j + 1}]"
                 )
-        if den > 1:
-            table = {
-                key: {k: int(c * den) for k, c in e.items()}
-                for key, e in table.items()
-            }
-        self._set(dim, den, table, name)
+        self._set(dim, rows, name)
 
     @classmethod
     def _integral(cls, dim, rows, name=None):
         """The algebra with [x_i, x_j] = row / d for each (i, j): (d, row)
         of ``rows``, i < j, each row an integer dict of nonzero entries
-        over a positive integer d; a row is kept, not copied, when d is
-        the common denominator."""
+        over a positive integer d."""
         self = object.__new__(cls)
+        self._set(dim, rows, name)
+        return self
+
+    def _set(self, dim, rows, name):
+        """Store ``rows`` {(i, j): (d, row)} as the canonical pair: D,
+        the common denominator, and the table of D [x_i, x_j] with empty
+        rows dropped, pairs sorted and gcd(D, entries) divided out.  A
+        row is kept, not copied, when its d is D."""
+        self.dim = dim
+        self.name = name
+        rows = {key: rows[key] for key in sorted(rows) if rows[key][1]}
         den = lcm(*(d for d, _ in rows.values()))
         table = {
             key: row if d == den else {k: x * (den // d) for k, x in row.items()}
             for key, (d, row) in rows.items()
         }
-        self._set(dim, den, table, name)
-        return self
-
-    def _set(self, dim, den, table, name):
-        """Store ``table``/``den`` canonically: empty rows dropped, pairs
-        sorted, gcd(den, entries) divided out."""
-        self.dim = dim
-        self.name = name
-        table = {key: table[key] for key in sorted(table) if table[key]}
         if den > 1:
             g = gcd(den, *(x for row in table.values() for x in row.values()))
             den //= g
@@ -245,22 +240,24 @@ class LieAlgebra:
 
     @per_algebra
     def _adjoint(self):
-        """The sparse adjoint table ``(D, adj)``.
+        """The sparse adjoint index ``adj`` of the table.
 
-        ``adj[i][j]`` is D * [x_i, x_j] as an integer dict {k: c}, kept
-        for both index orders and only where the bracket is nonzero, so
-        ``adj`` has a row only for each basis vector with a nonzero
-        bracket: a missing row means x_i is central, and ``sorted(adj)``
-        is the noncentral basis.  D is the lcm of the denominators of
-        the structure constants; the scaling changes no span and no zero
-        test.  Only this module reads the rows; elsewhere brackets go
-        through ``_sparse_bracket``.
+        ``adj[i][j]`` and ``adj[j][i]`` are one object, the ``_table``
+        row of the pair (of the first algebra of this value to build the
+        index): D [x_i, x_j] for i < j as an integer dict {k: c}, so a
+        reader takes the sign from the index order (D [x_j, x_i] is its
+        negative).  No row is copied.  Only nonzero brackets are
+        indexed, so ``adj`` has a row only for each basis vector with a
+        nonzero bracket: a missing row means x_i is central, and
+        ``sorted(adj)`` is the noncentral basis.  D is ``_den``; the
+        scaling changes no span and no zero test.  Only this module
+        calls it; elsewhere brackets go through ``_sparse_bracket``.
         """
         adj = {}
         for (i, j), row in self._table.items():
             adj.setdefault(i, {})[j] = row
-            adj.setdefault(j, {})[i] = {k: -c for k, c in row.items()}
-        return self._den, adj
+            adj.setdefault(j, {})[i] = row
+        return adj
 
     def validate(self):
         """Check the Jacobi identity on every basis triple.
@@ -271,30 +268,30 @@ class LieAlgebra:
         the cyclic rotations of the triple, so each is [[xa,xb],xc] for
         one nonzero bracket [xa,xb] with a < b, taken with sign -1 when
         a < c < b.  For each nonzero bracket, ``_ad_images`` of its
-        adjoint row D [xa,xb] gives image c = D^2 [xc,[xa,xb]] =
+        table row D [xa,xb] gives image c = D^2 [xc,[xa,xb]] =
         -D^2 [[xa,xb],xc] for every c at once, and each is added to the
         residual of its sorted triple; triples with no nonzero term are
         never visited.  Antisymmetry and bilinearity hold by
         construction, so passing this check makes the structure
         constants a Lie algebra.
         """
-        den, adj = self._adjoint()
+        adj = self._adjoint()
         residuals = {}
-        for a, b in self._table:
-            for c, image in _ad_images(adj, adj[a][b]).items():
+        for (a, b), row in self._table.items():
+            for c, image in _ad_images(adj, row).items():
                 if c != a and c != b:
                     res = residuals.setdefault(tuple(sorted((a, b, c))), {})
                     axpy(res, 1 if a < c < b else -1, image)
         for triple, res in sorted(residuals.items()):
             if res:
-                vec = frac_tuple(res, self.dim, den * den)
+                vec = frac_tuple(res, self.dim, self._den**2)
                 raise JacobiViolation(tuple(i + 1 for i in triple), vec)
 
     def _sparse_bracket(self, a, b):
         """D * [a, b] for sparse dicts a, b {index: entry}, as a dict
         of its nonzero entries.  Only the pairs (i in supp a,
         j in supp b) with a nonzero adjoint entry are evaluated."""
-        _, adj = self._adjoint()
+        adj = self._adjoint()
         out = {}
         for i, x in a.items():
             row = adj.get(i)
@@ -303,7 +300,7 @@ class LieAlgebra:
             for j, y in b.items():
                 vec = row.get(j)
                 if vec:
-                    axpy(out, x * y, vec)
+                    axpy(out, x * y if i < j else -x * y, vec)
         return out
 
     def bracket_subspaces(self, s: Subspace, t: Subspace) -> Subspace:
@@ -314,7 +311,7 @@ class LieAlgebra:
         each echelon row a of s; only nonzero brackets reach the
         builder.
         """
-        _, adj = self._adjoint()
+        adj = self._adjoint()
         builder = SpanBuilder(self.dim)
         for b in t.echelon.values():
             images = _ad_images(adj, b)
@@ -341,7 +338,7 @@ class LieAlgebra:
         (noncentral vectors) x (rows); empty images are skipped, so no
         empty row reaches the builder.
         """
-        _, adj = self._adjoint()
+        adj = self._adjoint()
         gammas = [Subspace.full(self.dim)]
         rows = [{i: 1} for i in sorted(adj)]
         while gammas[-1].dim:
@@ -367,14 +364,13 @@ class LieAlgebra:
     def center(self) -> Subspace:
         """{z : [z, L] = 0}, the kernel of the adjoint action."""
         n = self.dim
-        _, adj = self._adjoint()
         rows = []
-        for row in adj.values():
+        for j, row in self._adjoint().items():
             # one equation sum_i z_i [x_j, x_i]_k = 0 per used k
             eqs = {}
             for i, vec in row.items():
                 for k, c in vec.items():
-                    eqs.setdefault(k, {})[i] = c
+                    eqs.setdefault(k, {})[i] = c if j < i else -c
             rows.extend(eqs.values())
         return Subspace._trusted(kernel_rows(rows, n), n)
 
@@ -413,7 +409,7 @@ class LieAlgebra:
         # table, bracket to anything, and only with an ideal row whose
         # support meets them; I is closed when each such bracket, an
         # image of ``_ad_images``, reduces to zero modulo I
-        den, adj = self._adjoint()
+        adj = self._adjoint()
         modulo = SpanBuilder(self.dim)
         modulo.rows.update(ideal.echelon)
         rows = [r for r in ideal.echelon.values() if not adj.keys().isdisjoint(r)]
@@ -425,14 +421,13 @@ class LieAlgebra:
         # bracket is residual / (scale D), read in the non-pivot columns
         index = {c: t for t, c in enumerate(comp)}
         brackets = {}
-        for s, i in enumerate(comp):
-            for j, w in adj.get(i, {}).items():
-                if index.get(j, -1) > s:
-                    residual, scale = modulo.reduce(w)
-                    if residual:
-                        brackets[(s, index[j])] = scale * den, {
-                            index[k]: x for k, x in residual.items()
-                        }
+        for (i, j), w in self._table.items():
+            if i in index and j in index:
+                residual, scale = modulo.reduce(w)
+                if residual:
+                    brackets[(index[i], index[j])] = scale * self._den, {
+                        index[k]: x for k, x in residual.items()
+                    }
         return Quotient(LieAlgebra._integral(len(comp), brackets), ideal)
 
     def direct_sum(self, other: "LieAlgebra", name=None) -> "LieAlgebra":
@@ -460,7 +455,7 @@ class LieAlgebra:
         p_inv = invert(p_rows)
         cols = [{r: x for r, x in enumerate(c) if x} for c in zip(*p_rows)]
         inv_cols = [{i: x for i, x in enumerate(c) if x} for c in zip(*p_inv)]
-        den = self._adjoint()[0]
+        den = self._den
         brackets = {}
         for s in range(n):
             for t in range(s + 1, n):

@@ -31,8 +31,9 @@ stops at the first free column.  A builder that starts from a
 canonical echelon takes its rows as they are, without eliminating them
 again.  Rational sequences become dict
 rows only at the API edges (``Subspace``, ``kernel_basis``,
-``invert``), through one scaling helper; ``rows``, ``reduce`` and
-``invert`` hand Fractions back.
+``invert``, the public ``LieAlgebra`` constructor), through one scaling
+helper, ``_scaled``; ``rows``, ``reduce`` and ``invert`` hand Fractions
+back.
 Only the edge helpers below build Fractions, importing ``fractions``
 on first use, so a run on integers never loads it.
 """
@@ -117,11 +118,16 @@ def _primitive(row):
 
 
 def _scaled(vec):
-    """``(row, den)`` for a rational sequence: ``den`` is the lcm of its
-    denominators and ``row`` the sparse integer dict of ``den * vec``."""
-    fs = [exact(x) for x in vec]
-    den = lcm(*(f.denominator for f in fs))
-    row = {c: f.numerator * (den // f.denominator) for c, f in enumerate(fs) if f}
+    """``(row, den)`` for a rational sequence, or a dict {column: value}
+    of rationals: ``den`` is the lcm of their denominators and ``row``
+    the sparse integer dict of ``den * vec``, in the order given.  It is
+    the one place where rationals become integer rows: vectors at the
+    API edges and the public ``LieAlgebra`` constructor both come here.
+    """
+    items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+    fs = {c: exact(x) for c, x in items}
+    den = lcm(*(f.denominator for f in fs.values()))
+    row = {c: f.numerator * (den // f.denominator) for c, f in fs.items() if f}
     return row, den
 
 
@@ -441,20 +447,30 @@ def kernel_rows(matrix, ncols):
     linear relations among columns, and in the reduced echelon column
     k is sum(row_t[k] / b_t * (column p_t)), with p_t the pivot of row
     t and b_t its entry; the kernel row is scaled by the lcm of the b_t
-    involved to keep it integer.
+    involved to keep it integer.  One pass over the non-pivot entries
+    of the echelon files each under its column, so the read-off costs
+    those entries, not (columns outside Q) x rank.
     """
     builder = SpanBuilder(ncols)
     last = ncols - 1
     for r in matrix:
         builder.add({last - k: x for k, x in r.items()})
     pivots, reduced = builder.reduced()
+    # column k -> [(p_t, row_t[k], b_t)] in pivot order; a reduced row
+    # is zero at every other pivot, so these are the columns outside Q
+    columns = {}
+    for p, row in zip(pivots, reduced):
+        b = row[p]
+        for k, a in row.items():
+            if k != p:
+                columns.setdefault(k, []).append((p, a, b))
     taken = set(pivots)
     rows = []
     for j in range(ncols):
         k = last - j
         if k in taken:
             continue
-        terms = [(p, row[k], row[p]) for p, row in zip(pivots, reduced) if k in row]
+        terms = columns.get(k, ())
         den = lcm(*(b for _, _, b in terms))
         row = {j: den}
         for p, a, b in reversed(terms):  # reversed pivot order is column order

@@ -168,7 +168,7 @@ def present_minimal(L: LieAlgebra) -> Presentation:
 
     # images[pos] is D^(k-1) times the image of a word of degree k;
     # its column of pi_rows is scaled up to D^c times the image
-    den, _ = L._adjoint()
+    den = L._den
     images = [None] * big
     pi_rows = [{} for _ in range(n)]
     for word in free.basis:

@@ -1138,17 +1138,24 @@ def test_no_foreign_attribute_writes():
 
 def test_only_linalg_deletes_row_entries():
     # a dict row stores only its nonzero entries, and linalg.axpy is the
-    # one loop that combines rows and deletes the entries that cancel
+    # one loop that combines rows and deletes the entries that cancel:
+    # no other module deletes a subscript or calls ``.pop(``
+    def deletes(node):
+        if isinstance(node, ast.Delete):
+            return any(isinstance(t, ast.Subscript) for t in node.targets)
+        return (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "pop"
+        )
+
     offenders = []
     for path in sorted(Path(schurlab.__file__).parent.rglob("*.py")):
         if path.name == "linalg.py":
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
         offenders += [
-            f"{path.name}:{node.lineno}"
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Delete)
-            and any(isinstance(t, ast.Subscript) for t in node.targets)
+            f"{path.name}:{node.lineno}" for node in ast.walk(tree) if deletes(node)
         ]
     assert offenders == []
 
@@ -1185,42 +1192,18 @@ FRACTION_MODULES = ("fractions", "decimal", "numbers")
 
 
 def test_adjoint_rows_are_read_only_in_liealg():
-    # the layout of the adjoint table is liealg's: elsewhere the result
-    # of ``._adjoint()`` is only subscripted with [0] or unpacked as
-    # ``den, _``, and brackets go through ``_sparse_bracket``
-    def is_adjoint_call(node):
-        return (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "_adjoint"
-        )
-
+    # the adjoint index shares the table's rows and takes the sign from
+    # the index order, which is liealg's layout: no other module calls
+    # ``._adjoint()``, D is ``._den`` and brackets go through
+    # ``_sparse_bracket``
     offenders = []
     for path in sorted(Path(schurlab.__file__).parent.rglob("*.py")):
         if path.name == "liealg.py":
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        allowed = set()
-        for node in ast.walk(tree):
-            if (
-                isinstance(node, ast.Subscript)
-                and is_adjoint_call(node.value)
-                and isinstance(node.slice, ast.Constant)
-                and node.slice.value == 0
-            ):
-                allowed.add(id(node.value))
-            if (
-                isinstance(node, ast.Assign)
-                and is_adjoint_call(node.value)
-                and len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Tuple)
-                and [type(t) for t in node.targets[0].elts] == [ast.Name] * 2
-                and node.targets[0].elts[1].id == "_"
-            ):
-                allowed.add(id(node.value))
         offenders += [
             f"{path.name}:{node.lineno}"
             for node in ast.walk(tree)
-            if is_adjoint_call(node) and id(node) not in allowed
+            if isinstance(node, ast.Attribute) and node.attr == "_adjoint"
         ]
     assert offenders == []

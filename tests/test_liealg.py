@@ -22,16 +22,39 @@ REFERENCE_NAMES = ["L4_3", "L5_5", "L5_7", "L5_9", "L6_22(1/2)", "L6_26",
                    "H(2)", "L5_8+A(1)"]
 
 
+# brackets for dimension 3 that the constructor refuses: the first bad
+# input, in the order given, names the error
+REFUSED = [
+    ({(0, 3): {1: 1}}, ValueError, "bracket index out of range: (0, 3)"),
+    ({(-1, 0): {1: 1}}, ValueError, "bracket index out of range: (-1, 0)"),
+    # the pair is checked before its coefficients are read
+    ({(3, 1): {2: 0.5}}, ValueError, "bracket index out of range: (3, 1)"),
+    ({(0, 1): {3: 1}}, ValueError, "target index out of range: 3"),
+    ({(0, 1): {2: 1, 3: 0}}, ValueError, "target index out of range: 3"),
+    ({(1, 0): {-1: "1/2"}}, ValueError, "target index out of range: -1"),
+    ({(0, 0): {1: 1}}, ValueError, "[x1, x1] must vanish"),
+    # a vanishing [x_i, x_i] may name any target
+    ({(0, 0): {7: 0}, (2, 2): {1: "1/2"}}, ValueError, "[x3, x3] must vanish"),
+    ({(0, 1): {2: 1}, (1, 0): {2: 1}}, ValueError,
+     "conflicting definitions for [x1, x2]"),
+    ({(1, 2): {0: "1/2"}, (2, 1): {0: Fraction(1, 2)}}, ValueError,
+     "conflicting definitions for [x2, x3]"),
+    ({(0, 1): {2: 1}, (1, 0): {2: 1}, (0, 5): {}}, ValueError,
+     "conflicting definitions for [x1, x2]"),
+    ({(0, 1): {2: 0.5}, (0, 5): {1: 1}}, TypeError, "floats are not exact: 0.5"),
+    ({(1, 2): {0: 1.0}}, TypeError, "floats are not exact: 1.0"),
+    ({(1, 1): {2: 0.0}}, TypeError, "floats are not exact: 0.0"),
+]
+
+
 def test_constructor_normalizes_and_rejects():
     a = LieAlgebra(3, {(1, 0): {2: -1}})
     b = LieAlgebra(3, {(0, 1): {2: 1}})
     assert a.sc == b.sc
-    with pytest.raises(ValueError):
-        LieAlgebra(3, {(0, 3): {1: 1}})
-    with pytest.raises(ValueError):
-        LieAlgebra(3, {(0, 0): {1: 1}})
-    with pytest.raises(ValueError):
-        LieAlgebra(3, {(0, 1): {2: 1}, (1, 0): {2: 1}})
+    for brackets, error, message in REFUSED:
+        with pytest.raises(error) as info:
+            LieAlgebra(3, brackets)
+        assert (type(info.value), str(info.value)) == (error, message), brackets
     # consistent duplicate is fine
     LieAlgebra(3, {(0, 1): {2: 1}, (1, 0): {2: -1}})
 
@@ -67,8 +90,13 @@ def test_value_is_the_rational_constants_whatever_their_form(empty_memos):
         "quotient": mod_ideal.quotient(ideal).algebra,
         "direct sum": direct_sum(abelian(0), target),
         "change_basis round trip": target.change_basis(p).change_basis(p_inv),
+        "integer rows": LieAlgebra._integral(
+            4, {(0, 1): (2, {2: 1}), (0, 2): (8, {3: 10})}
+        ),
     }
     assert dict(target.sc) == QUARTERS
+    # one stored pair, whatever the route: D and the integer table
+    assert (target._den, target._table) == (4, {(0, 1): {2: 2}, (0, 2): {3: 5}})
     for label, algebra in forms.items():
         assert algebra == target, label
         assert hash(algebra) == hash(target), label
@@ -82,6 +110,9 @@ def test_value_is_the_rational_constants_whatever_their_form(empty_memos):
     # a sum with integer constants is brought to the common denominator
     wide = direct_sum(target, heisenberg(1))
     assert wide == LieAlgebra(7, {**QUARTERS, (4, 5): {6: 1}})
+    ints = LieAlgebra(4, {(1, 0): {2: -2, 3: 0}, (0, 2): {3: 4}})
+    assert (ints._den, ints._table) == (1, {(0, 1): {2: 2}, (0, 2): {3: 4}})
+    assert ints == LieAlgebra._integral(4, {(0, 1): (1, {2: 2}), (0, 2): (1, {3: 4})})
     assert wide.sc[(4, 5)] == {6: Fraction(1)}
     # ``sc`` keeps each row in the order given, zeros dropped
     mixed = LieAlgebra(5, {(0, 1): {4: "1/3", 2: 0, 3: Fraction(-2)}})
@@ -238,7 +269,7 @@ def test_series_of_one_bracket_in_dimension_5000_is_narrow(monkeypatch):
     assert [g.dim for g in L.lower_central_series()] == [n, 1, 0]
     assert len(calls) <= 8, len(calls)
     # the adjoint table has rows for x1 and x2 only, not one per vector
-    assert sorted(L._adjoint()[1]) == [0, 1]
+    assert sorted(L._adjoint()) == [0, 1]
     ambients = []
     init = SpanBuilder.__init__
 
@@ -249,6 +280,55 @@ def test_series_of_one_bracket_in_dimension_5000_is_narrow(monkeypatch):
     monkeypatch.setattr(SpanBuilder, "__init__", record)
     assert L.series().central_complement_dim == n - 3
     assert ambients and max(ambients) <= n, max(ambients)
+
+
+def test_adjoint_index_shares_the_table_rows(empty_memos):
+    # one row object per bracket, under both index orders: the readers
+    # take the sign from the order, so [x_j, x_i] is the negated row.
+    # The index is memoised per value, so its rows are those of the
+    # first algebra of that value to build it: here, each L below.
+    import random
+
+    rational = random_basis_change(catalog_get("L6_22(1/2)"), random.Random(5))
+    assert rational._den > 1
+    for L in (heisenberg(3), catalog_get("L5_7"), rational):
+        adj = L._adjoint()
+        assert {(min(i, j), max(i, j)) for i in adj for j in adj[i]} == set(L._table)
+        for (i, j), row in L._table.items():
+            assert adj[i][j] is adj[j][i] is row
+            assert L._sparse_bracket({i: 1}, {j: 1}) == row
+            assert L._sparse_bracket({j: 1}, {i: 1}) == {k: -c for k, c in row.items()}
+
+
+def test_center_reads_the_kernel_off_without_a_scan_per_column(
+    monkeypatch, empty_memos
+):
+    # counts, not clocks: the center of H(200)+A(200) is the kernel of
+    # 400 equations of rank 400, with 201 columns outside the pivots;
+    # the kernel rows are read off the reduced echelon without asking
+    # each of its rows whether it holds each of those columns
+    from schurlab.linalg import SpanBuilder
+
+    tests = []
+
+    class Counted(dict):
+        def __contains__(self, key):
+            tests.append(key)
+            return super().__contains__(key)
+
+    reduced = SpanBuilder.reduced
+    ranks = []
+
+    def counted(self):
+        pivots, rows = reduced(self)
+        ranks.append(len(rows))
+        return pivots, [Counted(row) for row in rows]
+
+    monkeypatch.setattr(SpanBuilder, "reduced", counted)
+    L = direct_sum(heisenberg(200), abelian(200))
+    assert L.center().dim == 201
+    assert ranks == [400]
+    assert len(tests) == 0, len(tests)
 
 
 def test_memo_registry_drops_a_value_no_algebra_has(empty_memos):
@@ -392,7 +472,7 @@ def test_change_basis_matches_literal_definition(name):
     from sympy import Matrix
 
     L = catalog_get(name)
-    assert (L._adjoint()[0] > 1) == (name == "L6_22(1/2)")
+    assert (L._den > 1) == (name == "L6_22(1/2)")
     n = L.dim
     rng = random.Random(17)
     for _ in range(3):
@@ -453,7 +533,7 @@ def test_series_and_center_match_literal_definitions():
     for name in REFERENCE_NAMES:
         base = catalog_get(name)
         for L in [base] + [random_basis_change(base, rng) for _ in range(3)]:
-            denominators.add(L._adjoint()[0])
+            denominators.add(L._den)
             n = L.dim
             full = Subspace.full(n)
             want = [full]
