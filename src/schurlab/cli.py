@@ -32,6 +32,13 @@ Exit codes: 0 success, 1 stdout was closed before all output was
 written, 2 input error (also an empty or unknown SCHURLAB_LOG level),
 3 resource cap exceeded, 4 a theorem-consistency check failed.
 
+``run`` is the process entry (``python -m schurlab`` and the
+``schurlab`` script): once ``main`` returns and stdout and stderr are
+flushed, the process exits at once, without interpreter teardown, so
+``atexit`` hooks do not run.  Help, usage errors and uncaught
+exceptions end the ordinary way.  A library caller of ``main`` is
+unaffected: it returns the exit code and never exits the process.
+
 JSON output (schema_version "1") is stable-ordered and byte-identical
 across repeated invocations.  Every document carries the algebra
 identity: the catalog name, or the file path with a sha256 digest of
@@ -255,9 +262,6 @@ COMMANDS = {
 
 _HELP = ("-h", "--help")
 
-# a word that looks like a negative number is a value, not an option
-_NUMBER = re.compile(r"-\d+$|-\d*\.\d+$")
-
 
 def _metavar(flag, kind):
     if isinstance(kind, tuple):
@@ -335,7 +339,8 @@ def _option(command, word, flags):
             return hits[0], inline
     elif word[:2] in flags:
         return word[:2], word[2:]
-    if _NUMBER.match(word) or " " in word:
+    # a word that looks like a negative number is a value, not an option
+    if re.match(r"-\d+$|-\d*\.\d+$", word) or " " in word:
         return None
     return None, None
 
@@ -454,5 +459,19 @@ def main(argv=None):
     return 4 if doc.get("all_hold") is False else 0
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+def run():
+    """Run ``main`` as a process and exit with its code.  Once the
+    answer is flushed nothing is left to do, so ``os._exit`` skips the
+    interpreter's teardown (full garbage collections and module
+    clean-up): nothing in the package registers an ``atexit`` hook or
+    keeps a write handle open, and the logging handler flushes each
+    record.  If a flush fails, ``sys.exit`` leaves the last flush and
+    the exit status to the interpreter."""
+    code = main()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None when the fd was closed at start
+                stream.flush()
+    except (OSError, ValueError):
+        sys.exit(code)
+    os._exit(code)

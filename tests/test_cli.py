@@ -749,6 +749,96 @@ def test_console_script_entry_point():
     assert doc["bound_e1"] == 2 and doc["attains_e2"] is True
 
 
+# ``python -m schurlab`` runs ``cli.run``, which leaves the process as
+# soon as main returns; what a child writes and its exit code must be
+# main's in-process ones.  Exit 4 is not among them: no catalog algebra
+# fails a theorem check, so only a patched check reaches it
+# (test_failed_check_exits_4).
+PROCESS_ARGV = [
+    ("info --name L5_7", None),
+    ("info --name L5_7 --format json", None),
+    ("multiplier --name L5_7", None),
+    ("multiplier --name L5_7 --format json", None),
+    ("info --name nope", None),  # exit 2
+    ("multiplier --name H(7)+H(7)", None),  # exit 3, the Hall cap
+    ("-h", None),  # SystemExit(0)
+    ("--bogus", None),  # SystemExit(2)
+    ("info --name L5_7", "DEBUG"),
+]
+
+
+@pytest.mark.parametrize("line, log", PROCESS_ARGV)
+def test_process_entry_matches_main(monkeypatch, capsys, line, log):
+    import logging
+
+    argv = shlex.split(line)
+    child = _child(["-m", "schurlab", *argv], log=log)
+    monkeypatch.delenv("SCHURLAB_LOG", raising=False)
+    if log is not None:
+        monkeypatch.setenv("SCHURLAB_LOG", log)
+    # the root logger as a fresh interpreter has it, so that main's
+    # basicConfig installs its handler on the captured stderr
+    root = logging.getLogger()
+    handlers, level = root.handlers[:], root.level
+    root.handlers.clear()
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    finally:
+        root.handlers[:] = handlers
+        root.setLevel(level)
+    captured = capsys.readouterr()
+    assert (child.returncode, child.stdout, child.stderr) == (
+        code, captured.out, captured.err)
+
+
+ATEXIT_SCRIPT = (
+    "import atexit, sys\n"
+    "atexit.register(sys.stderr.write, 'atexit hook ran\\n')\n"
+    "from schurlab.cli import run\n"
+    "run()\n"
+)
+
+
+def test_process_entry_skips_interpreter_teardown(capsys):
+    """``cli.run`` exits by ``os._exit`` once the answer is flushed, and
+    so skips the teardown that an ordinary exit pays in every process:
+    the document is complete and an atexit hook never runs."""
+    argv = ["multiplier", "--name", "L5_7", "--format", "json"]
+    proc = _child(["-c", ATEXIT_SCRIPT, *argv])
+    assert main(argv) == 0
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, capsys.readouterr().out, "")
+    # the installed script takes the same entry as ``-m schurlab``
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    text = pyproject.read_text(encoding="utf-8")
+    scripts = text.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    assert scripts.strip().splitlines() == ['schurlab = "schurlab.cli:run"']
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_process_entry_where_a_stream_cannot_be_flushed():
+    # stdout on a full device: main reports the write error and returns
+    # 2, run's flush fails as well, and the interpreter's exit flushes
+    # once more and, failing, exits 120, as an ordinary exit does
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "schurlab", "info", "--name", "A(1)"],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=env)
+    assert proc.returncode == 120
+    assert proc.stderr.startswith("schurlab: [Errno 28] No space left")
+    assert proc.stderr.splitlines()[-1].startswith("OSError: [Errno 28]")
+    # a process started with stdout closed has no sys.stdout: there is
+    # nothing to flush, and the exit code is main's
+    script = "import sys\nsys.stdout = None\nfrom schurlab.cli import run\nrun()\n"
+    proc = _child(["-c", script, "info", "--name", "nope"])
+    assert proc.returncode == 2
+    assert proc.stderr == "schurlab: unknown algebra name 'nope'\n"
+
+
 # Commands whose every computation runs on the integer adjoint table
 # and integer echelons; the dense Fraction bracket and the quotient's
 # Fraction project and lift are API edges they never reach.

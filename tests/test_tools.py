@@ -42,3 +42,19 @@ def test_code_lines_skips_docstrings_comments_and_blank_lines(tmp_path, capsys):
     (tmp_path / "notes.txt").write_text("y = 2\n", encoding="utf-8")
     assert code_lines.main([str(tmp_path)]) == 0
     assert capsys.readouterr().out == "7\n"
+
+
+def test_process_cost_stamps_each_stage(monkeypatch, capsys):
+    process_cost = _load("process_cost")
+    real, runs = process_cost.stamps, []
+    monkeypatch.setattr(process_cost, "stamps",
+                        lambda command: runs.append(real(command)) or runs[-1])
+    assert process_cost.main(["--runs", "2", "info", "--name", "A(1)"]) == 0
+    assert len(runs) == 2
+    for marks, code in runs:
+        # spawn, start-up done, imports done, main returned, reaped
+        assert code == 0 and len(marks) == 5 and marks == sorted(marks)
+    head, *rows = capsys.readouterr().out.splitlines()
+    assert head == "schurlab info --name A(1): median ms of 2 runs, exit code 0"
+    assert [row.split()[0] for row in rows] == [*process_cost.STAGES, "total"]
+    assert all(float(row.split()[1]) >= 0 for row in rows)
