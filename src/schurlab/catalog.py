@@ -43,7 +43,7 @@ def abelian(n: int) -> LieAlgebra:
     """A(n): the abelian algebra of dimension n >= 0."""
     if n < 0:
         raise ValueError("dimension must be nonnegative")
-    return LieAlgebra(n, {}, name=f"A({n})")
+    return LieAlgebra._integral(n, {}, name=f"A({n})")
 
 
 def heisenberg(m: int) -> LieAlgebra:

@@ -170,14 +170,15 @@ class FreeNilpotentAlgebra:
 
     @property
     def algebra(self) -> LieAlgebra:
-        """The underlying LieAlgebra with the full bracket table."""
+        """The underlying LieAlgebra with the full bracket table, whose
+        rows are the memoised product dicts themselves (D = 1)."""
         brackets = {}
         for a in range(self.dim):
             for b in range(a + 1, self.dim):
                 prod = self.product(a, b)
                 if prod:
-                    brackets[(a, b)] = prod
-        return LieAlgebra(
+                    brackets[(a, b)] = 1, prod
+        return LieAlgebra._integral(
             self.dim,
             brackets,
             name=f"F({self.generators},{self.class_bound})",

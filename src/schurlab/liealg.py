@@ -149,7 +149,8 @@ class LieAlgebra:
     Fractions or strings such as "1/2".  Its value is its dimension and
     the constants' values, whatever their form: each bracket is checked
     and scaled to an integer row by ``linalg._scaled``, and ``_set``
-    stores them as ``_integral`` does."""
+    stores them as ``_integral`` does.  It is only the library edge:
+    every algebra the package builds comes through ``_integral``."""
 
     def __init__(self, dim, brackets, name=None):
         if dim < 0:
@@ -213,7 +214,7 @@ class LieAlgebra:
     @property
     def sc(self):
         """{(i, j): {k: c_ijk}} for i < j as Fractions, built when read."""
-        return _fraction_view(self)
+        return {key: frac_dict(row, self._den) for key, row in self._table.items()}
 
     # -- elements ----------------------------------------------------
 
@@ -225,16 +226,16 @@ class LieAlgebra:
 
     def bracket(self, u, v):
         """[u, v] for coordinate vectors u, v, by the literal loop over
-        the structure constants.  It is the reference the tests hold the
-        sparse adjoint table to; no computation in the package calls
-        it."""
-        out = list(self.zero())
-        for (i, j), vec in self.sc.items():
+        the integer table D c_ijk, divided by D once at the end.  It is
+        the reference the tests hold the sparse adjoint table to; no
+        computation in the package calls it."""
+        out = [0] * self.dim
+        for (i, j), vec in self._table.items():
             c = u[i] * v[j] - u[j] * v[i]
             if c:
                 for k, w in vec.items():
                     out[k] += c * w
-        return tuple(frac(x) for x in out)
+        return tuple(frac(x) / self._den for x in out)
 
     # -- structure ---------------------------------------------------
 
@@ -443,29 +444,33 @@ class LieAlgebra:
         """The same algebra in the basis given by the columns of P.
 
         New basis vector y_t has old coordinates P[:, t]; raises
-        SingularMatrix when P is not invertible.  [y_s, y_t] is
-        P^-1 (D [P e_s, P e_t]) / D: the bracket is read off the adjoint
-        table on the sparse columns of P and mapped through the sparse
-        columns of P^-1.
+        ValueError when P is not n x n, TypeError for a float entry and
+        SingularMatrix when P is not invertible.  P is scaled once to an
+        integer matrix A = d P, and ``invert`` of its transpose gives
+        the columns of q A^-1.  Then [y_s, y_t] is
+        (q A^-1) (D [A e_s, A e_t]) / (q d D): the bracket is read off
+        the adjoint table on the sparse columns of A and mapped through
+        the sparse columns of q A^-1, all in integers.
         """
         n = self.dim
-        p_rows = [[frac(x) for x in row] for row in p_rows]
+        p_rows = [list(row) for row in p_rows]
         if len(p_rows) != n or any(len(r) != n for r in p_rows):
             raise ValueError("change of basis matrix has the wrong shape")
-        p_inv = invert(p_rows)
-        cols = [{r: x for r, x in enumerate(c) if x} for c in zip(*p_rows)]
-        inv_cols = [{i: x for i, x in enumerate(c) if x} for c in zip(*p_inv)]
-        den = self._den
+        flat = {(r, c): x for r, row in enumerate(p_rows) for c, x in enumerate(row)}
+        entries, d = _scaled(flat)
+        cols = [{} for _ in range(n)]
+        for (r, c), x in entries.items():
+            cols[c][r] = x
+        q, inv_cols = invert([[col.get(r, 0) for r in range(n)] for col in cols])
+        den = q * d * self._den
         brackets = {}
         for s in range(n):
             for t in range(s + 1, n):
                 img = {}
                 for k, x in self._sparse_bracket(cols[s], cols[t]).items():
                     axpy(img, x, inv_cols[k])
-                entry = {i: img[i] / den for i in sorted(img)}
-                if entry:
-                    brackets[(s, t)] = entry
-        return LieAlgebra(n, brackets, name=name)
+                brackets[(s, t)] = den, img
+        return LieAlgebra._integral(n, brackets, name=name)
 
     # -- misc --------------------------------------------------------
 
@@ -488,9 +493,3 @@ class LieAlgebra:
 
 def direct_sum(a: LieAlgebra, b: LieAlgebra, name=None) -> LieAlgebra:
     return a.direct_sum(b, name=name)
-
-
-@per_algebra
-def _fraction_view(L):
-    """``L.sc``: the integer table over D as Fractions."""
-    return {key: frac_dict(row, L._den) for key, row in L._table.items()}

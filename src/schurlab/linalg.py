@@ -31,9 +31,10 @@ stops at the first free column.  A builder that starts from a
 canonical echelon takes its rows as they are, without eliminating them
 again.  Rational sequences become dict
 rows only at the API edges (``Subspace``, ``kernel_basis``,
-``invert``, the public ``LieAlgebra`` constructor), through one scaling
-helper, ``_scaled``; ``rows``, ``reduce`` and ``invert`` hand Fractions
-back.
+``invert``, the public ``LieAlgebra`` constructor and the matrix P of
+``LieAlgebra.change_basis``), through one scaling helper, ``_scaled``;
+``rows`` and ``reduce`` hand Fractions back, and ``invert`` an integer
+pair.
 Only the edge helpers below build Fractions, importing ``fractions``
 on first use, so a run on integers never loads it.
 """
@@ -332,8 +333,12 @@ class Subspace:
 
     @classmethod
     def coordinate(cls, indices, ambient: int) -> "Subspace":
-        """Span of the standard basis vectors e_i for i in indices."""
-        return cls._trusted(({i: 1} for i in sorted(set(indices))), ambient)
+        """Span of the standard basis vectors e_i for i in indices;
+        raises ValueError for an index outside range(ambient)."""
+        indices = sorted(set(indices))
+        if indices and not (indices[0] >= 0 and indices[-1] < ambient):
+            raise ValueError(f"coordinate index out of range({ambient})")
+        return cls._trusted(({i: 1} for i in indices), ambient)
 
     @property
     def rows(self):
@@ -494,12 +499,15 @@ def kernel_basis(matrix, ncols=None) -> Subspace:
 
 
 def invert(matrix):
-    """Inverse of a square rational matrix; raises SingularMatrix.
+    """The inverse of a square rational matrix A as an integer pair
+    ``(den, rows)``: ``rows`` are the sparse integer dict rows of
+    den A^-1, and den > 0.  Raises SingularMatrix.
 
     One integer echelon of [A | I]: every row of it is c [A | I] for
     some c.  A is invertible exactly when no pivot lands in the I
     block, and then the reduced row t is [b_t e_t | c_t] with
-    c_t A = b_t e_t, so row t of the inverse is c_t / b_t.
+    c_t A = b_t e_t, so row t of A^-1 is c_t / b_t; den is the lcm of
+    the b_t.
     """
     n = len(matrix)
     builder = SpanBuilder(2 * n)
@@ -513,7 +521,8 @@ def invert(matrix):
     if pivots and pivots[-1] >= n:
         rank = sum(p < n for p in pivots)
         raise SingularMatrix(f"{n} x {n} matrix of rank {rank}")
-    return tuple(
-        frac_tuple({k - n: x for k, x in row.items() if k >= n}, n, row[t])
+    den = lcm(*(row[t] for t, row in enumerate(rows)))
+    return den, [
+        {k - n: x * (den // row[t]) for k, x in row.items() if k >= n}
         for t, row in enumerate(rows)
-    )
+    ]

@@ -1281,6 +1281,29 @@ def test_fractions_is_imported_only_inside_linalg_edge_helpers():
 FRACTION_MODULES = ("fractions", "decimal", "numbers")
 
 
+def test_no_module_calls_the_public_lie_algebra_constructor():
+    # the public constructor checks and scales rational input, so it is
+    # only the library edge: every algebra the package builds comes from
+    # integer rows through ``LieAlgebra._integral``
+    def calls_constructor(node):
+        if not isinstance(node, ast.Call):
+            return False
+        func = node.func
+        return (isinstance(func, ast.Name) and func.id == "LieAlgebra") or (
+            isinstance(func, ast.Attribute) and func.attr == "LieAlgebra"
+        )
+
+    offenders = []
+    for path in sorted(Path(schurlab.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        offenders += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if calls_constructor(node)
+        ]
+    assert offenders == []
+
+
 def test_adjoint_rows_are_read_only_in_liealg():
     # the adjoint index shares the table's rows and takes the sign from
     # the index order, which is liealg's layout: no other module calls

@@ -283,6 +283,22 @@ def test_deep_product_tables_digest():
     )
 
 
+def test_algebra_shares_the_product_memo_and_leaves_it_unchanged(empty_memos):
+    # F.algebra's table holds the memoised product dicts themselves
+    # (D = 1, so no row is scaled or copied), and with them the adjoint
+    # index does: no computation on the algebra may change one
+    free = free_nilpotent_algebra(3, 4)
+    L = free.algebra
+    snapshot = {key: dict(row) for key, row in free._table.items()}
+    assert all(L._table[key] is row for key, row in free._table.items() if row)
+    n = L.dim
+    L.validate()
+    L.series()
+    L.change_basis([[int(j in (i, i + 1)) for j in range(n)] for i in range(n)])
+    L.quotient(L.center())
+    assert {key: free._table[key] for key in snapshot} == snapshot
+
+
 def test_witt_miscount_is_an_invariant_mismatch(monkeypatch):
     """A Witt number that disagrees with the words built in its degree
     is refused by every entry point.  It clears the instance cache, so

@@ -75,7 +75,8 @@ def test_value_is_the_rational_constants_whatever_their_form(empty_memos):
     ideal = Subspace([[0, 0, 0, 2, 3]], 5)
     p = [[1, Fraction(1, 3), 0, 2], [0, 1, Fraction(-2, 5), 0],
          [0, 0, 1, Fraction(3, 2)], [0, 0, 0, 1]]
-    p_inv = invert(p)
+    den, inv_rows = invert(p)
+    p_inv = [[Fraction(row.get(k, 0), den) for k in range(4)] for row in inv_rows]
     forms = {
         "ints and Fractions": LieAlgebra(
             4, {(0, 1): {2: Fraction(1, 2), 3: 0}, (0, 2): {3: Fraction(5, 4)},
@@ -487,12 +488,53 @@ def test_change_basis_matches_literal_definition(name):
         assert L.change_basis(p).sc == literal_change_basis(L, p)
 
 
+def unimodular(n, rng):
+    """A seeded n x n integer matrix of determinant +-1: integer shears,
+    swaps and sign changes of the identity."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i != j:
+            k = rng.choice([-2, -1, 1, 2])
+            rows[i] = [x + k * y for x, y in zip(rows[i], rows[j])]
+        else:
+            rows[i] = [-x for x in rows[i]]
+        rows[i], rows[j] = rows[j], rows[i]
+    return rows
+
+
+def test_change_basis_by_an_integer_p_builds_no_fraction(monkeypatch):
+    # integers inside: for an integer P, the scaling, the inverse, the
+    # brackets and the new table are integer rows and pairs
+    import random
+
+    from schurlab import linalg
+
+    rng = random.Random(29)
+    cases = []
+    for name in ("L6_22(1/2)", "L5_7+A(2)"):
+        L = catalog_get(name)
+        p = unimodular(L.dim, rng)
+        cases.append((L, p, L.change_basis(p)))
+        assert cases[-1][2] != L, name
+    assert cases[0][0]._den == 2
+
+    def refuse():
+        raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(linalg, "_fraction", refuse)
+    for L, p, expected in cases:
+        assert L.change_basis(p) == expected, L.name
+
+
 def test_change_basis_rejects_singular():
     L = abelian(2)
     with pytest.raises(SingularMatrix):
         L.change_basis([[1, 1], [1, 1]])
     with pytest.raises(ValueError):
         L.change_basis([[1, 0]])
+    with pytest.raises(TypeError):
+        L.change_basis([[1, 0], [0.5, 1]])
 
 
 def literal_bracket_span(L, s, t):

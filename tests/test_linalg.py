@@ -385,21 +385,35 @@ def test_jordan_phase_gives_the_canonical_echelon():
     assert non_unit > 100
 
 
+def fraction_inverse(matrix):
+    """``invert(matrix)``, the pair (den, rows) of den A^-1, read as
+    dense tuples of Fractions once its integer contract is checked:
+    den > 0 and every stored entry a nonzero int."""
+    den, rows = invert(matrix)
+    assert type(den) is int and den > 0
+    assert all(type(x) is int and x for row in rows for x in row.values())
+    n = len(rows)
+    return tuple(tuple(Fraction(row.get(k, 0), den) for k in range(n)) for row in rows)
+
+
 def test_invert_roundtrip_and_singular():
     a = [[1, 2], [3, 4]]
-    inv = invert(a)
+    inv = fraction_inverse(a)
     assert [[sum(x * y for x, y in zip(row, col)) for col in zip(*a)]
             for row in inv] == [
         [Fraction(1), Fraction(0)],
         [Fraction(0), Fraction(1)],
     ]
     # row swaps, the empty matrix and rank deficiency in a later column
-    assert invert([[0, 1], [1, 0]]) == ((0, 1), (1, 0))
-    assert invert([[0, 2], [Fraction(1, 3), 5]]) == (
+    assert fraction_inverse([[0, 1], [1, 0]]) == ((0, 1), (1, 0))
+    assert fraction_inverse([[0, 2], [Fraction(1, 3), 5]]) == (
         (Fraction(-15, 2), 3),
         (Fraction(1, 2), 0),
     )
-    assert invert([]) == ()
+    assert fraction_inverse([]) == ()
+    # the integer pair itself: den is the lcm of the pivot entries
+    assert invert([[0, 2], [Fraction(1, 3), 5]]) == (2, [{0: -15, 1: 6}, {0: 1}])
+    assert invert([]) == (1, [])
     for singular in (
         [[1, 2], [2, 4]],
         [[0]],
@@ -439,12 +453,11 @@ def test_invert_matches_sympy(case, dependent):
         with pytest.raises(SingularMatrix):
             invert(rows)
         return
-    inv = invert(rows)
+    inv = fraction_inverse(rows)
     assert inv == tuple(
         tuple(Fraction(int(x.p), int(x.q)) for x in m.inv().row(i))
         for i in range(n)
     )
-    assert all(type(x) is Fraction for row in inv for x in row)
 
 
 def test_zero_and_full_and_coordinate():
@@ -452,3 +465,14 @@ def test_zero_and_full_and_coordinate():
     assert Subspace.full(4).dim == 4
     s = Subspace.coordinate([1, 3], 4)
     assert s.dim == 2 and s.contains([0, 5, 0, -1])
+
+
+def test_coordinate_rejects_indices_outside_the_ambient_space():
+    # an index past the end would give a pivot outside Q^n, and a
+    # negative one would wrap round to the last coordinate of ``rows``
+    for indices, ambient in (([7], 3), ([-1], 3), ([0, 3], 3), ([-1, 2], 3), ([0], 0)):
+        with pytest.raises(ValueError):
+            Subspace.coordinate(indices, ambient)
+    assert Subspace.coordinate([2, 0, 2], 3).pivots == (0, 2)
+    assert Subspace.coordinate([], 0) == Subspace.zero(0)
+    assert Subspace.coordinate(range(3), 3) == Subspace.full(3)
