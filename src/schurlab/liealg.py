@@ -30,7 +30,9 @@ from .errors import (
 from .linalg import (
     Subspace,
     SpanBuilder,
+    _reduce,
     _scaled,
+    _seq,
     axpy,
     exact,
     frac,
@@ -101,7 +103,7 @@ class Quotient(Record):
 
     def lift(self, vec):
         columns = self.ideal.nonpivots()
-        if len(vec) != len(columns):
+        if len(_seq(vec)) != len(columns):
             raise ValueError("vector/quotient dimension mismatch")
         out = list(frac_tuple({}, self.ideal.ambient))
         for j, x in zip(columns, vec):
@@ -134,8 +136,8 @@ def _ad_images(adj, r):
     under (j, l) is D [x_j, x_l] for j < l and its negative otherwise.
     The keys are the l with a nonzero [x_j, x_l] for some j in supp(r);
     an image whose terms all cancel is an empty dict.  The series,
-    ``bracket_subspaces``, ``validate`` and the closure check of
-    ``quotient`` read this one pass.
+    ``validate`` and the closure check of ``quotient`` read this one
+    pass.
     """
     images = {}
     for j, x in r.items():
@@ -218,12 +220,6 @@ class LieAlgebra:
 
     # -- elements ----------------------------------------------------
 
-    def zero(self):
-        return frac_tuple({}, self.dim)
-
-    def basis_vector(self, i):
-        return frac_tuple({i: 1}, self.dim)
-
     def bracket(self, u, v):
         """[u, v] for coordinate vectors u, v, by the literal loop over
         the integer table D c_ijk, divided by D once at the end.  It is
@@ -305,24 +301,12 @@ class LieAlgebra:
         return out
 
     def bracket_subspaces(self, s: Subspace, t: Subspace) -> Subspace:
-        """The span of [a, b] over a in s, b in t.
-
-        For each echelon row b of t, ``_ad_images`` gives every
-        D [x_l, b] in one pass, and D [a, b] = sum_l a_l D [x_l, b] for
-        each echelon row a of s; only nonzero brackets reach the
-        builder.
-        """
-        adj = self._adjoint()
+        """The span of [a, b] over a in s, b in t: one builder of the
+        ``_sparse_bracket`` of each pair of echelon rows."""
         builder = SpanBuilder(self.dim)
         for b in t.echelon.values():
-            images = _ad_images(adj, b)
             for a in s.echelon.values():
-                out = {}
-                for l, x in a.items():
-                    if l in images:
-                        axpy(out, x, images[l])
-                if out:
-                    builder.add(out)
+                builder.add(self._sparse_bracket(a, b))
         return builder.subspace()
 
     @per_algebra
@@ -409,13 +393,13 @@ class LieAlgebra:
         # only the noncentral basis vectors, the keys of the adjoint
         # table, bracket to anything, and only with an ideal row whose
         # support meets them; I is closed when each such bracket, an
-        # image of ``_ad_images``, reduces to zero modulo I
+        # image of ``_ad_images``, reduces to zero against I's echelon,
+        # which ``_reduce`` only reads
         adj = self._adjoint()
-        modulo = SpanBuilder(self.dim)
-        modulo.rows.update(ideal.echelon)
-        rows = [r for r in ideal.echelon.values() if not adj.keys().isdisjoint(r)]
+        echelon = ideal.echelon
+        rows = [r for r in echelon.values() if not adj.keys().isdisjoint(r)]
         brackets = (image for r in rows for image in _ad_images(adj, r).values())
-        if not all(map(modulo.contains, brackets)):
+        if any(_reduce(echelon, image)[0] for image in brackets):
             raise NotAnIdeal("subspace is not closed under bracketing with L")
         comp = ideal.nonpivots()
         # D [x_i, x_j] modulo I is residual / scale, so the quotient's
@@ -424,7 +408,7 @@ class LieAlgebra:
         brackets = {}
         for (i, j), w in self._table.items():
             if i in index and j in index:
-                residual, scale = modulo.reduce(w)
+                residual, scale = _reduce(echelon, w)
                 if residual:
                     brackets[(index[i], index[j])] = scale * self._den, {
                         index[k]: x for k, x in residual.items()
@@ -453,7 +437,7 @@ class LieAlgebra:
         the sparse columns of q A^-1, all in integers.
         """
         n = self.dim
-        p_rows = [list(row) for row in p_rows]
+        p_rows = [list(_seq(row)) for row in p_rows]
         if len(p_rows) != n or any(len(r) != n for r in p_rows):
             raise ValueError("change of basis matrix has the wrong shape")
         flat = {(r, c): x for r, row in enumerate(p_rows) for c, x in enumerate(row)}

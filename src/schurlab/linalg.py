@@ -26,15 +26,18 @@ integer vectors and combined by integer cross-multiplication, dividing
 out the content when it grows, so intermediate entries stay small.
 ``_reduce`` is the one loop that reduces a row against an echelon:
 ``SpanBuilder.reduce``, ``contains`` and the Jordan phase ``reduced``
-all run it; only ``SpanBuilder.add`` keeps a loop of its own, which
-stops at the first free column.  A builder that starts from a
-canonical echelon takes its rows as they are, without eliminating them
-again.  Rational sequences become dict
+all run it, and so do the callers that hold a fixed echelon, such as
+``LieAlgebra.quotient``, on that echelon itself; only
+``SpanBuilder.add`` keeps a loop of its own, which stops at the first
+free column.  A builder is made only where rows are added; one that
+starts from a canonical echelon takes its rows as they are, without
+eliminating them again.  Rational sequences become dict
 rows only at the API edges (``Subspace``, ``kernel_basis``,
 ``invert``, the public ``LieAlgebra`` constructor and the matrix P of
 ``LieAlgebra.change_basis``), through one scaling helper, ``_scaled``;
-``rows`` and ``reduce`` hand Fractions back, and ``invert`` an integer
-pair.
+a dict where a vector is due raises TypeError (``_seq``), since it
+would pass a length check.  ``rows`` and ``reduce`` hand Fractions
+back, and ``invert`` an integer pair.
 Only the edge helpers below build Fractions, importing ``fractions``
 on first use, so a run on integers never loads it.
 """
@@ -136,6 +139,15 @@ def int_row(vec):
     """The primitive integer row on the line of a rational sequence, as
     a sparse dict {column: entry} of its nonzero entries."""
     return _primitive(_scaled(vec)[0])
+
+
+def _seq(vec):
+    """``vec`` itself, a rational sequence.  A dict raises TypeError: it
+    would pass a length check as {column: value}, with its columns
+    unchecked."""
+    if isinstance(vec, dict):
+        raise TypeError("a vector is a sequence of scalars, not a dict")
+    return vec
 
 
 def _sparse(row):
@@ -306,7 +318,7 @@ class Subspace:
     def __init__(self, vectors, ambient: int):
         builder = SpanBuilder(ambient)
         for v in vectors:
-            if len(v) != ambient:
+            if len(_seq(v)) != ambient:
                 raise ValueError(
                     f"vector of length {len(v)} in ambient dimension {ambient}"
                 )
@@ -348,10 +360,6 @@ class Subspace:
         )
 
     @property
-    def pivots(self):
-        return tuple(self.echelon)
-
-    @property
     def dim(self) -> int:
         return len(self.echelon)
 
@@ -363,20 +371,16 @@ class Subspace:
         return [j for j in range(self.ambient) if j not in echelon]
 
     def reduce(self, vec):
-        """Canonical representative of vec modulo this subspace, zero at
-        every pivot: for a sparse integer dict vec, a dict of its
-        nonzero Fraction entries; for a rational sequence, a tuple."""
-        if isinstance(vec, dict):
-            residual, scale = _reduce(self.echelon, vec)
-            return frac_dict(residual, scale)
-        if len(vec) != self.ambient:
+        """Canonical representative of a rational sequence modulo this
+        subspace, zero at every pivot, as a tuple of Fractions."""
+        if len(_seq(vec)) != self.ambient:
             raise ValueError("vector/ambient mismatch")
         row, den = _scaled(vec)
         residual, scale = _reduce(self.echelon, row)
         return frac_tuple(residual, self.ambient, scale * den)
 
     def contains(self, vec) -> bool:
-        if len(vec) != self.ambient:
+        if len(_seq(vec)) != self.ambient:
             raise ValueError("vector/ambient mismatch")
         return not _reduce(self.echelon, int_row(vec))[0]
 
@@ -493,7 +497,7 @@ def kernel_basis(matrix, ncols=None) -> Subspace:
             raise ValueError("ncols required for an empty matrix")
         ncols = len(matrix[0])
     for r in matrix:
-        if len(r) != ncols:
+        if len(_seq(r)) != ncols:
             raise ValueError(f"row of length {len(r)} with {ncols} columns")
     return Subspace._trusted(kernel_rows(map(int_row, matrix), ncols), ncols)
 
@@ -512,7 +516,7 @@ def invert(matrix):
     n = len(matrix)
     builder = SpanBuilder(2 * n)
     for i, row in enumerate(matrix):
-        if len(row) != n:
+        if len(_seq(row)) != n:
             raise ValueError("matrix is not square")
         unit = [0] * n
         unit[i] = 1

@@ -61,7 +61,7 @@ from .errors import (
 )
 from .hall import free_nilpotent_algebra
 from .liealg import LieAlgebra, per_algebra
-from .linalg import SpanBuilder, Subspace, axpy, kernel_rows
+from .linalg import SpanBuilder, Subspace, _reduce, axpy, kernel_rows
 
 
 class Presentation:
@@ -339,15 +339,14 @@ def _split_exterior_center(L, split):
     rows a of the b_t reduced modulo it.
     """
     cols = split.ideal.nonpivots()
-    preimage = SpanBuilder(L.dim)
-    preimage.rows.update(split.ideal.echelon)
+    preimage = dict(split.ideal.echelon)
     # cols is increasing, so each moved row keeps its least column as its
     # pivot, a column outside C's pivots: no two pivots collide and the
     # union is already one echelon
     for p, row in exterior_center(split.algebra).echelon.items():
-        preimage.rows[cols[p]] = {cols[c]: x for c, x in row.items()}
+        preimage[cols[p]] = {cols[c]: x for c, x in row.items()}
     basis = list(L.derived_subspace().echelon.values())
-    reduced = [preimage.reduce(b) for b in basis]
+    reduced = [_reduce(preimage, b) for b in basis]
     return _kernel_span(_constraints(reduced), basis, L.dim)
 
 
@@ -419,7 +418,7 @@ def multiplier_report(L: LieAlgebra) -> MultiplierReport:
     m = rep.derived_dim
     c = rep.nilpotency_class
     dim_m = schur_multiplier_dim(L)
-    wedge = exterior_square_dim(L)
+    wedge = dim_m + m  # dim(L wedge L) = dim M(L) + dim L2
     zext = exterior_center(L)
     if m == 0:
         b1 = b2 = attains = None

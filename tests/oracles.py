@@ -235,6 +235,11 @@ def literal_change_basis(L, p_rows):
     return out
 
 
+def unit(n, i=None):
+    """The Fraction tuple of e_i in Q^n, or of 0 when i is None."""
+    return tuple(Fraction(int(j == i)) for j in range(n))
+
+
 def lyndon_count(d, k):
     """Number of Lyndon words of length k over a d-letter alphabet."""
     if k == 1:

@@ -1320,3 +1320,39 @@ def test_adjoint_rows_are_read_only_in_liealg():
             if isinstance(node, ast.Attribute) and node.attr == "_adjoint"
         ]
     assert offenders == []
+
+
+def test_members_nothing_in_src_reads_are_pinned():
+    # each non-dunder method or property of a src/ class whose name no
+    # attribute read in src/ uses; a member only the tests call is
+    # retired, not kept.  The match is by name alone, so a member that
+    # shares its name with one src/ reads, as LieAlgebra.zero does with
+    # Subspace.zero and SpanBuilder.contains with Subspace.contains, is
+    # not seen.
+    pinned = {
+        # perfbench's tracer SPANS lists them
+        "LieAlgebra.bracket",
+        "LieAlgebra.bracket_subspaces",
+        "Quotient.lift",
+        "Quotient.project",
+        "Subspace.coords",
+        # library entry points
+        "LieAlgebra.change_basis",
+        "LieAlgebra.sc",
+        # witness accessors of a presentation
+        "Presentation.dim_exterior_square",
+        "Presentation.f2",
+    }
+    members, read = set(), set()
+    for path in sorted(Path(schurlab.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                members.update(
+                    (node.name, item.name)
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                    and not (item.name.startswith("__") and item.name.endswith("__"))
+                )
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    assert {f"{c}.{m}" for c, m in members if m not in read} == pinned

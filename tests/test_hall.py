@@ -17,7 +17,7 @@ from schurlab.hall import (
 )
 from schurlab.multiplier import present_minimal, schur_multiplier_dim
 
-from oracles import lyndon_count
+from oracles import lyndon_count, unit
 
 
 def test_witt_values():
@@ -195,7 +195,7 @@ def test_product_bilinearity_via_product(a, b, c, q):
     u = [Fraction(0)] * n
     u[a] += 1
     u[b] += q
-    lhs = free.algebra.bracket(u, free.algebra.basis_vector(c))
+    lhs = free.algebra.bracket(u, unit(n, c))
     rhs = [
         x + q * y
         for x, y in zip(dense(free.product(a, c)), dense(free.product(b, c)))

@@ -14,7 +14,7 @@ from schurlab.catalog import abelian, catalog_get, heisenberg
 from schurlab.liealg import LieAlgebra, direct_sum
 from schurlab.linalg import Subspace, invert
 
-from oracles import literal_change_basis, random_basis_change
+from oracles import literal_change_basis, random_basis_change, unit
 
 # Entries with mixed structure, and L6_22(1/2), whose constants already
 # have denominator 2; rational basis changes add more denominators.
@@ -157,7 +157,7 @@ vectors5 = st.lists(
 @settings(max_examples=60, deadline=None)
 def test_bracket_bilinear_antisymmetric(u, v, w):
     L = catalog_get("L5_9")
-    assert L.bracket(u, u) == L.zero()
+    assert L.bracket(u, u) == unit(5)
     assert L.bracket(u, v) == tuple(-x for x in L.bracket(v, u))
     left = L.bracket([a + b for a, b in zip(u, v)], w)
     split = tuple(
@@ -193,13 +193,14 @@ def test_validate_catches_violation():
     assert err.triple in ((1, 2, 3), (1, 2, 4))
     # independent hand expansion of the (1,2,4) Jacobiator:
     # [[x1,x2],x4] + [[x2,x4],x1] + [[x4,x1],x2] = 0 + [x3,x1] + 0 = -x4
+    n = L.dim
     i, j, k = (x - 1 for x in (1, 2, 4))
     jac = [
         a + b + c
         for a, b, c in zip(
-            L.bracket(L.bracket(L.basis_vector(i), L.basis_vector(j)), L.basis_vector(k)),
-            L.bracket(L.bracket(L.basis_vector(j), L.basis_vector(k)), L.basis_vector(i)),
-            L.bracket(L.bracket(L.basis_vector(k), L.basis_vector(i)), L.basis_vector(j)),
+            L.bracket(L.bracket(unit(n, i), unit(n, j)), unit(n, k)),
+            L.bracket(L.bracket(unit(n, j), unit(n, k)), unit(n, i)),
+            L.bracket(L.bracket(unit(n, k), unit(n, i)), unit(n, j)),
         )
     ]
     assert jac == [0, 0, 0, -1]
@@ -209,9 +210,9 @@ def test_validate_catches_violation():
     true_residual = [
         a + b + c
         for a, b, c in zip(
-            L.bracket(L.bracket(L.basis_vector(ri), L.basis_vector(rj)), L.basis_vector(rk)),
-            L.bracket(L.bracket(L.basis_vector(rj), L.basis_vector(rk)), L.basis_vector(ri)),
-            L.bracket(L.bracket(L.basis_vector(rk), L.basis_vector(ri)), L.basis_vector(rj)),
+            L.bracket(L.bracket(unit(n, ri), unit(n, rj)), unit(n, rk)),
+            L.bracket(L.bracket(unit(n, rj), unit(n, rk)), unit(n, ri)),
+            L.bracket(L.bracket(unit(n, rk), unit(n, ri)), unit(n, rj)),
         )
     ]
     assert list(err.residual) == true_residual
@@ -442,6 +443,32 @@ def test_quotient_bracket_is_projected_bracket(name):
                 q.lift([0] * (q.algebra.dim + 1))
 
 
+def test_quotient_reduces_against_the_ideal_echelon(monkeypatch):
+    # the ideal's echelon is already canonical, so quotient reduces
+    # against it as it stands and builds no SpanBuilder; with every
+    # ideal built first, a builder that raises changes no quotient
+    import random
+
+    rng = random.Random(11)
+    algebras = []
+    for name in REFERENCE_NAMES + ["L4_3+A(2)", "A(3)"]:
+        base = catalog_get(name)
+        algebras += [base, random_basis_change(base, rng)]
+    cases = [
+        (L, ideal)
+        for L in algebras
+        for ideal in (L.center(), L._central_complement())
+    ]
+    want = [L.quotient(ideal) for L, ideal in cases]
+
+    def no_builder(ambient):
+        raise AssertionError("quotient built a SpanBuilder")
+
+    monkeypatch.setattr("schurlab.liealg.SpanBuilder", no_builder)
+    assert [L.quotient(ideal) for L, ideal in cases] == want
+    assert any(ideal.dim and L._den > 1 for L, ideal in cases)
+
+
 def test_direct_sum_series_adds():
     a = catalog_get("L5_8")
     b = abelian(2)
@@ -584,7 +611,7 @@ def test_series_and_center_match_literal_definitions():
             assert L.lower_central_series() == want, name
             # Z(L) is central, and its dimension is n minus the rank of
             # z -> ([z, x_1], ..., [z, x_n])
-            basis = [L.basis_vector(j) for j in range(n)]
+            basis = [unit(n, j) for j in range(n)]
             center = L.center()
             assert all(
                 not any(L.bracket(z, x)) for z in center.rows for x in basis
@@ -628,7 +655,7 @@ def first_jacobi_failure(L):
     """The first failing basis triple over all i < j < k, 1-based, and
     its residual; None when the Jacobi identity holds."""
     n = L.dim
-    x = [L.basis_vector(i) for i in range(n)]
+    x = [unit(n, i) for i in range(n)]
     br = L.bracket
     for i in range(n):
         for j in range(i + 1, n):

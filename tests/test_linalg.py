@@ -86,7 +86,7 @@ def test_subspace_canonical_equality():
     for s in ways:
         assert s == ways[0] and hash(s) == hash(ways[0])
         assert s.rows == ((1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-        assert s.pivots == (0, 2, 3)
+        assert tuple(s.echelon) == (0, 2, 3)
     # a space not spanned by basis vectors, three ways
     c = Subspace([[2, -4, 6, 0], [0, 0, 0, 5]], 4)
     builder = SpanBuilder(4)
@@ -130,14 +130,13 @@ def test_subspace_reduce_contains_coords():
             vec = [rational() for _ in range(5)]
             residual = sub.reduce(vec)
             assert all(type(x) is Fraction for x in residual)
-            assert not any(residual[p] for p in sub.pivots)
+            assert not any(residual[p] for p in sub.echelon)
             diff = [x - r for x, r in zip(vec, residual)]
             assert _sympy_rank(rows + [diff], 5) == sub.dim
             assert sub.reduce([str(x) for x in vec]) == residual
-            # an integer dict goes through the same reduction
+            # an integer sequence goes through the same reduction
             ints = [rng.randint(-4, 4) for _ in range(5)]
-            want = {k: x for k, x in enumerate(sub.reduce(ints)) if x}
-            assert sub.reduce({k: x for k, x in enumerate(ints)}) == want
+            assert sub.reduce(ints) == sub.reduce([Fraction(x) for x in ints])
     with pytest.raises(ValueError):
         s.reduce([1, 0])
 
@@ -473,6 +472,32 @@ def test_coordinate_rejects_indices_outside_the_ambient_space():
     for indices, ambient in (([7], 3), ([-1], 3), ([0, 3], 3), ([-1, 2], 3), ([0], 0)):
         with pytest.raises(ValueError):
             Subspace.coordinate(indices, ambient)
-    assert Subspace.coordinate([2, 0, 2], 3).pivots == (0, 2)
+    assert tuple(Subspace.coordinate([2, 0, 2], 3).echelon) == (0, 2)
     assert Subspace.coordinate([], 0) == Subspace.zero(0)
     assert Subspace.coordinate(range(3), 3) == Subspace.full(3)
+
+
+def test_rational_edges_reject_dict_vectors():
+    # a dict with ``ambient`` keys passes every length check, and was
+    # read as {column: value} with its columns unchecked, or as the
+    # list of its keys; each edge that takes a rational sequence now
+    # raises TypeError for one
+    from schurlab.catalog import heisenberg
+
+    L = heisenberg(1)
+    q = L.quotient(L.center())
+    s = Subspace([[1, 0]], 2)
+    cases = [
+        lambda: Subspace([{0: 1, 5: 1}], 2),
+        lambda: Subspace([{0: 1, -1: 1}], 2),
+        lambda: s.contains({0: 1, 5: 1}),
+        lambda: s.reduce({-1: 1, 0: 1}),
+        lambda: kernel_basis([{0: 1, 9: 1}], 2),
+        lambda: kernel_basis([{0: 1, 9: 1}]),
+        lambda: invert([{0: 1, 1: 1}, [0, 1]]),
+        lambda: L.change_basis([{0: 1, 1: 0, 2: 0}, [0, 1, 0], [0, 0, 1]]),
+        lambda: q.lift({0: 1, 5: 1}),
+    ]
+    for case in cases:
+        with pytest.raises(TypeError):
+            case()

@@ -35,6 +35,7 @@ from schurlab.multiplier import (
 from oracles import (
     ce_multiplier_dim,
     random_basis_change,
+    unit,
     wedge_dim,
     wedge_exterior_center,
 )
@@ -148,12 +149,12 @@ def _unitriangular(L, rng):
 def _induced_map(L, free):
     """The map F' -> L by Fraction brackets in L, word by word: the
     generators go to the basis vectors outside the pivots of L2."""
-    pivots = set(L.derived_subspace().pivots)
+    pivots = set(L.derived_subspace().echelon)
     gens = [i for i in range(L.dim) if i not in pivots]
     images = []
     for word in free.basis:
         if word.gen is not None:
-            images.append(L.basis_vector(gens[word.gen]))
+            images.append(unit(L.dim, gens[word.gen]))
         else:
             images.append(L.bracket(images[word.left], images[word.right]))
     return tuple(zip(*images))
